@@ -74,15 +74,11 @@ class CacheHierarchy:
         #: attached for attribution-enabled runs; purely observational.
         self.pollution = None
         self._pf_issuer: str | None = None
-        #: Optional back-invalidation hook: when a set (by the batch-replay
-        #: engine), L1 lines dropped for inclusion are recorded here so the
-        #: engine can poison their guaranteed-hit predictions.
-        self.l1_inval_log: set[int] | None = None
-        #: Optional degraded-tier hook (L1-filling prefetch setups): every
-        #: L1 eviction victim and every prefetch insertion is recorded so
-        #: the batch-replay engine can poison predictions the demand-only
-        #: stack-distance filter never saw.
-        self.l1_evict_log: set[int] | None = None
+        #: Optional back-invalidation hook, one set per core: when set (by
+        #: the batch-replay engine), each L1 line dropped for inclusion is
+        #: recorded in its core's set so the engine can poison that core's
+        #: guaranteed-hit predictions.
+        self.l1_inval_logs: list[set[int]] | None = None
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -96,12 +92,6 @@ class CacheHierarchy:
 
     def _fill_l1(self, core: int, line: int, kind: DataType, dirty: bool, pf: bool) -> None:
         victim = self.l1s[core].insert(line, kind, dirty=dirty, prefetched=pf)
-        log = self.l1_evict_log
-        if log is not None:
-            if pf:
-                log.add(line)
-            if victim is not None:
-                log.add(victim[0])
         if self.pollution is not None:
             self.pollution.on_fill("L1", line)
         if victim is None:
@@ -123,8 +113,8 @@ class CacheHierarchy:
         self._note_eviction(vline, vmeta, "L2", by_prefetch=pf)
         # Inclusion: the L1 above must drop the line too.
         l1_meta = self.l1s[core].invalidate(vline)
-        if l1_meta is not None and self.l1_inval_log is not None:
-            self.l1_inval_log.add(vline)
+        if l1_meta is not None and self.l1_inval_logs is not None:
+            self.l1_inval_logs[core].add(vline)
         dirty = vmeta.dirty or (l1_meta is not None and l1_meta.dirty)
         if dirty:
             self._merge_dirty_l3(vline)
@@ -142,8 +132,8 @@ class CacheHierarchy:
         for core in range(self.num_cores):
             m1 = self.l1s[core].invalidate(vline)
             if m1 is not None:
-                if self.l1_inval_log is not None:
-                    self.l1_inval_log.add(vline)
+                if self.l1_inval_logs is not None:
+                    self.l1_inval_logs[core].add(vline)
                 if m1.dirty:
                     dirty = True
             if self.l2s is not None:

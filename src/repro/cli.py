@@ -199,13 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--fast-path",
-        choices=["auto", "on", "vector", "off"],
+        choices=["auto", "on", "off"],
         default="auto",
-        help="batch-replay engine: auto/on pick the sound tier per setup "
-        "(fully vectorized, or per-window degraded for L1-filling "
-        "prefetchers), vector requires the fully vectorized tier, off "
-        "forces the scalar reference loop (results are bit-identical "
-        "either way)",
+        help="batch-replay engine: auto/on take it wherever it is sound "
+        "(every setup except the L1-filling monoDROPLETL1 and imp, which "
+        "replay on the scalar reference loop), off forces the scalar "
+        "reference loop (results are bit-identical either way)",
     )
 
     p_par = sub.add_parser(
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the span sidecar (no pareto.* timeline)",
     )
     p_par.add_argument(
-        "--fast-path", choices=["auto", "on", "vector", "off"], default="auto",
+        "--fast-path", choices=["auto", "on", "off"], default="auto",
         help="batch-replay engine selector (results are bit-identical "
         "either way; see docs/performance.md)",
     )
@@ -527,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--max-refs", type=int, metavar="N")
     p_submit.add_argument("--scale-shift", type=int, metavar="K")
     p_submit.add_argument(
-        "--fast-path", choices=["auto", "on", "vector", "off"]
+        "--fast-path", choices=["auto", "on", "off"]
     )
     p_submit.add_argument("--timeout", type=float, metavar="SECONDS")
     p_submit.add_argument("--retries", type=int, metavar="N")

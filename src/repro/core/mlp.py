@@ -52,7 +52,7 @@ class WindowTelemetry:
     """Core-side cumulative counters fed once per closed ROB window.
 
     The machine updates this (only when telemetry is enabled) right
-    after :func:`compute_window_timing`, so per-interval deltas yield
+    after timing each window, so per-interval deltas yield
     interval IPC and MLP; the histograms capture the distribution of
     per-window MLP and exposed latency that averages hide.
     """
@@ -98,17 +98,23 @@ class WindowTelemetry:
             prefix + ".window_exposed", (0, 50, 100, 200, 400, 800, 1600)
         )
 
-    def on_window(self, timing: WindowTiming, instructions: int, cycles: float) -> None:
+    def on_window(
+        self,
+        miss_latency: float,
+        exposed: float,
+        instructions: int,
+        cycles: float,
+    ) -> None:
         """Account one closed window (``cycles`` = base + exposed)."""
         self.cycles += cycles
         self.instructions += instructions
         self.windows += 1
-        self.miss_latency += timing.total_miss_latency
-        self.exposed_latency += timing.exposed
-        if self._mlp_hist is not None and timing.total_miss_latency > 0:
-            self._mlp_hist.observe(timing.mlp)
+        self.miss_latency += miss_latency
+        self.exposed_latency += exposed
+        if self._mlp_hist is not None and miss_latency > 0:
+            self._mlp_hist.observe(miss_latency / exposed if exposed > 0 else 0.0)
         if self._exposed_hist is not None:
-            self._exposed_hist.observe(timing.exposed)
+            self._exposed_hist.observe(exposed)
 
 
 def compute_window_timing(
@@ -190,7 +196,7 @@ def compute_window_timing_sparse(
     window_start: int,
     mshr: int = 10,
     load_queue: int | None = None,
-) -> WindowTiming:
+) -> tuple[float, float, dict[str, float]]:
     """:func:`compute_window_timing` over a sparse subset of a window's loads.
 
     The batch-replay engine materializes only the loads that can affect
@@ -201,6 +207,10 @@ def compute_window_timing_sparse(
     critical path) and its latency contributes nothing — so the result
     is bit-identical to the dense computation, including float summation
     order.
+
+    Returns plain numbers, ``(exposed, total_miss_latency,
+    latency_by_level)``: the fields of :class:`WindowTiming` the replay
+    loop consumes, without building one per window.
 
     Parameters
     ----------
@@ -221,8 +231,6 @@ def compute_window_timing_sparse(
         raise ValueError("load_queue must be positive")
 
     exposed = 0.0
-    critical_max = 0.0
-    bandwidth_total = 0.0
     total = 0.0
     by_level: dict[str, float] = {}
     phase_size = load_queue if load_queue is not None else max(num_loads, 1)
@@ -230,12 +238,13 @@ def compute_window_timing_sparse(
     num_sparse = len(sparse_loads)
     for phase_begin in range(0, max(num_loads, 1), phase_size):
         phase_limit = phase_begin + phase_size
-        phase_start_index = (
+        visible_from = (
             int(window_load_refs[phase_begin])
             if phase_begin < num_loads
             else window_start
         )
-        visible_from = max(window_start, phase_start_index)
+        if visible_from < window_start:
+            visible_from = window_start
         completion: dict[int, float] = {}
         critical = 0.0
         dram_total = 0.0
@@ -255,13 +264,5 @@ def compute_window_timing_sparse(
                 if level == "DRAM":
                     dram_total += latency
         bandwidth_bound = dram_total / mshr
-        exposed += max(critical, bandwidth_bound)
-        critical_max = max(critical_max, critical)
-        bandwidth_total += bandwidth_bound
-    return WindowTiming(
-        exposed=exposed,
-        critical_path=critical_max,
-        bandwidth_bound=bandwidth_total,
-        total_miss_latency=total,
-        latency_by_level=by_level,
-    )
+        exposed += critical if critical >= bandwidth_bound else bandwidth_bound
+    return exposed, total, by_level

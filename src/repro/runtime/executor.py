@@ -160,7 +160,6 @@ def execute_point(
         status="ok" if result.ok else "error",
         cache_hit=result.trace_cache_hit,
         tier=result.replay_tier,
-        windows_degraded=result.windows_degraded,
     )
     if not result.ok:
         span.set(error_kind=result.error.kind)
@@ -233,7 +232,6 @@ def _execute_point(
             attempts=attempt,
             cache_quarantined=_quarantined(),
             replay_tier=(result.fast_path or "scalar"),
-            windows_degraded=result.windows_degraded,
         )
     except Exception as exc:
         return PointResult(

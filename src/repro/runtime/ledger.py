@@ -197,7 +197,6 @@ class RunLedger:
             attempts=int(data.get("attempts", 1)),
             restored=True,
             replay_tier=data.get("replay_tier"),
-            windows_degraded=int(data.get("windows_degraded", 0)),
         )
         trc = _spans.current()
         if trc is not None:
@@ -227,7 +226,6 @@ class RunLedger:
                 "telemetry": result.telemetry,
                 "attempts": result.attempts,
                 "replay_tier": result.replay_tier,
-                "windows_degraded": result.windows_degraded,
             },
         }
         self._append(record)

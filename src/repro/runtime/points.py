@@ -207,11 +207,8 @@ class PointResult:
     #: point (the cache regenerated them instead of crashing).
     cache_quarantined: int = 0
     #: Replay tier that produced this result: ``"vector"`` (batch
-    #: replay), ``"degraded"`` (batch replay with per-window scalar
-    #: fallbacks), ``"scalar"``, or ``None`` for failed points.
+    #: replay), ``"scalar"``, or ``None`` for failed points.
     replay_tier: str | None = None
-    #: Windows the batch replay degraded to the scalar oracle for.
-    windows_degraded: int = 0
 
     @property
     def ok(self) -> bool:
@@ -248,7 +245,6 @@ class PointResult:
             "attempts": self.attempts,
             "restored": self.restored,
             "replay_tier": self.replay_tier,
-            "windows_degraded": self.windows_degraded,
         }
         if self.summary is not None:
             out["summary"] = self.summary

@@ -58,7 +58,6 @@ class PointState:
     attempts: int = 0
     cache_hit: bool | None = None
     tier: str | None = None
-    windows_degraded: int = 0
     wall_time: float | None = None
     error_kind: str | None = None
 
@@ -70,7 +69,6 @@ class PointState:
             "attempts": self.attempts,
             "cache_hit": self.cache_hit,
             "tier": self.tier,
-            "windows_degraded": self.windows_degraded,
             "wall_time": self.wall_time,
             "error_kind": self.error_kind,
         }
@@ -294,7 +292,6 @@ class RunStatusBuilder:
                 point.attempts = int(final.get("attempts") or 0)
                 point.cache_hit = final.get("cache_hit")
                 point.tier = final.get("tier")
-                point.windows_degraded = int(final.get("windows_degraded") or 0)
                 point.wall_time = final.get("wall_time")
             elif idx in open_points:
                 point.state = "running"
@@ -307,7 +304,6 @@ class RunStatusBuilder:
                 point.attempts = int(data.get("attempts") or 1)
                 point.cache_hit = data.get("trace_cache_hit")
                 point.tier = data.get("replay_tier")
-                point.windows_degraded = int(data.get("windows_degraded") or 0)
                 point.wall_time = data.get("duration_s", data.get("wall_time"))
             if point.wall_time is None and data is not None:
                 point.wall_time = data.get("duration_s", data.get("wall_time"))
@@ -402,7 +398,6 @@ def status_table_rows(status: RunStatus) -> list[dict]:
                     else ("hit" if point.cache_hit else "miss")
                 ),
                 "tier": point.tier,
-                "degraded": point.windows_degraded or None,
                 "wall_s": point.wall_time,
                 "error": point.error_kind,
             }

@@ -483,7 +483,6 @@ class SweepRunner:
                     attempts=restored.attempts,
                     cache_hit=restored.trace_cache_hit,
                     tier=restored.replay_tier,
-                    windows_degraded=restored.windows_degraded,
                     wall_time=restored.wall_time,
                     restored=True,
                 )
@@ -500,7 +499,6 @@ class SweepRunner:
                     attempts=result.attempts,
                     cache_hit=result.trace_cache_hit,
                     tier=result.replay_tier,
-                    windows_degraded=result.windows_degraded,
                     wall_time=result.wall_time,
                     quarantined=result.cache_quarantined,
                     restored=False,

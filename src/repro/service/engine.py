@@ -165,8 +165,8 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         PREFETCH_CONFIG_NAMES,
     )
     fast_path = str(spec.get("fast_path", "auto"))
-    if fast_path not in ("auto", "on", "vector", "off"):
-        raise ValueError("fast_path must be auto|on|vector|off")
+    if fast_path not in ("auto", "on", "off"):
+        raise ValueError("fast_path must be auto|on|off")
     try:
         max_refs = int(spec.get("max_refs", 150_000))
         scale_shift = int(spec.get("scale_shift", 0))
@@ -513,7 +513,6 @@ class RunHandle:
             attempts=result.attempts,
             cache_hit=result.trace_cache_hit,
             tier=result.replay_tier,
-            windows_degraded=result.windows_degraded,
             wall_time=result.wall_time,
             restored=restored,
             quarantined=result.cache_quarantined,
@@ -633,7 +632,6 @@ class SweepService:
             "restored_points": 0,
             "trace_cache_hits": 0,
             "trace_cache_misses": 0,
-            "windows_degraded": 0,
             "rejected_429": 0,
             "journal_replays": 0,
             "journal_adoptions": 0,
@@ -644,8 +642,8 @@ class SweepService:
         }
         self.tracer = _spans.SpanRecorder(sidecar=self.root / SERVICE_SIDECAR)
         # The same pull-based gauge surface a CLI sweep exposes
-        # (``sweep.*`` via SweepRunner.register_telemetry) plus the
-        # replay-engine soundness gauge, fed from the service counters.
+        # (``sweep.*`` via SweepRunner.register_telemetry), fed from the
+        # service counters.
         self.registry = MetricRegistry()
         for name in (
             "retries", "timeouts", "recovered_workers",
@@ -656,10 +654,6 @@ class SweepService:
                 "sweep.%s" % name,
                 (lambda key: lambda: self.counters[key])(name),
             )
-        self.registry.gauge(
-            "fastpath.windows_degraded",
-            lambda: self.counters["windows_degraded"],
-        )
 
     # ------------------------------------------------------------------
     def start(self) -> "SweepService":
@@ -1100,7 +1094,6 @@ class SweepService:
         elif result.trace_cache_hit is False:
             self.counters["trace_cache_misses"] += 1
         self.counters["quarantined_entries"] += result.cache_quarantined
-        self.counters["windows_degraded"] += result.windows_degraded
         for entry in job.subscribers:
             span = entry.get("span")
             handle = entry["handle"]
@@ -1109,7 +1102,6 @@ class SweepService:
                     status="ok" if result.ok else "error",
                     cache_hit=result.trace_cache_hit,
                     tier=result.replay_tier,
-                    windows_degraded=result.windows_degraded,
                 )
                 if not result.ok:
                     span.set(error_kind=result.error.kind)

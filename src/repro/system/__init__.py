@@ -1,7 +1,7 @@
 """Full-system simulation: configuration, machine, runners."""
 
 from .config import CACHE_SCALE, SystemConfig, cacti_llc_latency
-from .fastreplay import eligible_setup, run_fast
+from .fastreplay import eligible_setup
 from .machine import Machine, RegionClassifier, SimResult
 from .multicore import MulticoreResult, run_multicore
 from .runner import compare_setups, simulate
@@ -11,7 +11,6 @@ __all__ = [
     "SystemConfig",
     "cacti_llc_latency",
     "eligible_setup",
-    "run_fast",
     "Machine",
     "RegionClassifier",
     "SimResult",

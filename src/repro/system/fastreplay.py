@@ -1,44 +1,41 @@
 """Vectorized batch-replay fast path.
 
-:meth:`repro.system.machine.Machine.run` walks a trace one reference at
-a time through the full Python call stack — hierarchy lookup, stats,
-event drain, prefetcher snoop — even though most references are L1 hits
-with no side effect beyond an LRU touch.  This module replays the same
-trace with the same machine *bit-identically* but much faster:
+:meth:`repro.system.machine.Machine._run_scalar` walks a trace one
+reference at a time through the full Python call stack — hierarchy
+lookup, stats, event drain, prefetcher snoop — even though most
+references are L1 hits with no side effect beyond an LRU touch.  This
+module replays the same trace with the same machine *bit-identically*
+but much faster:
 
 1. :func:`repro.trace.plan.plan_replay` precomputes, in NumPy over the
    whole trace, per-reference line numbers, the conservative *guaranteed
    L1 hit* mask (set-local stack-distance filter), run boundaries, and
    every prefix sum the window accounting needs.
-2. Guaranteed-hit runs are applied as bare LRU touches (inline, or via
-   :meth:`repro.cache.cache.Cache.touch_run` for long runs); their hit
+2. Guaranteed-hit runs are applied as bare LRU touches; their hit
    counters are folded in per window from prefix sums.
-3. Everything else — misses, unknown-outcome references, event drains,
-   prefetch issue windows — drops into a scalar body that mirrors
-   ``Machine.run`` statement for statement.
+3. Every other reference runs a lean demand cascade:
+   ``CacheHierarchy.demand_access`` inlined over the raw set
+   dictionaries, with local counters, followed by the same event drain,
+   MPP chase and prefetcher snoop as the scalar loop.  Telemetry,
+   attribution and pollution hooks sit behind per-run guards.
 4. Window timing runs on the sparse load set
-   (:func:`repro.core.mlp.compute_window_timing_sparse`): scalar-path
-   loads plus the guaranteed-hit loads some later load depends on.
+   (:func:`repro.core.mlp.compute_window_timing_sparse`): cascade loads
+   plus the guaranteed-hit loads some later load depends on.
 
 Soundness of the guaranteed-hit filter relies on every L1 insertion
-being a demand access.  Back-invalidations (inclusion victims) *remove*
-L1 lines mid-run: the hierarchy logs them into a poison set and the
-engine routes poisoned lines through the scalar path until their next
-demand access re-fills them.  Setups that prefetch-fill the L1
-(monoDROPLETL1, imp — see :func:`eligible_setup`) violate the filter's
-premise directly, so they run in a **degraded tier**: the hierarchy
-additionally logs every L1 eviction victim and prefetch insertion into
-the same poison set (``l1_evict_log``), prefetched L1 lines stay
-poisoned while resident (each hit must claim timeliness scalar-side),
-and guaranteed runs replay every touch instead of the deduped suffix
-(a prefetch fill between a skipped touch and its successor would read
-the LRU order the dedup argument assumes unobserved).  Windows that
-needed scalar refs under this tier are counted in
-``machine.fastpath_windows_degraded``.
+being a demand access, so setups that prefetch-fill the L1 replay on
+the scalar oracle instead (:func:`eligible_setup`).  Back-invalidations
+(inclusion victims, caused by this core's or another core's fills)
+*remove* L1 lines mid-run: the hierarchy logs them into the core's
+poison set and the engine routes poisoned lines through the cascade
+until their next demand access re-fills them.
 
+:func:`run_fast` is a per-core generator that yields at every ROB-window
+close, so :meth:`Machine._interleave` drives one trace (``Machine.run``)
+or several sharing the LLC (:func:`repro.system.run_multicore`) alike.
 The scalar path stays the reference oracle: ``tests/parity`` asserts
 bit-identical results across both paths for every workload × prefetch
-setup combination.
+setup combination, single- and multi-core.
 """
 
 from __future__ import annotations
@@ -47,8 +44,10 @@ from bisect import bisect_left
 
 import numpy as np
 
+from ..cache.cache import CacheLine
+from ..cache.hierarchy import HierarchyEvent
 from ..core.cycles import CycleStack
-from ..core.mlp import WindowTiming, compute_window_timing_sparse
+from ..core.mlp import compute_window_timing_sparse
 from ..prefetch.base import NullPrefetcher
 from ..trace.buffer import Trace
 from ..trace.plan import plan_replay
@@ -84,10 +83,8 @@ class _ReplayTables:
         "forward",
         "forward_all",
         "load_index",
-        "touch_pos",
         "touch_cum",
         "touch_pairs",
-        "store_pos",
         "store_pairs",
         "srcum",
         "hit_cum_items",
@@ -111,9 +108,7 @@ class _ReplayTables:
         self.forward = plan.forward_live.tolist()
         self.forward_all = plan.forward_loads
         self.load_index = plan.load_index
-        self.touch_pos = plan.touch_index.tolist()
         self.touch_cum = plan.touch_cum.tolist()
-        self.store_pos = plan.store_rep_index.tolist()
         self.srcum = plan.store_rep_cum.tolist()
         # (set index, line) per deduped touch / store representative:
         # the clean-run replay loop then avoids two positional list
@@ -159,38 +154,39 @@ def _tables_for(machine, trace: Trace, l1) -> _ReplayTables:
 
 
 def eligible_setup(setup) -> bool:
-    """Whether the fully vectorized tier is sound for ``setup``.
+    """Whether ``setup`` batch-replays under ``fast_path`` auto/on.
 
-    Prefetch fills into the L1 insert lines the stack-distance filter
-    never saw, voiding its guarantees; every other setup (including ones
-    that prefetch into L2/L3 only) is eligible.  Ineligible setups still
-    batch-replay, in the degraded tier (see the module docstring).
+    Prefetch fills into the L1 (monoDROPLETL1, imp) insert lines the
+    stack-distance filter never saw, voiding its guarantees; those
+    setups, and any with an IMP engine (the oracle is its only
+    implementation), replay on the scalar oracle.  A per-window fallback
+    tier for them measured no faster than the oracle (0.96–1.10× its
+    replay time), so it is not worth its code.
     """
-    return not setup.fill_into_l1
+    return not setup.fill_into_l1 and setup.imp_engine is None
 
 
 def run_fast(machine, trace: Trace):
-    """Replay ``trace`` on ``machine`` via the batch fast path.
+    """Batch-replay ``trace`` on its core of ``machine``.
 
-    Returns a :class:`repro.system.machine.SimResult` bit-identical to
-    ``machine.run(trace)`` on a fresh machine, with ``fast_path`` set to
-    the tier used (``"vector"`` or ``"degraded"``).
+    A generator: yields the core's clock at every ROB-window close and
+    returns a :class:`repro.system.machine.SimResult` bit-identical to
+    the scalar oracle's (``fast_path="vector"``).  Drive it through
+    :meth:`repro.system.machine.Machine._interleave`, which also sets up
+    the per-core poison sets.
     """
-    from .machine import SimResult
-
     setup = machine.setup
-    degraded = not eligible_setup(setup)
-
     cfg = machine.config
     hierarchy = machine.hierarchy
     dram = machine.dram
     ledger = machine.ledger
     mrb = machine.mrb
     prefetcher = setup.l2_prefetcher
-    imp = setup.imp_engine
     events = hierarchy.events
     core = trace.core
     l1 = hierarchy.l1s[core]
+    l2 = hierarchy.l2s[core] if hierarchy.l2s is not None else None
+    l3 = hierarchy.l3
 
     tables = _tables_for(machine, trace, l1)
 
@@ -214,14 +210,21 @@ def run_fast(machine, trace: Trace):
     srcum = tables.srcum
     hit_cum_items = tables.hit_cum_items
     set_idx = tables.set_idx
-    l1_hits = l1.stats.hits
     n = len(trace)
 
     l1_sets = l1._sets
     l1_num_sets = l1._num_sets
+    l1_assoc = l1._assoc
+    l1_stats = l1.stats
+    l2_sets = l2._sets if l2 is not None else None
+    l2_num_sets = l2._num_sets if l2 is not None else 1
+    l2_assoc = l2._assoc if l2 is not None else 0
+    l3_sets = l3._sets
+    l3_num_sets = l3._num_sets
+    l3_assoc = l3._assoc
 
-    l2_lat = cfg.l2_service_latency
-    l3_lat = cfg.l3_service_latency
+    l2_lat = float(cfg.l2_service_latency)
+    l3_lat = float(cfg.l3_service_latency)
     dram_path = cfg.dram_base_latency
     dispatch = cfg.dispatch_width
     rob = cfg.rob_entries
@@ -231,7 +234,8 @@ def run_fast(machine, trace: Trace):
     has_feedback = hasattr(prefetcher, "feedback")
     # The null prefetcher's snoop is a guaranteed no-op; skipping the
     # call entirely leaves results untouched and the miss path leaner.
-    snoop_misses = imp is not None or not isinstance(prefetcher, NullPrefetcher)
+    snoop_misses = not isinstance(prefetcher, NullPrefetcher)
+    demand_chase = machine.mpp is not None and setup.mpp_trigger == "demand"
     clock = 0.0
     stack = CycleStack()
     stall = stack.stall
@@ -240,619 +244,400 @@ def run_fast(machine, trace: Trace):
     budget_full = cfg.prefetch_budget_per_window
     budget = budget_full
 
+    # Observers (None when off): telemetry samples and phases at window
+    # closes, attribution and pollution per L1 miss.  None of them
+    # writes simulator state.
     tel = machine._telemetry
     wintel = machine._window_telemetry
     attr = machine._attribution
+    pollution = hierarchy.pollution
+    observe = attr is not None or pollution is not None
     phase_marks = getattr(trace, "phases", [])
     phase_ptr = 0
     num_phase_marks = len(phase_marks) if tel is not None else 0
 
-    # L1 lines removed by back-invalidation: their guaranteed-hit
-    # predictions are void until the next demand access re-fills them.
-    # The degraded tier additionally poisons every L1 eviction victim
-    # and prefetch insertion (``l1_evict_log``).
-    poison: set[int] = set()
-    hierarchy.l1_inval_log = poison
-    if degraded:
-        hierarchy.l1_evict_log = poison
-    windows_degraded = 0
-
-    # ------------------------------------------------------------------
-    # Lean demand path.  With telemetry, attribution and pollution
-    # tracking off, and no prefetch fills into the L1, the demand
-    # cascade has no out-of-hierarchy observer beyond DRAM writebacks
-    # and the ledger's L3 claim events — and L1 lines are never
-    # prefetched (demand refills carry pf=False), so the L1 hit path
-    # needs no ledger claim and its ``used`` bit stays unobservable.
-    # The cascade can then run inlined over the raw set dictionaries,
-    # with counters folded into the CacheStats once at the end —
-    # mirroring ``CacheHierarchy.demand_access`` state change for state
-    # change, and reusing the real side-effect event list so the drain
-    # order (previous snoop events, then this cascade's, then any MPP
-    # chase's) matches the scalar loop exactly.
-    # ------------------------------------------------------------------
-    lean = (
-        tel is None
-        and attr is None
-        and hierarchy.pollution is None
-        and not setup.fill_into_l1
-    )
-    if lean:
-        from ..cache.cache import CacheLine
-        from ..cache.hierarchy import HierarchyEvent
-
-        l2_lat_f = float(cfg.l2_service_latency)
-        l3_lat_f = float(cfg.l3_service_latency)
-        l1_assoc = l1._assoc
-        l2 = hierarchy.l2s[core] if hierarchy.l2s is not None else None
-        l2_sets = l2._sets if l2 is not None else None
-        l2_assoc = l2._assoc if l2 is not None else 0
-        l2_num_sets = l2._num_sets if l2 is not None else 1
-        l3 = hierarchy.l3
-        l3_sets = l3._sets
-        l3_assoc = l3._assoc
-        l3_num_sets = l3._num_sets
-        all_l1_sets = [c._sets for c in hierarchy.l1s]
-        all_l2_sets = (
-            [c._sets for c in hierarchy.l2s]
-            if hierarchy.l2s is not None
-            else None
+    # This core's L1 lines removed by back-invalidation: their
+    # guaranteed-hit predictions are void until the next demand access
+    # re-fills them.  An LLC eviction back-invalidates every core.
+    poisons = hierarchy.l1_inval_logs
+    poison = poisons[core]
+    private = [
+        (
+            c1._sets,
+            c1.stats,
+            poisons[c],
+            hierarchy.l2s[c]._sets if l2 is not None else None,
+            hierarchy.l2s[c].stats if l2 is not None else None,
         )
-        demand_chase = machine.mpp is not None and setup.mpp_trigger == "demand"
-        c_l1_hit = {0: 0, 1: 0, 2: 0}
-        c_l1_miss = {0: 0, 1: 0, 2: 0}
-        c_l2_hit = {0: 0, 1: 0, 2: 0}
-        c_l2_miss = {0: 0, 1: 0, 2: 0}
-        c_l3_hit = {0: 0, 1: 0, 2: 0}
-        c_l3_miss = {0: 0, 1: 0, 2: 0}
-        c_l2_pfhit = 0
-        c_l3_pfhit = 0
-        c_evict = {"L1": 0, "L2": 0, "L3": 0}
-        c_backinv = {"L1": 0, "L2": 0}
+        for c, c1 in enumerate(hierarchy.l1s)
+    ]
 
-        def _merge_dirty_l3_lean(vline: int) -> None:
-            m3 = l3_sets[vline % l3_num_sets].get(vline)
-            if m3 is not None:
-                m3.dirty = True
-            else:
-                events.append(HierarchyEvent("writeback", vline, "L3"))
+    # Demand-cascade counters, folded into the CacheStats at the last
+    # window, or at every window while telemetry samples them.
+    c_l1_hit = {0: 0, 1: 0, 2: 0}
+    c_l1_miss = {0: 0, 1: 0, 2: 0}
+    c_l2_hit = {0: 0, 1: 0, 2: 0}
+    c_l2_miss = {0: 0, 1: 0, 2: 0}
+    c_l3_hit = {0: 0, 1: 0, 2: 0}
+    c_l3_miss = {0: 0, 1: 0, 2: 0}
+    c_evict = {"L1": 0, "L2": 0, "L3": 0}
+    c_pfhit = {"L1": 0, "L2": 0, "L3": 0}
+    folds = [(l1, c_l1_hit, c_l1_miss, "L1"), (l3, c_l3_hit, c_l3_miss, "L3")]
+    if l2 is not None:
+        folds.append((l2, c_l2_hit, c_l2_miss, "L2"))
 
-        def _fill_l2_lean(line: int, kind: int, si: int) -> None:
-            s2 = l2_sets[si]
-            if len(s2) >= l2_assoc:
-                vline, vmeta = s2.popitem(last=False)
-                c_evict["L2"] += 1
-                m1 = l1_sets[vline % l1_num_sets].pop(vline, None)
-                if m1 is not None:
-                    c_backinv["L1"] += 1
-                    poison.add(vline)
-                if vmeta.dirty or (m1 is not None and m1.dirty):
-                    _merge_dirty_l3_lean(vline)
-            s2[line] = CacheLine(False, False, kind)
+    # The hierarchy's fill paths, inlined (same state changes, same
+    # event order).  Eviction events beyond the ledger's unused-prefetch
+    # claim are only observable through telemetry.
+    def _merge_dirty_l3(vline: int) -> None:
+        m3 = l3_sets[vline % l3_num_sets].get(vline)
+        if m3 is not None:
+            m3.dirty = True
+        else:
+            events.append(HierarchyEvent("writeback", vline, "L3"))
 
-        def _fill_l3_lean(line: int, kind: int, si: int) -> None:
-            s3 = l3_sets[si]
-            if len(s3) >= l3_assoc:
-                vline, vmeta = s3.popitem(last=False)
-                c_evict["L3"] += 1
-                if vmeta.prefetched and not vmeta.used:
-                    # The only eviction event the drain acts on with
-                    # telemetry off: the ledger's accuracy claim.
-                    events.append(
-                        HierarchyEvent("evict_unused_pf", vline, "L3")
+    def _fill_l2(line: int, kind: int) -> None:
+        s2 = l2_sets[line % l2_num_sets]
+        if len(s2) >= l2_assoc:
+            vline, vmeta = s2.popitem(last=False)
+            c_evict["L2"] += 1
+            if vmeta.prefetched and tel is not None:
+                events.append(
+                    HierarchyEvent(
+                        "evict_pf" if vmeta.used else "evict_unused_pf", vline, "L2"
                     )
-                dirty = vmeta.dirty
-                for csets in all_l1_sets:
-                    m1 = csets[vline % l1_num_sets].pop(vline, None)
-                    if m1 is not None:
-                        c_backinv["L1"] += 1
-                        poison.add(vline)
-                        if m1.dirty:
+                )
+            m1 = l1_sets[vline % l1_num_sets].pop(vline, None)
+            if m1 is not None:
+                l1_stats.back_invalidations += 1
+                poison.add(vline)
+            if vmeta.dirty or (m1 is not None and m1.dirty):
+                _merge_dirty_l3(vline)
+        s2[line] = CacheLine(False, False, kind)
+
+    def _fill_l3(line: int, kind: int) -> None:
+        s3 = l3_sets[line % l3_num_sets]
+        if len(s3) >= l3_assoc:
+            vline, vmeta = s3.popitem(last=False)
+            c_evict["L3"] += 1
+            if vmeta.prefetched and (tel is not None or not vmeta.used):
+                events.append(
+                    HierarchyEvent(
+                        "evict_pf" if vmeta.used else "evict_unused_pf", vline, "L3"
+                    )
+                )
+            dirty = vmeta.dirty
+            for sets1, stats1, poison1, sets2, stats2 in private:
+                m = sets1[vline % l1_num_sets].pop(vline, None)
+                if m is not None:
+                    stats1.back_invalidations += 1
+                    poison1.add(vline)
+                    if m.dirty:
+                        dirty = True
+                if sets2 is not None:
+                    m = sets2[vline % l2_num_sets].pop(vline, None)
+                    if m is not None:
+                        stats2.back_invalidations += 1
+                        if m.dirty:
                             dirty = True
-                if all_l2_sets is not None:
-                    for csets in all_l2_sets:
-                        m2 = csets[vline % l2_num_sets].pop(vline, None)
-                        if m2 is not None:
-                            c_backinv["L2"] += 1
-                            if m2.dirty:
-                                dirty = True
-                if dirty:
-                    events.append(HierarchyEvent("writeback", vline, "L3"))
-            s3[line] = CacheLine(False, False, kind)
+            if dirty:
+                events.append(HierarchyEvent("writeback", vline, "L3"))
+        s3[line] = CacheLine(False, False, kind)
+
+    def _observe(line: int, kind: int, level: str) -> None:
+        """One L1 miss's pollution and attribution hooks.
+
+        The hierarchy's ``pollution.on_fill`` calls on the refill path
+        are no-ops here: each follows an ``on_demand_miss`` of the same
+        line at the same level, which already dropped its shadow entry.
+        """
+        if pollution is not None:
+            pollution.on_demand_miss("L1", line, kind)
+            if level != "L2":
+                if l2 is not None:
+                    pollution.on_demand_miss("L2", line, kind)
+                if level == "DRAM":
+                    pollution.on_demand_miss("L3", line, kind)
+        if attr is not None:
+            attr.on_demand_access(level, line)
+
+    def _drain(now: float) -> None:
+        """Apply (and trace) pending hierarchy events at ``now``."""
+        if tel is not None:
+            for ev in events:
+                tel.emit(now, ev.kind, line=ev.line, detail=ev.level)
+        nowi = int(now)
+        for ev in events:
+            if ev.kind == "writeback":
+                dram.writeback(ev.line, nowi)
+            elif ev.kind == "evict_unused_pf" and ev.level == "L3":
+                ledger.claim_eviction(ev.line)
+        events.clear()
 
     fwd_ptr = 0
     num_fwd = len(forward)
+    ws = 0
+    while ws < n:
+        # The window closes after the first reference that pushes the
+        # instruction count to >= rob (mirrors the scalar loop's
+        # post-increment check); past the end of the trace it is the
+        # final partial window.
+        j = bisect_left(icum, icum[ws] + rob)
+        closes = j <= n
+        limit = j if closes else n
+        window_icum = icum[ws]
+        window_lcum = lcum[ws]
 
-    try:
-        ws = 0
-        while ws < n:
-            # The window closes after the first reference that pushes the
-            # instruction count to >= rob (mirrors the scalar loop's
-            # post-increment check); past the end of the trace it is the
-            # final partial window.
-            j = bisect_left(icum, icum[ws] + rob)
-            closes = j <= n
-            limit = j if closes else n
-            window_icum = icum[ws]
-            window_lcum = lcum[ws]
+        cascade_loads: list[tuple[int, int, int, str, float]] = []
+        diverted: set[int] | None = None
+        div_counts: dict[int, int] | None = None
+        # Tracks whether any load in this window carries latency; a
+        # window of pure zero-latency loads times out to all zeros.
+        window_has_latency = False
 
-            scalar_loads: list[tuple[int, int, int, str, float]] = []
-            diverted: set[int] | None = None
-            div_counts: dict[int, int] | None = None
-            # Tracks whether any load in this window carries latency; a
-            # window of pure zero-latency loads times out to all zeros.
-            window_has_latency = False
-            # Degraded-tier accounting: did any reference in this window
-            # drop to the full scalar body?
-            window_took_scalar = False
-
-            i = ws
-            while i < limit:
-                jrun = run_end[i]
-                if jrun > i:  # guaranteed run starts here
-                    if jrun > limit:
-                        jrun = limit
-                    if poison and not poison.isdisjoint(lines[i:jrun]):
-                        # Truncate at the first poisoned line.  The
-                        # truncated prefix cannot use the plan-time
-                        # deduped touch list (it dedups over the *full*
-                        # run, so a line's last touch may lie past the
-                        # cut), hence clean=False.
-                        clean = False
-                        k = i
-                        while lines[k] not in poison:
-                            k += 1
-                        jrun = k
-                    else:
-                        # Degraded tier: a prefetch fill between a
-                        # deduped touch and its successor would observe
-                        # the LRU order the dedup argument assumes
-                        # unread, so replay every touch in order.
-                        clean = not degraded
-                    if jrun > i:
-                        # Pending side effects from the previous scalar
-                        # reference's prefetch issues drain at the *next*
-                        # reference's timestamp in the scalar loop.
-                        if events:
-                            now = clock + (icum[i] - window_icum) / dispatch
-                            if tel is not None:
-                                for ev in events:
-                                    tel.emit(
-                                        now, ev.kind, line=ev.line, detail=ev.level
-                                    )
-                            for ev in events:
-                                if ev.kind == "writeback":
-                                    dram.writeback(ev.line, int(now))
-                                elif (
-                                    ev.kind == "evict_unused_pf"
-                                    and ev.level == "L3"
-                                ):
-                                    ledger.claim_eviction(ev.line)
-                            events.clear()
-                        if clean:
-                            # No mutation can interrupt the run, so only
-                            # the *last* touch of each line matters for
-                            # LRU order — replay the deduped touch list,
-                            # and one representative dirty-bit write per
-                            # (line, run).
-                            for si, ln in touch_pairs[touch_cum[i] : touch_cum[jrun]]:
-                                l1_sets[si].move_to_end(ln)
-                            slo = srcum[i]
-                            shi = srcum[jrun]
-                            if shi != slo:
-                                for si, ln in store_pairs[slo:shi]:
-                                    l1_sets[si][ln].dirty = True
-                        elif scum[jrun] - scum[i]:
-                            l1.touch_run(lines[i:jrun], is_store[i:jrun])
-                        else:
-                            l1.touch_run(lines[i:jrun])
-                        i = jrun
-                        continue
-                    # Guaranteed but poisoned: the prediction is void —
-                    # take the scalar path and undo the prefix-sum hit.
-                    if diverted is None:
-                        diverted = set()
-                        div_counts = {}
-                    diverted.add(i)
-                    div_counts[kinds[i]] = div_counts.get(kinds[i], 0) + 1
-
-                if lean:
-                    # ------------------------------------------------------
-                    # Lean demand cascade: demand_access inlined over the
-                    # raw set dicts (see the `lean` guard above).  The
-                    # `used` bit is *not* set on L1 hits — L1 lines are
-                    # never prefetched here, so it is unobservable — but
-                    # is set on L2/L3 service hits, which stay
-                    # state-visible (evict_unused_pf decisions).
-                    # ------------------------------------------------------
-                    line = lines[i]
-                    kind = kinds[i]
-                    load = is_load[i]
-                    si = set_idx[i]
-                    s1 = l1_sets[si]
-                    meta = s1.get(line)
-                    if meta is not None:
-                        s1.move_to_end(line)
-                        c_l1_hit[kind] += 1
-                        if not load:
-                            meta.dirty = True
-                        elif dep_target[i]:
-                            # Zero-latency loads nobody depends on are
-                            # invisible to the sparse window timing.
-                            scalar_loads.append(
-                                (lcum[i] - window_lcum, i, deps[i], "L1", 0.0)
-                            )
-                        if events:
-                            # The previous reference's prefetch-issue
-                            # side effects drain at this reference's
-                            # timestamp, as in the scalar loop.
-                            nowi = int(
-                                clock + (icum[i] - window_icum) / dispatch
-                            )
-                            for ev in events:
-                                if ev.kind == "writeback":
-                                    dram.writeback(ev.line, nowi)
-                                elif (
-                                    ev.kind == "evict_unused_pf"
-                                    and ev.level == "L3"
-                                ):
-                                    ledger.claim_eviction(ev.line)
-                            events.clear()
-                        i += 1
-                        continue
-                    now = clock + (icum[i] - window_icum) / dispatch
-                    c_l1_miss[kind] += 1
-                    level = None
-                    prefetched = False
-                    if l2_sets is not None:
-                        s2 = l2_sets[line % l2_num_sets]
-                        meta2 = s2.get(line)
-                        if meta2 is not None:
-                            s2.move_to_end(line)
-                            meta2.used = True
-                            c_l2_hit[kind] += 1
-                            if meta2.prefetched:
-                                c_l2_pfhit += 1
-                                prefetched = True
-                            level = "L2"
-                            latency = l2_lat_f
-                        else:
-                            c_l2_miss[kind] += 1
-                    if level is None:
-                        s3 = l3_sets[line % l3_num_sets]
-                        meta3 = s3.get(line)
-                        if meta3 is not None:
-                            s3.move_to_end(line)
-                            meta3.used = True
-                            c_l3_hit[kind] += 1
-                            if meta3.prefetched:
-                                c_l3_pfhit += 1
-                                prefetched = True
-                            level = "L3"
-                            latency = l3_lat_f
-                        else:
-                            c_l3_miss[kind] += 1
-                    if level is None:
-                        _fill_l3_lean(line, kind, line % l3_num_sets)
-                        if l2_sets is not None:
-                            _fill_l2_lean(line, kind, line % l2_num_sets)
-                        mrb.enqueue(line, c_bit=False, core=core)
-                        latency = float(dram.access(line, int(now)) + dram_path)
-                        mrb.retire(line)
-                        level = "DRAM"
-                    elif level == "L3":
-                        if l2_sets is not None:
-                            _fill_l2_lean(line, kind, line % l2_num_sets)
-                    # Every miss ends by installing into the L1 (inlined
-                    # from _fill_l1; ordered after the DRAM access, which
-                    # is safe — neither reads the other's state, and the
-                    # queued events still drain afterwards in fill order).
-                    if len(s1) >= l1_assoc:
-                        vline, vmeta = s1.popitem(last=False)
-                        c_evict["L1"] += 1
-                        if vmeta.dirty:
-                            m = (
-                                l2_sets[vline % l2_num_sets].get(vline)
-                                if l2_sets is not None
-                                else None
-                            )
-                            if m is not None:
-                                m.dirty = True
-                            else:
-                                _merge_dirty_l3_lean(vline)
-                    s1[line] = CacheLine(not load, False, kind)
-                    poison.discard(line)
-                    if level == "DRAM" and demand_chase and kind == _STRUCTURE:
-                        machine._chase_properties(line, core, now + latency)
-                    if prefetched:
-                        residual = ledger.claim_demand(line, now)
-                        if residual > 0:
-                            latency += residual
-                    if load:
-                        if latency > 0.0:
-                            window_has_latency = True
-                        scalar_loads.append(
-                            (lcum[i] - window_lcum, i, deps[i], level, latency)
-                        )
+        i = ws
+        while i < limit:
+            jrun = run_end[i]
+            if jrun > i:  # guaranteed run starts here
+                if jrun > limit:
+                    jrun = limit
+                # Truncate at the first poisoned line.  The truncated
+                # prefix cannot use the plan-time deduped touch list (it
+                # dedups over the *full* run, so a line's last touch may
+                # lie past the cut).
+                clean = not poison or poison.isdisjoint(lines[i:jrun])
+                if not clean:
+                    k = i
+                    while lines[k] not in poison:
+                        k += 1
+                    jrun = k
+                if jrun > i:
+                    # Pending side effects from the previous reference's
+                    # prefetch issues drain at the *next* reference's
+                    # timestamp in the scalar loop.
                     if events:
-                        # List order is exactly the scalar loop's: any
-                        # events pending from the previous reference,
-                        # then this cascade's fills, then the chase's.
-                        nowi = int(now)
-                        for ev in events:
-                            if ev.kind == "writeback":
-                                dram.writeback(ev.line, nowi)
-                            elif (
-                                ev.kind == "evict_unused_pf"
-                                and ev.level == "L3"
-                            ):
-                                ledger.claim_eviction(ev.line)
-                        events.clear()
-                    if snoop_misses:
-                        candidates = prefetcher.observe_miss(
-                            line, kind, kind == _STRUCTURE, core
-                        )
-                        for cand in candidates:
-                            if budget <= 0:
-                                break
-                            if machine._issue_stream_prefetch(cand, core, now):
-                                budget -= 1
-                        if imp is not None:
-                            if kind == _STRUCTURE:
-                                values = machine.layout.scan_structure_line(
-                                    line * machine._line_size,
-                                    machine._line_size,
-                                )
-                                imp_candidates = imp.observe_index_values(
-                                    values
-                                )
-                                for cand in imp_candidates:
-                                    if budget <= 0:
-                                        break
-                                    if machine._issue_stream_prefetch(
-                                        cand, core, now, issuer="imp"
-                                    ):
-                                        budget -= 1
-                            else:
-                                imp.observe_miss(line, kind, False, core)
-                    i += 1
+                        _drain(clock + (icum[i] - window_icum) / dispatch)
+                    if clean:
+                        # No mutation can interrupt the run, so only the
+                        # *last* touch of each line matters for LRU order
+                        # — replay the deduped touch list, and one
+                        # representative dirty-bit write per (line, run).
+                        for si, ln in touch_pairs[touch_cum[i] : touch_cum[jrun]]:
+                            l1_sets[si].move_to_end(ln)
+                        slo = srcum[i]
+                        shi = srcum[jrun]
+                        if shi != slo:
+                            for si, ln in store_pairs[slo:shi]:
+                                l1_sets[si][ln].dirty = True
+                    elif scum[jrun] - scum[i]:
+                        l1.touch_run(lines[i:jrun], is_store[i:jrun])
+                    else:
+                        l1.touch_run(lines[i:jrun])
+                    i = jrun
                     continue
+                # Guaranteed but poisoned: the prediction is void — take
+                # the cascade and undo the prefix-sum hit.
+                if diverted is None:
+                    diverted = set()
+                    div_counts = {}
+                diverted.add(i)
+                div_counts[kinds[i]] = div_counts.get(kinds[i], 0) + 1
 
-                # ------------------------------------------------------
-                # Scalar path: mirrors Machine._run_scalar per-reference
-                # body statement for statement.
-                # ------------------------------------------------------
-                now = clock + (icum[i] - window_icum) / dispatch
-                line = lines[i]
-                kind = kinds[i]
-                load = is_load[i]
-
-                outcome = hierarchy.demand_access(
-                    core, line, kind, is_store=not load
-                )
-                # Degraded tier: an L1 hit on a prefetched line leaves the
-                # line poisoned — every such hit must claim timeliness and
-                # count prefetch_hits, which only this scalar body does.
-                # The poison clears when the line is evicted and a demand
-                # miss re-fills it (pf=False).
-                if not degraded or outcome.level != "L1" or not outcome.prefetched:
-                    poison.discard(line)
-                level = outcome.level
-                window_took_scalar = True
-                if attr is not None and level != "L1":
-                    attr.on_demand_access(level, line)
-                if level == "L1":
-                    latency = 0.0
-                elif level == "L2":
-                    latency = float(l2_lat)
-                elif level == "L3":
-                    latency = float(l3_lat)
-                else:  # DRAM
-                    mrb.enqueue(line, c_bit=False, core=core)
-                    latency = float(dram.access(line, int(now)) + dram_path)
-                    mrb.retire(line)
-                    if tel is not None:
-                        tel.emit(
-                            now, "dram_demand", line=line, core=core, dtype=kind
-                        )
-                    if (
-                        machine.mpp is not None
-                        and setup.mpp_trigger == "demand"
-                        and kind == _STRUCTURE
-                    ):
-                        machine._chase_properties(line, core, now + latency)
-
-                if outcome.prefetched:
-                    residual = ledger.claim_demand(line, now)
-                    if residual > 0:
-                        latency += residual
-
-                if load:
-                    if latency > 0.0:
-                        window_has_latency = True
-                    scalar_loads.append(
-                        (lcum[i] - window_lcum, i, deps[i], level, latency)
+            # ----------------------------------------------------------
+            # Lean demand cascade: demand_access inlined over the raw
+            # set dicts.  The L1 ``used`` bit is not maintained — no L1
+            # line is ever prefetched here, so it is unobservable — but
+            # L2/L3 ``used`` bits are (evict_unused_pf decisions).
+            # ----------------------------------------------------------
+            line = lines[i]
+            kind = kinds[i]
+            load = is_load[i]
+            s1 = l1_sets[set_idx[i]]
+            meta = s1.get(line)
+            if meta is not None:
+                s1.move_to_end(line)
+                c_l1_hit[kind] += 1
+                if not load:
+                    meta.dirty = True
+                elif dep_target[i]:
+                    # Zero-latency loads nobody depends on are invisible
+                    # to the sparse window timing.
+                    cascade_loads.append(
+                        (lcum[i] - window_lcum, i, deps[i], "L1", 0.0)
                     )
-
                 if events:
-                    if tel is not None:
-                        for ev in events:
-                            tel.emit(now, ev.kind, line=ev.line, detail=ev.level)
-                    for ev in events:
-                        if ev.kind == "writeback":
-                            dram.writeback(ev.line, int(now))
-                        elif ev.kind == "evict_unused_pf" and ev.level == "L3":
-                            ledger.claim_eviction(ev.line)
-                    events.clear()
-
-                if snoop_misses and level != "L1":
-                    candidates = prefetcher.observe_miss(
-                        line, kind, kind == _STRUCTURE, core
-                    )
-                    for cand in candidates:
-                        if budget <= 0:
-                            break
-                        if machine._issue_stream_prefetch(cand, core, now):
-                            budget -= 1
-                    if imp is not None:
-                        if kind == _STRUCTURE:
-                            values = machine.layout.scan_structure_line(
-                                line * machine._line_size, machine._line_size
-                            )
-                            imp_candidates = imp.observe_index_values(values)
-                            for cand in imp_candidates:
-                                if budget <= 0:
-                                    break
-                                if machine._issue_stream_prefetch(
-                                    cand, core, now, issuer="imp"
-                                ):
-                                    budget -= 1
-                        else:
-                            imp.observe_miss(line, kind, False, core)
+                    _drain(clock + (icum[i] - window_icum) / dispatch)
                 i += 1
-
-            # ----------------------------------------------------------
-            # Window close (full) or end of trace (partial window).
-            # ----------------------------------------------------------
-            if div_counts:
-                for k, cum in hit_cum_items:
-                    c = cum[limit] - cum[ws] - div_counts.get(k, 0)
-                    if c:
-                        l1_hits[k] += c
-            else:
-                for k, cum in hit_cum_items:
-                    c = cum[limit] - cum[ws]
-                    if c:
-                        l1_hits[k] += c
-
-            # Forward loads: normally only the chain-live ones matter; a
-            # window with diverted references falls back to the full
-            # unpruned set, since a diverted load can acquire latency
-            # (and forward it) that plan-time pruning never saw.
-            fwd_entries: list[tuple[int, int, int, str, float]] = []
-            if diverted is None:
-                while fwd_ptr < num_fwd and forward[fwd_ptr] < limit:
-                    f = forward[fwd_ptr]
-                    fwd_ptr += 1
-                    fwd_entries.append(
-                        (lcum[f] - window_lcum, f, deps[f], "L1", 0.0)
-                    )
-            else:
-                while fwd_ptr < num_fwd and forward[fwd_ptr] < limit:
-                    fwd_ptr += 1
-                lo, hi = np.searchsorted(forward_all, (ws, limit))
-                for f in forward_all[lo:hi].tolist():
-                    if f in diverted:
-                        continue
-                    fwd_entries.append(
-                        (lcum[f] - window_lcum, f, deps[f], "L1", 0.0)
-                    )
-            if fwd_entries:
-                fwd_entries.extend(scalar_loads)
-                fwd_entries.sort()
-                merged = fwd_entries
-            else:
-                merged = scalar_loads
-
-            num_loads = lcum[limit] - window_lcum
-            instr_in_window = icum[limit] - window_icum
-            base = instr_in_window / dispatch
-            if tel is None:
-                # Inlined compute_window_timing_sparse + CycleStack
-                # .add_window: the same float operations in the same
-                # order, minus the WindowTiming/dict churn and the
-                # telemetry-only aggregates (critical_max,
-                # bandwidth_total) nobody reads on this path.
-                exposed = 0.0
-                total = 0.0
-                if merged and window_has_latency:
-                    by_level: dict[str, float] = {}
-                    phase_size = lq if lq is not None else max(num_loads, 1)
-                    wl_refs = load_index[window_lcum : window_lcum + num_loads]
-                    pos = 0
-                    num_sparse = len(merged)
-                    for phase_begin in range(0, max(num_loads, 1), phase_size):
-                        phase_limit = phase_begin + phase_size
-                        visible_from = (
-                            int(wl_refs[phase_begin])
-                            if phase_begin < num_loads
-                            else ws
-                        )
-                        if visible_from < ws:
-                            visible_from = ws
-                        completion: dict[int, float] = {}
-                        critical = 0.0
-                        dram_total = 0.0
-                        while pos < num_sparse and merged[pos][0] < phase_limit:
-                            _, ref_index, dep_index, level, latency = merged[pos]
-                            pos += 1
-                            start = 0.0
-                            if dep_index >= visible_from:
-                                start = completion.get(dep_index, 0.0)
-                            done = start + latency
-                            completion[ref_index] = done
-                            if done > critical:
-                                critical = done
-                            if latency > 0:
-                                total += latency
-                                by_level[level] = by_level.get(level, 0.0) + latency
-                                if level == "DRAM":
-                                    dram_total += latency
-                        bandwidth_bound = dram_total / mshr
-                        exposed += (
-                            critical if critical >= bandwidth_bound
-                            else bandwidth_bound
-                        )
-                    if total > 0:
-                        scale = exposed / total
-                        for lvl, lat in by_level.items():
-                            stall[lvl] = stall.get(lvl, 0.0) + lat * scale
-                    else:  # pragma: no cover - latency>0 implies total>0
-                        for lvl in by_level:
-                            stall[lvl] = stall.get(lvl, 0.0) + 0.0
-                clock += base + exposed
-                stack.base += base
-                stack.instructions += instr_in_window
-                total_miss_latency += total
-                total_exposed += exposed
-                if degraded and window_took_scalar:
-                    windows_degraded += 1
-                if closes:
-                    budget = budget_full
-                    if has_feedback:
-                        counters = ledger.counters.get(prefetcher.name)
-                        if counters is not None:
-                            prefetcher.feedback(
-                                counters.total_issued,
-                                counters.total_useful,
-                                sum(counters.late.values()),
-                            )
-                ws = limit
                 continue
-            if merged and window_has_latency:
-                timing = compute_window_timing_sparse(
-                    merged,
-                    num_loads,
-                    load_index[window_lcum : window_lcum + num_loads],
-                    ws,
-                    mshr,
-                    lq,
+            now = clock + (icum[i] - window_icum) / dispatch
+            c_l1_miss[kind] += 1
+            level = None
+            prefetched = False
+            if l2_sets is not None:
+                s2 = l2_sets[line % l2_num_sets]
+                meta = s2.get(line)
+                if meta is not None:
+                    s2.move_to_end(line)
+                    meta.used = True
+                    c_l2_hit[kind] += 1
+                    if meta.prefetched:
+                        c_pfhit["L2"] += 1
+                        prefetched = True
+                    level = "L2"
+                    latency = l2_lat
+                else:
+                    c_l2_miss[kind] += 1
+            if level is None:
+                s3 = l3_sets[line % l3_num_sets]
+                meta = s3.get(line)
+                if meta is not None:
+                    s3.move_to_end(line)
+                    meta.used = True
+                    c_l3_hit[kind] += 1
+                    if meta.prefetched:
+                        c_pfhit["L3"] += 1
+                        prefetched = True
+                    level = "L3"
+                    latency = l3_lat
+                else:
+                    c_l3_miss[kind] += 1
+                    level = "DRAM"
+                    latency = 0.0
+            if observe:
+                _observe(line, kind, level)
+            if level == "DRAM":
+                _fill_l3(line, kind)
+                if l2_sets is not None:
+                    _fill_l2(line, kind)
+            elif level == "L3" and l2_sets is not None:
+                _fill_l2(line, kind)
+            # Every miss ends by installing into the L1.
+            if len(s1) >= l1_assoc:
+                vline, vmeta = s1.popitem(last=False)
+                c_evict["L1"] += 1
+                if vmeta.dirty:
+                    m = (
+                        l2_sets[vline % l2_num_sets].get(vline)
+                        if l2_sets is not None
+                        else None
+                    )
+                    if m is not None:
+                        m.dirty = True
+                    else:
+                        _merge_dirty_l3(vline)
+            s1[line] = CacheLine(not load, False, kind)
+            poison.discard(line)
+            if level == "DRAM":
+                mrb.enqueue(line, c_bit=False, core=core)
+                latency = float(dram.access(line, int(now)) + dram_path)
+                mrb.retire(line)
+                if tel is not None:
+                    tel.emit(now, "dram_demand", line=line, core=core, dtype=kind)
+                if demand_chase and kind == _STRUCTURE:
+                    machine._chase_properties(line, core, now + latency)
+            elif prefetched:
+                residual = ledger.claim_demand(line, now)
+                if residual > 0:
+                    latency += residual
+            if load:
+                if latency > 0.0:
+                    window_has_latency = True
+                cascade_loads.append(
+                    (lcum[i] - window_lcum, i, deps[i], level, latency)
                 )
-            else:
-                # Every load in the window carried zero latency (pure
-                # L1 hits): completions are all zero and the dense
-                # computation degenerates to all zeros.
-                timing = WindowTiming(0.0, 0.0, 0.0, 0.0)
-            clock += base + timing.exposed
-            stack.add_window(base, timing.exposed_by_level(), instr_in_window)
-            total_miss_latency += timing.total_miss_latency
-            total_exposed += timing.exposed
-            if degraded and window_took_scalar:
-                windows_degraded += 1
+            if events:
+                # List order is exactly the scalar loop's: any events
+                # pending from the previous reference, then this
+                # cascade's fills, then the chase's.
+                _drain(now)
+            if snoop_misses:
+                candidates = prefetcher.observe_miss(
+                    line, kind, kind == _STRUCTURE, core
+                )
+                for cand in candidates:
+                    if budget <= 0:
+                        break
+                    if machine._issue_stream_prefetch(cand, core, now):
+                        budget -= 1
+            i += 1
+
+        # --------------------------------------------------------------
+        # Window close (full) or end of trace (partial window).
+        # --------------------------------------------------------------
+        for k, cum in hit_cum_items:
+            c = cum[limit] - cum[ws]
+            if div_counts:
+                c -= div_counts.get(k, 0)
+            if c:
+                l1_stats.hits[k] += c
+
+        # Forward loads: normally only the chain-live ones matter; a
+        # window with diverted references falls back to the full
+        # unpruned set, since a diverted load can acquire latency (and
+        # forward it) that plan-time pruning never saw.
+        fwd_entries: list[tuple[int, int, int, str, float]] = []
+        if diverted is None:
+            while fwd_ptr < num_fwd and forward[fwd_ptr] < limit:
+                f = forward[fwd_ptr]
+                fwd_ptr += 1
+                fwd_entries.append((lcum[f] - window_lcum, f, deps[f], "L1", 0.0))
+        else:
+            while fwd_ptr < num_fwd and forward[fwd_ptr] < limit:
+                fwd_ptr += 1
+            lo, hi = np.searchsorted(forward_all, (ws, limit))
+            for f in forward_all[lo:hi].tolist():
+                if f not in diverted:
+                    fwd_entries.append(
+                        (lcum[f] - window_lcum, f, deps[f], "L1", 0.0)
+                    )
+        if fwd_entries:
+            fwd_entries.extend(cascade_loads)
+            fwd_entries.sort()
+            cascade_loads = fwd_entries
+
+        num_loads = lcum[limit] - window_lcum
+        instr_in_window = icum[limit] - window_icum
+        base = instr_in_window / dispatch
+        exposed = total = 0.0
+        if cascade_loads and window_has_latency:
+            # The same float operations, in the same order, as
+            # compute_window_timing + CycleStack.add_window.
+            exposed, total, by_level = compute_window_timing_sparse(
+                cascade_loads,
+                num_loads,
+                load_index[window_lcum : window_lcum + num_loads],
+                ws,
+                mshr,
+                lq,
+            )
+            if total > 0:
+                scale = exposed / total
+                for lvl, lat in by_level.items():
+                    stall[lvl] = stall.get(lvl, 0.0) + lat * scale
+        clock += base + exposed
+        stack.base += base
+        stack.instructions += instr_in_window
+        total_miss_latency += total
+        total_exposed += exposed
+
+        if tel is not None or limit == n:
+            for cache, hit_c, miss_c, lvl in folds:
+                st = cache.stats
+                for k, v in hit_c.items():
+                    if v:
+                        st.hits[k] += v
+                        hit_c[k] = 0
+                for k, v in miss_c.items():
+                    if v:
+                        st.misses[k] += v
+                        miss_c[k] = 0
+                st.evictions += c_evict[lvl]
+                c_evict[lvl] = 0
+                st.prefetch_hits += c_pfhit[lvl]
+                c_pfhit[lvl] = 0
+        if tel is not None:
+            wintel.on_window(total, exposed, instr_in_window, base + exposed)
             if closes:
-                wintel.on_window(
-                    timing, instr_in_window, base + timing.exposed
-                )
                 while (
                     phase_ptr < num_phase_marks
                     and phase_marks[phase_ptr][0] <= limit
@@ -860,73 +645,22 @@ def run_fast(machine, trace: Trace):
                     tel.record_phase(phase_marks[phase_ptr][1], clock, limit)
                     phase_ptr += 1
                 tel.on_window(clock, limit)
-                budget = budget_full
-                if has_feedback:
-                    counters = ledger.counters.get(prefetcher.name)
-                    if counters is not None:
-                        prefetcher.feedback(
-                            counters.total_issued,
-                            counters.total_useful,
-                            sum(counters.late.values()),
-                        )
-            else:
-                wintel.on_window(timing, instr_in_window, base + timing.exposed)
-            ws = limit
-    finally:
-        hierarchy.l1_inval_log = None
-        hierarchy.l1_evict_log = None
-    machine.fastpath_windows_degraded += windows_degraded
+        ws = limit
+        if closes:
+            budget = budget_full
+            if has_feedback:
+                # Feedback-directed prefetching: the issuer's own
+                # cumulative accuracy/lateness counters.
+                counters = ledger.counters.get(prefetcher.name)
+                if counters is not None:
+                    prefetcher.feedback(
+                        counters.total_issued,
+                        counters.total_useful,
+                        sum(counters.late.values()),
+                    )
+            yield clock
 
-    if tel is not None:
-        while phase_ptr < num_phase_marks:
-            tel.record_phase(phase_marks[phase_ptr][1], clock, n)
-            phase_ptr += 1
-        tel.finish(clock, n)
-        if machine.mpp is not None:
-            machine.mpp.telemetry = None
-
-    if lean:
-        # Fold the lean path's local counters into the real CacheStats.
-        # Deferring this is safe precisely because the lean guard rules
-        # out every mid-run reader (telemetry gauges, attribution).
-        for cache, hit_c, miss_c in (
-            (l1, c_l1_hit, c_l1_miss),
-            (l2, c_l2_hit, c_l2_miss),
-            (l3, c_l3_hit, c_l3_miss),
-        ):
-            if cache is None:
-                continue
-            st = cache.stats
-            for k, v in hit_c.items():
-                if v:
-                    st.hits[k] += v
-            for k, v in miss_c.items():
-                if v:
-                    st.misses[k] += v
-        l1.stats.evictions += c_evict["L1"]
-        l1.stats.back_invalidations += c_backinv["L1"]
-        if l2 is not None:
-            l2.stats.evictions += c_evict["L2"]
-            l2.stats.back_invalidations += c_backinv["L2"]
-            l2.stats.prefetch_hits += c_l2_pfhit
-        l3.stats.evictions += c_evict["L3"]
-        l3.stats.prefetch_hits += c_l3_pfhit
-
-    refs_by_type = {dt: int((trace.kind == int(dt)).sum()) for dt in DataType}
-    return SimResult(
-        trace_name=trace.name,
-        setup_name=setup.name,
-        instructions=trace.num_instructions,
-        cycles=clock,
-        cycle_stack=stack,
-        hierarchy=hierarchy,
-        dram=dram,
-        ledger=ledger,
-        mrb=mrb,
-        mpp=machine.mpp,
-        total_miss_latency=total_miss_latency,
-        total_exposed_latency=total_exposed,
-        refs_by_type=refs_by_type,
-        fast_path="degraded" if degraded else "vector",
-        windows_degraded=windows_degraded,
+    return machine._finish(
+        trace, clock, stack, total_miss_latency, total_exposed, phase_ptr,
+        fast_path="vector",
     )

@@ -27,6 +27,7 @@ from ..prefetch.stream import DataAwareStreamer
 from ..trace.buffer import Trace
 from ..trace.record import NO_DEP, DataType
 from .config import SystemConfig
+from .fastreplay import eligible_setup, run_fast
 
 __all__ = ["Machine", "SimResult", "RegionClassifier"]
 
@@ -74,13 +75,9 @@ class SimResult:
     total_exposed_latency: float = 0.0
     refs_by_type: dict[DataType, int] = field(default_factory=dict)
     #: Which replay path produced this result: ``False`` for the scalar
-    #: reference loop, ``"vector"`` or ``"degraded"`` for the batch
-    #: fast path's tiers (results are bit-identical either way; see
-    #: ``tests/parity``).
+    #: reference loop, ``"vector"`` for the batch fast path (results are
+    #: bit-identical either way; see ``tests/parity``).
     fast_path: str | bool = False
-    #: Windows the degraded batch-replay tier fell back to the scalar
-    #: oracle for (0 on the vector tier and the scalar path).
-    windows_degraded: int = 0
 
     # ------------------------------------------------------------------
     @property
@@ -195,9 +192,6 @@ class Machine:
         # loop guards on a plain ``is not None`` and a disabled session
         # costs exactly nothing.
         self.fast_path = self._resolve_fast_path(fast_path)
-        #: ROB windows the degraded fast-path tier had to route through
-        #: the scalar body (0 unless ``fast_path == "degraded"`` ran).
-        self.fastpath_windows_degraded = 0
         if telemetry is not None and not getattr(telemetry, "enabled", False):
             telemetry = None
         self._telemetry = telemetry
@@ -232,10 +226,6 @@ class Machine:
             self.mpp.telemetry = telemetry
         self._window_telemetry = WindowTelemetry()
         self._window_telemetry.register_telemetry(registry, "core")
-        registry.gauge(
-            "fastpath.windows_degraded",
-            lambda: self.fastpath_windows_degraded,
-        )
         if getattr(telemetry, "attribution", False):
             self._bind_attribution(telemetry, registry)
 
@@ -410,37 +400,23 @@ class Machine:
                 mrb.retire(pline)
 
     def _resolve_fast_path(self, mode: str | bool) -> str | bool:
-        """Normalize a fast-path selector to a replay tier for this setup.
+        """Normalize a fast-path selector to a replay path for this setup.
 
-        Returns ``False`` (scalar reference path), ``"vector"`` (batch
-        replay with fully vectorized guaranteed-hit runs), or
-        ``"degraded"`` (batch replay with per-window scalar degradation,
-        used for setups that prefetch-fill the L1, where the
-        stack-distance filter alone is unsound).  ``"auto"`` and ``"on"``
-        both pick the sound tier for the configured prefetch setup;
-        ``"vector"`` demands the fully vectorized tier, raising for
-        L1-filling setups; ``"off"`` forces the scalar path.  Booleans
+        Returns ``"vector"`` (the batch fast path) or ``False`` (the
+        scalar reference path).  ``"auto"`` and ``"on"`` take the fast
+        path whenever it is sound for the configured prefetch setup
+        (:func:`~repro.system.fastreplay.eligible_setup`) and the scalar
+        path otherwise; ``"off"`` forces the scalar path.  Booleans
         behave like ``"on"``/``"off"``.
         """
-        from .fastreplay import eligible_setup
-
         if isinstance(mode, bool):
             mode = "on" if mode else "off"
         if mode == "off":
             return False
         if mode in ("auto", "on"):
-            return "vector" if eligible_setup(self.setup) else "degraded"
-        if mode == "vector":
-            if not eligible_setup(self.setup):
-                raise ValueError(
-                    "fast_path='vector' is unsound for setup %r "
-                    "(it prefetch-fills the L1); use 'auto'/'on' "
-                    "(degraded tier) or 'off'" % self.setup.name
-                )
-            return "vector"
+            return "vector" if eligible_setup(self.setup) else False
         raise ValueError(
-            "fast_path must be 'auto', 'on', 'vector', 'off', or a bool "
-            "(got %r)" % (mode,)
+            "fast_path must be 'auto', 'on', 'off', or a bool (got %r)" % (mode,)
         )
 
     def _plan_key(self) -> tuple[int, int, int]:
@@ -459,36 +435,112 @@ class Machine:
     def run(self, trace: Trace) -> SimResult:
         """Replay ``trace`` and return the measured statistics.
 
-        Dispatches to the batch-replay fast path when enabled (results
-        are bit-identical either way); :meth:`_run_scalar` is the
-        reference implementation.  With a span recorder active the
-        replay is wrapped in a ``machine.run`` span annotated with the
-        replay tier actually taken.
+        Takes the batch-replay fast path when enabled (results are
+        bit-identical either way); :meth:`_run_scalar` is the reference
+        implementation.  With a span recorder active the replay is
+        wrapped in a ``machine.run`` span annotated with the replay tier
+        taken.
         """
         from ..telemetry.spans import current as _spans_current
 
         trc = _spans_current()
         if trc is None:
-            return self._dispatch_run(trace)
+            return self._interleave([trace])[0]
         with trc.span(
             "machine.run",
             trace=trace.name,
             setup=self.setup.name,
             tier=self.fast_path or "scalar",
-        ) as span:
-            result = self._dispatch_run(trace)
-            span.set(windows_degraded=result.windows_degraded)
-        return result
+        ):
+            return self._interleave([trace])[0]
 
-    def _dispatch_run(self, trace: Trace) -> SimResult:
+    def _interleave(self, traces: list[Trace]) -> list[SimResult]:
+        """Replay each trace on its own core, window by window.
+
+        Each core's replay is a generator — the batch fast path
+        (:func:`~repro.system.fastreplay.run_fast`) or the scalar oracle
+        (:meth:`_run_scalar`) — that yields the core's clock at every
+        ROB-window close.  The least-advanced core always runs next
+        (ties go to the earlier trace), so the cores contend for the
+        shared LLC, DRAM and prefetchers in per-core virtual time; one
+        trace is plain single-core replay.  Returns one result per
+        trace, in order.
+        """
+        hierarchy = self.hierarchy
         if self.fast_path:
-            from .fastreplay import run_fast
+            # One poison set per core: the hierarchy logs every L1 line
+            # it back-invalidates into the owning core's set.
+            hierarchy.l1_inval_logs = [set() for _ in hierarchy.l1s]
+            cores = [run_fast(self, trace) for trace in traces]
+        else:
+            cores = [self._run_scalar(trace) for trace in traces]
+        clocks = [0.0] * len(cores)
+        results: list = [None] * len(cores)
+        active = list(range(len(cores)))
+        try:
+            while active:
+                k = min(active, key=clocks.__getitem__)
+                try:
+                    clocks[k] = next(cores[k])
+                except StopIteration as done:
+                    results[k] = done.value
+                    active.remove(k)
+        finally:
+            hierarchy.l1_inval_logs = None
+        return results
 
-            return run_fast(self, trace)
-        return self._run_scalar(trace)
+    def _finish(
+        self,
+        trace: Trace,
+        clock: float,
+        stack: CycleStack,
+        total_miss_latency: float,
+        total_exposed: float,
+        phase_ptr: int,
+        fast_path: str | bool = False,
+    ) -> SimResult:
+        """Close one core's replay: flush telemetry, package the result."""
+        tel = self._telemetry
+        if tel is not None:
+            # Flush phase marks past the last window close (including a
+            # boundary hit exactly when the reference budget ran out).
+            phase_marks = getattr(trace, "phases", [])
+            n = len(trace)
+            while phase_ptr < len(phase_marks):
+                tel.record_phase(phase_marks[phase_ptr][1], clock, n)
+                phase_ptr += 1
+            tel.finish(clock, n)
+            # Detach the session from the MPP: the run is over, and the
+            # returned SimResult must stay picklable (the registry's
+            # closure-backed gauges are not).
+            if self.mpp is not None:
+                self.mpp.telemetry = None
+        refs_by_type = {
+            dt: int((trace.kind == int(dt)).sum()) for dt in DataType
+        }
+        return SimResult(
+            trace_name=trace.name,
+            setup_name=self.setup.name,
+            instructions=trace.num_instructions,
+            cycles=clock,
+            cycle_stack=stack,
+            hierarchy=self.hierarchy,
+            dram=self.dram,
+            ledger=self.ledger,
+            mrb=self.mrb,
+            mpp=self.mpp,
+            total_miss_latency=total_miss_latency,
+            total_exposed_latency=total_exposed,
+            refs_by_type=refs_by_type,
+            fast_path=fast_path,
+        )
 
-    def _run_scalar(self, trace: Trace) -> SimResult:
-        """Reference per-reference replay loop (the parity oracle)."""
+    def _run_scalar(self, trace: Trace):
+        """Reference per-reference replay loop (the parity oracle).
+
+        A generator: yields the core's clock at every ROB-window close
+        and returns the :class:`SimResult` (see :meth:`_interleave`).
+        """
         cfg = self.config
         hierarchy = self.hierarchy
         dram = self.dram
@@ -629,7 +681,12 @@ class Machine:
                 total_miss_latency += timing.total_miss_latency
                 total_exposed += timing.exposed
                 if tel is not None:
-                    wintel.on_window(timing, instr_in_window, base + timing.exposed)
+                    wintel.on_window(
+                        timing.total_miss_latency,
+                        timing.exposed,
+                        instr_in_window,
+                        base + timing.exposed,
+                    )
                     while (
                         phase_ptr < num_phase_marks
                         and phase_marks[phase_ptr][0] <= i + 1
@@ -651,6 +708,7 @@ class Machine:
                             counters.total_useful,
                             sum(counters.late.values()),
                         )
+                yield clock
 
         if instr_in_window > 0 or window_loads:
             timing = compute_window_timing(window_loads, window_start, mshr, lq)
@@ -660,36 +718,13 @@ class Machine:
             total_miss_latency += timing.total_miss_latency
             total_exposed += timing.exposed
             if tel is not None:
-                wintel.on_window(timing, instr_in_window, base + timing.exposed)
+                wintel.on_window(
+                    timing.total_miss_latency,
+                    timing.exposed,
+                    instr_in_window,
+                    base + timing.exposed,
+                )
 
-        if tel is not None:
-            # Flush phase marks past the last window close (including a
-            # boundary hit exactly when the reference budget ran out).
-            while phase_ptr < num_phase_marks:
-                tel.record_phase(phase_marks[phase_ptr][1], clock, n)
-                phase_ptr += 1
-            tel.finish(clock, n)
-            # Detach the session from the MPP: the run is over, and the
-            # returned SimResult must stay picklable (the registry's
-            # closure-backed gauges are not).
-            if self.mpp is not None:
-                self.mpp.telemetry = None
-
-        refs_by_type = {
-            dt: int((trace.kind == int(dt)).sum()) for dt in DataType
-        }
-        return SimResult(
-            trace_name=trace.name,
-            setup_name=self.setup.name,
-            instructions=trace.num_instructions,
-            cycles=clock,
-            cycle_stack=stack,
-            hierarchy=hierarchy,
-            dram=dram,
-            ledger=ledger,
-            mrb=self.mrb,
-            mpp=self.mpp,
-            total_miss_latency=total_miss_latency,
-            total_exposed_latency=total_exposed,
-            refs_by_type=refs_by_type,
+        return self._finish(
+            trace, clock, stack, total_miss_latency, total_exposed, phase_ptr
         )

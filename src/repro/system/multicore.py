@@ -9,7 +9,9 @@ the quad-core mode for completeness: per-core traces (from
 :class:`~repro.cache.hierarchy.CacheHierarchy` and DRAM, interleaved
 window-by-window in per-core virtual time (the least-advanced core runs
 next), so shared-LLC contention and bank contention across cores are
-modelled.
+modelled.  The interleave is the machine's own replay driver
+(:meth:`Machine._interleave`), so multi-core replay takes the same
+batch fast path and scalar oracle as single-core replay.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.cycles import CycleStack
-from ..core.mlp import compute_window_timing
 from ..droplet.composite import PrefetchSetup
 from ..memory.allocator import GraphLayout
 from ..trace.buffer import Trace
@@ -66,27 +67,6 @@ class MulticoreResult:
         return baseline.cycles / self.cycles if self.cycles else 0.0
 
 
-class _CoreState:
-    """Replay cursor for one core's trace."""
-
-    __slots__ = (
-        "trace", "lines", "kinds", "is_load", "deps", "gaps",
-        "pos", "clock", "stack", "done",
-    )
-
-    def __init__(self, trace: Trace, line_size: int):
-        self.trace = trace
-        self.lines = (trace.addr // line_size).tolist()
-        self.kinds = trace.kind.tolist()
-        self.is_load = trace.is_load.tolist()
-        self.deps = trace.dep.tolist()
-        self.gaps = trace.gap.tolist()
-        self.pos = 0
-        self.clock = 0.0
-        self.stack = CycleStack()
-        self.done = len(trace) == 0
-
-
 def run_multicore(
     traces: list[Trace],
     config: SystemConfig | None = None,
@@ -117,106 +97,14 @@ def run_multicore(
         raise NotImplementedError(
             "the IMP comparison point is single-core only; use Machine.run"
         )
-    hierarchy = machine.hierarchy
-    dram = machine.dram
-    ledger = machine.ledger
-    prefetcher = machine.setup.l2_prefetcher
-    events = hierarchy.events
-    line_size = config.l3.line_size
-    l2_lat = config.l2_service_latency
-    l3_lat = config.l3_service_latency
-    dram_path = config.dram_base_latency
-    dispatch = config.dispatch_width
-    rob = config.rob_entries
-    mshr = config.mshr_entries
-    lq = config.load_queue
-    structure = int(DataType.STRUCTURE)
-
-    states = {t.core: _CoreState(t, line_size) for t in traces}
-
-    def step_window(core: int, state: _CoreState) -> None:
-        """Replay one ROB window of ``core`` at its current clock."""
-        window_loads: list[tuple[int, int, str, float]] = []
-        window_start = state.pos
-        instr = 0
-        budget = config.prefetch_budget_per_window
-        n = len(state.lines)
-        clock = state.clock
-        while state.pos < n and instr < rob:
-            i = state.pos
-            now = clock + instr / dispatch
-            instr += 1 + state.gaps[i]
-            line = state.lines[i]
-            kind = state.kinds[i]
-            load = state.is_load[i]
-            outcome = hierarchy.demand_access(core, line, kind, is_store=not load)
-            level = outcome.level
-            if level == "L1":
-                latency = 0.0
-            elif level == "L2":
-                latency = float(l2_lat)
-            elif level == "L3":
-                latency = float(l3_lat)
-            else:
-                machine.mrb.enqueue(line, c_bit=False, core=core)
-                latency = float(dram.access(line, int(now)) + dram_path)
-                machine.mrb.retire(line)
-                if (
-                    machine.mpp is not None
-                    and machine.setup.mpp_trigger == "demand"
-                    and kind == structure
-                ):
-                    machine._chase_properties(line, core, now + latency)
-            if outcome.prefetched:
-                residual = ledger.claim_demand(line, now)
-                if residual > 0:
-                    latency += residual
-            if load:
-                window_loads.append((i, state.deps[i], level, latency))
-            if events:
-                for ev in events:
-                    if ev.kind == "writeback":
-                        dram.writeback(ev.line, int(now))
-                    elif ev.kind == "evict_unused_pf" and ev.level == "L3":
-                        ledger.claim_eviction(ev.line)
-                events.clear()
-            if level != "L1":
-                candidates = prefetcher.observe_miss(
-                    line, kind, kind == structure, core
-                )
-                for cand in candidates:
-                    if budget <= 0:
-                        break
-                    if machine._issue_stream_prefetch(cand, core, now):
-                        budget -= 1
-            state.pos += 1
-        timing = compute_window_timing(window_loads, window_start, mshr, lq)
-        base = instr / dispatch
-        state.clock += base + timing.exposed
-        state.stack.add_window(base, timing.exposed_by_level(), instr)
-        if state.pos >= n:
-            state.done = True
-
-    # Elastic interleave: always advance the core with the smallest clock,
-    # approximating concurrent execution in shared structures.
-    active = dict(states)
-    while active:
-        core = min(active, key=lambda c: active[c].clock)
-        step_window(core, active[core])
-        if active[core].done:
-            del active[core]
-
-    refs_by_type = {dt: 0 for dt in DataType}
-    instructions = 0
-    for t in traces:
-        instructions += t.num_instructions
-        for dt in DataType:
-            refs_by_type[dt] += int((t.kind == int(dt)).sum())
-    ordered = [states[c] for c in sorted(states)]
+    results = machine._interleave(traces)
+    ordered = [results[k] for k in sorted(range(len(traces)), key=cores.__getitem__)]
     return MulticoreResult(
-        per_core_cycles=[s.clock for s in ordered],
-        per_core_stacks=[s.stack for s in ordered],
-        instructions=instructions,
+        per_core_cycles=[r.cycles for r in ordered],
+        per_core_stacks=[r.cycle_stack for r in ordered],
+        instructions=sum(r.instructions for r in results),
         machine=machine,
-        refs_by_type=refs_by_type,
+        refs_by_type={
+            dt: sum(r.refs_by_type[dt] for r in results) for dt in DataType
+        },
     )

@@ -69,8 +69,8 @@ def simulate(
     session leaves the run un-instrumented, with bit-identical results.
 
     ``fast_path`` selects the batch-replay engine: ``"auto"`` (default)
-    uses it whenever sound for ``setup``, ``"on"`` requires it, ``"off"``
-    forces the scalar reference loop.  Results are bit-identical.
+    and ``"on"`` use it whenever sound for ``setup``, ``"off"`` forces
+    the scalar reference loop.  Results are bit-identical.
     """
     if isinstance(setup, str):
         setup = make_prefetch_setup(setup)

@@ -250,7 +250,7 @@ class Workload(abc.ABC):
         Vertices are split into ``num_cores`` contiguous ranges over a
         *shared* :class:`GraphLayout` (same addresses — the cores contend
         for the same shared LLC lines, as in the paper's quad-core
-        platform).  Feed the traces to ``Machine.run_multicore``.
+        platform).  Feed the traces to :func:`repro.system.run_multicore`.
         """
         if num_cores <= 0:
             raise ValueError("num_cores must be positive")

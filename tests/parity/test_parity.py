@@ -16,9 +16,9 @@ Two scopes keep PR latency bounded (the ``parity-prefetch`` CI job):
   six workloads when ``REPRO_PARITY_FULL=1`` (nightly / `parity-full`
   label).
 
-monoDROPLETL1 and imp prefetch-fill the L1, so they replay in the
-*degraded* tier (per-window scalar fallback, still bit-identical); the
-explicit ``fast_path='vector'`` mode is the only one that refuses them.
+monoDROPLETL1 and imp prefetch-fill the L1, which voids the fast
+path's guaranteed-hit filter, so ``fast_path='on'``/``'auto'`` route
+them to the scalar oracle; their matrix rows pin that routing.
 """
 
 import os
@@ -35,7 +35,7 @@ from .signature import machine_signature, run_both_paths
 MAX_REFS = 20_000
 SETUPS = ("none", "stream", "droplet")
 #: The rest of the constructible matrix; the two L1-filling setups at
-#: the end replay in the degraded tier.
+#: the end replay on the scalar oracle.
 EXTENDED_SETUPS = ("ghb", "vldp", "streamMPP1", "adaptive", "imp", "monoDROPLETL1")
 #: Extended-matrix workloads always exercised per PR; the rest join
 #: when REPRO_PARITY_FULL=1.
@@ -70,7 +70,7 @@ def test_registry_has_six_workloads():
     assert len(WORKLOADS) == 6, sorted(WORKLOADS)
 
 
-def _assert_parity(run, setup, expect_tier=None):
+def _assert_parity(run, setup, expect_tier):
     cfg = SystemConfig.scaled_baseline()
 
     def make_machine(fast_path):
@@ -78,9 +78,7 @@ def _assert_parity(run, setup, expect_tier=None):
 
     sig_scalar, sig_fast, result = run_both_paths(make_machine, run.trace)
     assert sig_scalar == sig_fast
-    assert result.fast_path
-    if expect_tier is not None:
-        assert result.fast_path == expect_tier
+    assert result.fast_path == expect_tier
     return result
 
 
@@ -93,7 +91,7 @@ def test_fast_path_is_bit_identical(workload_runs, workload, setup):
 @pytest.mark.parametrize("setup", EXTENDED_SETUPS)
 @pytest.mark.parametrize("workload", _extended_workloads())
 def test_prefetch_matrix_is_bit_identical(workload_runs, workload, setup):
-    tier = "degraded" if setup in ("imp", "monoDROPLETL1") else "vector"
+    tier = False if setup in ("imp", "monoDROPLETL1") else "vector"
     _assert_parity(workload_runs[workload], setup, expect_tier=tier)
 
 
@@ -103,70 +101,35 @@ def test_auto_mode_matches_forced_modes(workload_runs):
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
     results = {}
-    for mode in ("off", "on", "auto", "vector"):
+    for mode in ("off", "on", "auto"):
         m = Machine(cfg, layout=run.layout, setup="none", fast_path=mode)
         results[mode] = (machine_signature(m.run(run.trace), m), m)
-    assert (
-        results["off"][0]
-        == results["on"][0]
-        == results["auto"][0]
-        == results["vector"][0]
-    )
+    assert results["off"][0] == results["on"][0] == results["auto"][0]
+    assert results["auto"][1].fast_path == "vector"
 
 
 @pytest.mark.parametrize("name", ["monoDROPLETL1", "imp"])
-def test_l1_filling_setups_take_degraded_tier(workload_runs, name):
-    """L1-prefetch-filling setups batch-replay in the degraded tier:
-    bit-identical results, per-window scalar fallback counted, and only
-    the explicit 'vector' mode refuses them."""
+def test_l1_filling_setups_route_to_oracle(workload_runs, name):
+    """Setups that prefetch-fill the L1 void the guaranteed-hit filter:
+    'on' and 'auto' resolve them to the scalar oracle, and the removed
+    'vector' selector is rejected like any unknown mode."""
     from repro.droplet.composite import make_prefetch_setup
     from repro.system.fastreplay import eligible_setup
 
     assert not eligible_setup(make_prefetch_setup(name))
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
-
-    # Forcing the fully vectorized tier on an unsound geometry raises.
+    for mode in ("on", "auto", True):
+        m = Machine(cfg, layout=run.layout, setup=name, fast_path=mode)
+        assert m.fast_path is False, mode
+    assert m.run(run.trace).fast_path is False
     with pytest.raises(ValueError):
         Machine(cfg, layout=run.layout, setup=name, fast_path="vector")
-
-    # 'on' and 'auto' resolve to the degraded tier.
-    for mode in ("on", "auto"):
-        m = Machine(cfg, layout=run.layout, setup=name, fast_path=mode)
-        assert m.fast_path == "degraded", mode
-
-    def make_machine(fast_path):
-        return Machine(cfg, layout=run.layout, setup=name, fast_path=fast_path)
-
-    sig_scalar, sig_fast, result = run_both_paths(make_machine, run.trace)
-    assert sig_scalar == sig_fast
-    assert result.fast_path == "degraded"
+    with pytest.raises(ValueError):
+        Machine(cfg, layout=run.layout, setup="none", fast_path="vector")
 
 
-@pytest.mark.parametrize("name", ["monoDROPLETL1", "imp"])
-def test_degraded_windows_counter_is_exposed(workload_runs, name):
-    """The degraded tier reports its per-window scalar fallbacks via the
-    machine counter and the ``fastpath.windows_degraded`` gauge."""
-    from repro.telemetry import Telemetry
-
-    run = workload_runs[REDUCED_WORKLOADS[0]]
-    cfg = SystemConfig.scaled_baseline()
-    tel = Telemetry(interval_cycles=50_000)
-    m = Machine(cfg, layout=run.layout, setup=name, fast_path="on", telemetry=tel)
-    m.run(run.trace)
-    assert m.fastpath_windows_degraded > 0
-    gauge = tel.registry.get("fastpath.windows_degraded")
-    assert gauge is not None
-    assert gauge.value == m.fastpath_windows_degraded
-
-    # The vector tier never degrades a window.
-    m2 = Machine(cfg, layout=run.layout, setup="droplet", fast_path="on")
-    result = m2.run(run.trace)
-    assert result.fast_path == "vector"
-    assert m2.fastpath_windows_degraded == 0
-
-
-@pytest.mark.parametrize("setup", ["droplet", "monoDROPLETL1"])
+@pytest.mark.parametrize("setup", ["droplet", "stream"])
 def test_pollution_taxonomy_counters_match(workload_runs, setup):
     """With attribution telemetry on (pollution tracker attached), the
     fast path reproduces the full prefetch taxonomy and per-region miss
@@ -180,7 +143,7 @@ def test_pollution_taxonomy_counters_match(workload_runs, setup):
     for mode in ("off", "on"):
         tel = Telemetry(interval_cycles=50_000, attribution=True)
         m = Machine(cfg, layout=run.layout, setup=setup, fast_path=mode, telemetry=tel)
-        m.run(run.trace)
+        assert m.run(run.trace).fast_path == ("vector" if mode == "on" else False)
         assert m.hierarchy.pollution is not None
         payloads[mode] = (
             machine_signature_with_pollution(m),

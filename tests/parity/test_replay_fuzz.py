@@ -1,6 +1,6 @@
 """Property-based fuzz of the batch replay engine against the scalar oracle.
 
-Two fuzz surfaces the hand-built synthetic traces can't cover:
+Three fuzz surfaces the hand-built synthetic traces can't cover:
 
 * **prefetch-window boundaries** — randomized segment traces (sequential
   streams, strides, hashed reuse, store bursts, dependency chains) are
@@ -10,7 +10,10 @@ Two fuzz surfaces the hand-built synthetic traces can't cover:
 * **plan-cache invalidation** — one trace replayed across machines with
   *different L1 geometries* must rebuild its cached replay plan whenever
   the geometry key changes, never reusing tables planned for another
-  set/way layout.
+  set/way layout;
+* **multi-core interleaving** — a fuzzed trace and a hot loop on two
+  cores sharing a small LLC, so cross-core back-invalidations land
+  inside the other core's guaranteed runs.
 
 Every example requires a full bit-identical machine signature, not just
 matching hit counts.
@@ -25,7 +28,7 @@ from repro.cache import CacheConfig
 from repro.system import Machine, SystemConfig
 from repro.trace import DataType, TraceBuffer
 
-from .signature import machine_signature
+from .signature import machine_signature, machine_state_signature, stack_signature
 
 KINDS = (DataType.STRUCTURE, DataType.PROPERTY, DataType.INTERMEDIATE)
 
@@ -103,26 +106,45 @@ class TestPrefetchWindowFuzz:
         scalar, fast = both_signatures(cfg, build_trace(segs), "ghb")
         assert scalar == fast
 
-    @settings(max_examples=15, deadline=None)
-    @given(segments)
-    def test_l1_filling_degraded_tier_bit_identical(self, segs):
-        """An L1-filling streamer (the mono-prefetcher geometry, minus
-        the layout-dependent MPP) fuzzes the *degraded* replay tier:
-        per-window scalar fallback with sticky poison on prefetched L1
-        lines."""
-        from repro.droplet.composite import PrefetchSetup
-        from repro.prefetch.stream import StreamPrefetcher
-
-        def l1_stream():
-            return PrefetchSetup(
-                "l1stream", StreamPrefetcher(), fill_into_l1=True
+    @settings(max_examples=25, deadline=None)
+    @given(
+        segments,
+        st.lists(st.integers(0, 4095), min_size=1, max_size=8),
+        st.integers(8, 24),
+    )
+    def test_two_core_interleave_bit_identical(self, segs, hot, gap):
+        """Core 0 streams fuzzed segments through a deliberately small
+        shared LLC while core 1 loops over a few hot lines for about as
+        many cycles.  Core 1's L1 hits never refresh the LLC, so core
+        0's fills back-invalidate its hot lines inside its guaranteed
+        runs: the fast interleave (one poison set per core) must match
+        the oracle interleave per core and in every cache."""
+        cfg = _small_shared_llc(SystemConfig.scaled_baseline(num_cores=2))
+        tb = TraceBuffer(name="hot", core=1)
+        for _ in range(12_000 // (len(hot) * (1 + gap))):
+            for line in hot:
+                tb.load(line * 64, DataType.PROPERTY, gap=gap)
+        traces = [build_trace(segs), tb.finalize()]
+        out = []
+        for mode in ("off", "on"):
+            m = Machine(cfg, setup="stream", fast_path=mode)
+            results = m._interleave(traces)
+            out.append(
+                (
+                    [(r.cycles, stack_signature(r.cycle_stack)) for r in results],
+                    machine_state_signature(m),
+                )
             )
+        assert out[0] == out[1]
 
-        cfg = SystemConfig.scaled_baseline()
-        m = Machine(cfg, setup=l1_stream(), fast_path="on")
-        assert m.fast_path == "degraded"
-        scalar, fast = both_signatures(cfg, build_trace(segs), l1_stream)
-        assert scalar == fast
+
+def _small_shared_llc(cfg):
+    """``cfg`` with a 4 KiB L2 and an 8 KiB LLC that fuzz traces overflow."""
+    return dataclasses.replace(
+        cfg,
+        l2=dataclasses.replace(cfg.l2, size_bytes=4 * 1024),
+        l3=dataclasses.replace(cfg.l3, size_bytes=8 * 1024, associativity=8),
+    )
 
 
 def _l1_variant(cfg, size_kib, assoc):

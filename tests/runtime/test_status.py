@@ -112,7 +112,7 @@ class TestRunStatus:
         assert failed.error_kind == "FaultError"
         assert good.state == "done"
         assert good.cache_hit is not None
-        assert good.tier in ("vector", "degraded", "scalar")
+        assert good.tier in ("vector", "scalar")
         assert good.wall_time and good.wall_time > 0
         rows = status_table_rows(status)
         assert [r["state"] for r in rows] == ["failed", "done"]
@@ -149,7 +149,6 @@ class TestRunStatus:
             attempts=1,
             cache_hit=False,
             tier="vector",
-            windows_degraded=0,
             wall_time=1.5,
             quarantined=0,
             restored=False,
@@ -186,6 +185,28 @@ class TestRunStatus:
         assert status.count("done") == 2
         assert all(p.wall_time for p in status.points)
         assert all(p.tier for p in status.points)
+
+    def test_ledger_records_with_windows_degraded_still_load(self, tmp_path):
+        # Ledgers journaled while the replay engine had a degraded tier
+        # carry a per-point ``windows_degraded`` count; they must still
+        # restore and fold.
+        runner, ledger, _ = traced_runner(tmp_path, "legacy")
+        points = make_points(workloads=("PR",), setups=("none",))
+        runner.run(points)
+        spans.sidecar_path(ledger.path).unlink()
+        records = [json.loads(line) for line in ledger.path.read_text().splitlines()]
+        for record in records:
+            if record.get("kind") == "point":
+                record["data"]["windows_degraded"] = 3
+        ledger.path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        status = load_run_status("legacy", root=tmp_path / "runs")
+        assert status.count("done") == 1
+        assert "degraded" not in status_table_rows(status)[0]
+        reopened = RunLedger("legacy", root=tmp_path / "runs")
+        assert reopened.open() == 1
+        restored = reopened.restore(points[0])
+        assert restored is not None and restored.restored
+        assert restored.replay_tier == status.points[0].tier
 
     def test_unknown_run_not_found(self, tmp_path):
         status = load_run_status("ghost", root=tmp_path / "runs")

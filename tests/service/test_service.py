@@ -287,7 +287,6 @@ class TestHTTPEndToEnd:
         assert parsed["repro_service_submissions_total"] >= 2
         assert "repro_service_queue_depth" in parsed
         assert "repro_sweep_restored_points" in parsed
-        assert "repro_fastpath_windows_degraded" in parsed
         assert any(key.startswith("repro_service_worker_busy{") for key in parsed)
 
     def test_bad_spec_is_a_400_with_message(self, live_server):
