@@ -74,10 +74,11 @@ class CacheHierarchy:
         #: attached for attribution-enabled runs; purely observational.
         self.pollution = None
         self._pf_issuer: str | None = None
-        #: Optional back-invalidation hook, one set per core: when set (by
-        #: the batch-replay engine), each L1 line dropped for inclusion is
-        #: recorded in its core's set so the engine can poison that core's
-        #: guaranteed-hit predictions.
+        #: Optional poison hook, one set per core: when set (by the
+        #: batch-replay engine), each L1 line dropped for inclusion, each
+        #: L1 victim of a prefetch fill and each line a prefetch fills
+        #: into the L1 is recorded in its core's set, so the engine can
+        #: void that core's guaranteed-hit predictions for it.
         self.l1_inval_logs: list[set[int]] | None = None
 
     # ------------------------------------------------------------------
@@ -94,6 +95,13 @@ class CacheHierarchy:
         victim = self.l1s[core].insert(line, kind, dirty=dirty, prefetched=pf)
         if self.pollution is not None:
             self.pollution.on_fill("L1", line)
+        if pf and self.l1_inval_logs is not None:
+            # The replay engine's guaranteed-hit filter sees neither the
+            # prefetched line nor the L1 victim it displaces.
+            poison = self.l1_inval_logs[core]
+            poison.add(line)
+            if victim is not None:
+                poison.add(victim[0])
         if victim is None:
             return
         vline, vmeta = victim

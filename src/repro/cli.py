@@ -201,10 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast-path",
         choices=["auto", "on", "off"],
         default="auto",
-        help="batch-replay engine: auto/on take it wherever it is sound "
-        "(every setup except the L1-filling monoDROPLETL1 and imp, which "
-        "replay on the scalar reference loop), off forces the scalar "
-        "reference loop (results are bit-identical either way)",
+        help="batch-replay engine: auto/on take it for every prefetch "
+        "setup, off forces the scalar reference loop (results are "
+        "bit-identical either way)",
     )
 
     p_par = sub.add_parser(

@@ -1,7 +1,6 @@
 """Full-system simulation: configuration, machine, runners."""
 
 from .config import CACHE_SCALE, SystemConfig, cacti_llc_latency
-from .fastreplay import eligible_setup
 from .machine import Machine, RegionClassifier, SimResult
 from .multicore import MulticoreResult, run_multicore
 from .runner import compare_setups, simulate
@@ -10,7 +9,6 @@ __all__ = [
     "CACHE_SCALE",
     "SystemConfig",
     "cacti_llc_latency",
-    "eligible_setup",
     "Machine",
     "RegionClassifier",
     "SimResult",

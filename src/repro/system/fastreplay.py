@@ -16,19 +16,26 @@ but much faster:
 3. Every other reference runs a lean demand cascade:
    ``CacheHierarchy.demand_access`` inlined over the raw set
    dictionaries, with local counters, followed by the same event drain,
-   MPP chase and prefetcher snoop as the scalar loop.  Telemetry,
-   attribution and pollution hooks sit behind per-run guards.
+   MPP chase and prefetcher (and IMP) snoop as the scalar loop.
+   Telemetry, attribution and pollution hooks sit behind per-run guards.
 4. Window timing runs on the sparse load set
    (:func:`repro.core.mlp.compute_window_timing_sparse`): cascade loads
    plus the guaranteed-hit loads some later load depends on.
 
-Soundness of the guaranteed-hit filter relies on every L1 insertion
-being a demand access, so setups that prefetch-fill the L1 replay on
-the scalar oracle instead (:func:`eligible_setup`).  Back-invalidations
-(inclusion victims, caused by this core's or another core's fills)
-*remove* L1 lines mid-run: the hierarchy logs them into the core's
-poison set and the engine routes poisoned lines through the cascade
-until their next demand access re-fills them.
+The guaranteed-hit filter only sees demand accesses.  L1 lines that
+leave or enter the L1 any other way join the owning core's *poison
+set*, and the engine routes poisoned lines through the cascade until a
+demand access re-fills them:
+
+* back-invalidations (inclusion victims of this core's or another
+  core's fills), logged by the hierarchy;
+* for setups that prefetch-fill the L1 (``monoDROPLETL1``, ``imp``),
+  every L1 victim — the extra lines shift LRU order under the filter —
+  and every prefetched L1 line, so that hits on it take the cascade,
+  which credits the prefetch exactly like ``demand_access``.  These
+  setups also replay every guaranteed touch: the plan's touch dedup
+  assumes nothing reads a set's LRU order between two touches, and an
+  L1 prefetch fill does.
 
 :func:`run_fast` is a per-core generator that yields at every ROB-window
 close, so :meth:`Machine._interleave` drives one trace (``Machine.run``)
@@ -53,7 +60,7 @@ from ..trace.buffer import Trace
 from ..trace.plan import plan_replay
 from ..trace.record import DataType
 
-__all__ = ["eligible_setup", "run_fast"]
+__all__ = ["run_fast"]
 
 _STRUCTURE = int(DataType.STRUCTURE)
 
@@ -96,8 +103,9 @@ class _ReplayTables:
         self.lines = plan.lines.tolist()
         self.kinds = trace.kind.tolist()
         self.is_load = trace.is_load.tolist()
-        # Only the (rare) poisoned-run fallback needs per-reference
-        # store flags; NumPy slices of this avoid a full tolist.
+        # Only poisoned runs and L1-filling setups, which touch run by
+        # run without the dedup, need per-reference store flags; NumPy
+        # slices of this avoid a full tolist.
         self.is_store = np.logical_not(trace.is_load)
         self.deps = trace.dep.tolist()
         self.dep_target = plan.dep_target.tolist()
@@ -153,25 +161,13 @@ def _tables_for(machine, trace: Trace, l1) -> _ReplayTables:
     return tables
 
 
-def eligible_setup(setup) -> bool:
-    """Whether ``setup`` batch-replays under ``fast_path`` auto/on.
-
-    Prefetch fills into the L1 (monoDROPLETL1, imp) insert lines the
-    stack-distance filter never saw, voiding its guarantees; those
-    setups, and any with an IMP engine (the oracle is its only
-    implementation), replay on the scalar oracle.  A per-window fallback
-    tier for them measured no faster than the oracle (0.96–1.10× its
-    replay time), so it is not worth its code.
-    """
-    return not setup.fill_into_l1 and setup.imp_engine is None
-
-
 def run_fast(machine, trace: Trace):
     """Batch-replay ``trace`` on its core of ``machine``.
 
     A generator: yields the core's clock at every ROB-window close and
     returns a :class:`repro.system.machine.SimResult` bit-identical to
-    the scalar oracle's (``fast_path="vector"``).  Drive it through
+    the scalar oracle's (``fast_path="off"``), tagged
+    ``fast_path="vector"``.  Drive it through
     :meth:`repro.system.machine.Machine._interleave`, which also sets up
     the per-core poison sets.
     """
@@ -236,6 +232,12 @@ def run_fast(machine, trace: Trace):
     # call entirely leaves results untouched and the miss path leaner.
     snoop_misses = not isinstance(prefetcher, NullPrefetcher)
     demand_chase = machine.mpp is not None and setup.mpp_trigger == "demand"
+    imp = setup.imp_engine
+    layout = machine.layout
+    line_size = machine._line_size
+    # Prefetch fills into the L1 (see the module docstring): poison
+    # every L1 victim, and replay guaranteed touches without the dedup.
+    fill_l1 = setup.fill_into_l1
     clock = 0.0
     stack = CycleStack()
     stall = stack.stall
@@ -417,7 +419,7 @@ def run_fast(machine, trace: Trace):
                     # timestamp in the scalar loop.
                     if events:
                         _drain(clock + (icum[i] - window_icum) / dispatch)
-                    if clean:
+                    if clean and not fill_l1:
                         # No mutation can interrupt the run, so only the
                         # *last* touch of each line matters for LRU order
                         # — replay the deduped touch list, and one
@@ -445,9 +447,9 @@ def run_fast(machine, trace: Trace):
 
             # ----------------------------------------------------------
             # Lean demand cascade: demand_access inlined over the raw
-            # set dicts.  The L1 ``used`` bit is not maintained — no L1
-            # line is ever prefetched here, so it is unobservable — but
-            # L2/L3 ``used`` bits are (evict_unused_pf decisions).
+            # set dicts.  The ``used`` bit is only read on prefetched
+            # lines, so the L1 hit path sets it on those alone; they
+            # stay poisoned, so every hit on one comes through here.
             # ----------------------------------------------------------
             line = lines[i]
             kind = kinds[i]
@@ -457,8 +459,21 @@ def run_fast(machine, trace: Trace):
             if meta is not None:
                 s1.move_to_end(line)
                 c_l1_hit[kind] += 1
+                latency = 0.0
+                if meta.prefetched:
+                    meta.used = True
+                    c_pfhit["L1"] += 1
+                    # The residual wait for an in-flight fill (>= 0).
+                    latency = ledger.claim_demand(
+                        line, clock + (icum[i] - window_icum) / dispatch
+                    )
                 if not load:
                     meta.dirty = True
+                elif latency > 0.0:
+                    window_has_latency = True
+                    cascade_loads.append(
+                        (lcum[i] - window_lcum, i, deps[i], "L1", latency)
+                    )
                 elif dep_target[i]:
                     # Zero-latency loads nobody depends on are invisible
                     # to the sparse window timing.
@@ -515,6 +530,11 @@ def run_fast(machine, trace: Trace):
             if len(s1) >= l1_assoc:
                 vline, vmeta = s1.popitem(last=False)
                 c_evict["L1"] += 1
+                if fill_l1:
+                    poison.add(vline)
+                    if vmeta.prefetched and tel is not None:
+                        ev = "evict_pf" if vmeta.used else "evict_unused_pf"
+                        events.append(HierarchyEvent(ev, vline, "L1"))
                 if vmeta.dirty:
                     m = (
                         l2_sets[vline % l2_num_sets].get(vline)
@@ -559,6 +579,20 @@ def run_fast(machine, trace: Trace):
                         break
                     if machine._issue_stream_prefetch(cand, core, now):
                         budget -= 1
+            if imp is not None:
+                if kind == _STRUCTURE:
+                    values = layout.scan_structure_line(
+                        line * line_size, line_size
+                    )
+                    for cand in imp.observe_index_values(values):
+                        if budget <= 0:
+                            break
+                        if machine._issue_stream_prefetch(
+                            cand, core, now, issuer="imp"
+                        ):
+                            budget -= 1
+                else:
+                    imp.observe_miss(line, kind, False, core)
             i += 1
 
         # --------------------------------------------------------------

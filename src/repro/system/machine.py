@@ -27,7 +27,7 @@ from ..prefetch.stream import DataAwareStreamer
 from ..trace.buffer import Trace
 from ..trace.record import NO_DEP, DataType
 from .config import SystemConfig
-from .fastreplay import eligible_setup, run_fast
+from .fastreplay import run_fast
 
 __all__ = ["Machine", "SimResult", "RegionClassifier"]
 
@@ -400,21 +400,19 @@ class Machine:
                 mrb.retire(pline)
 
     def _resolve_fast_path(self, mode: str | bool) -> str | bool:
-        """Normalize a fast-path selector to a replay path for this setup.
+        """Normalize a fast-path selector to a replay path.
 
-        Returns ``"vector"`` (the batch fast path) or ``False`` (the
-        scalar reference path).  ``"auto"`` and ``"on"`` take the fast
-        path whenever it is sound for the configured prefetch setup
-        (:func:`~repro.system.fastreplay.eligible_setup`) and the scalar
-        path otherwise; ``"off"`` forces the scalar path.  Booleans
-        behave like ``"on"``/``"off"``.
+        Returns ``"vector"`` (the batch fast path, for every prefetch
+        setup) for ``"auto"`` and ``"on"``, or ``False`` (the scalar
+        reference path) for ``"off"``.  Booleans behave like
+        ``"on"``/``"off"``.
         """
         if isinstance(mode, bool):
             mode = "on" if mode else "off"
         if mode == "off":
             return False
         if mode in ("auto", "on"):
-            return "vector" if eligible_setup(self.setup) else False
+            return "vector"
         raise ValueError(
             "fast_path must be 'auto', 'on', 'off', or a bool (got %r)" % (mode,)
         )

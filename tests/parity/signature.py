@@ -6,10 +6,11 @@ cache contents of every level — including per-set LRU ordering and
 per-line flags, so even a drift that never reaches a counter fails the
 comparison.
 
-The single deliberate exclusion is the L1 ``used`` bit: it exists to
-measure prefetch usefulness, and on fast-path-eligible setups no
-prefetched line ever enters the L1, so the bit is unobservable there
-(the lean replay path skips maintaining it).  L2/L3 ``used`` bits are
+The single deliberate exclusion is the L1 ``used`` bit on lines that
+were not prefetched: the bit exists to measure prefetch usefulness and
+is read only on prefetched lines, so the lean replay path maintains it
+on those alone (they stay poisoned and always take its cascade).
+L1 ``used`` bits of prefetched lines, and all L2/L3 ``used`` bits, are
 compared.
 """
 
@@ -29,7 +30,7 @@ def _cache_contents(cache, include_used: bool):
                     meta.dirty,
                     meta.prefetched,
                     meta.kind,
-                    meta.used if include_used else None,
+                    meta.used if include_used or meta.prefetched else None,
                 )
             )
         out.append(members)
@@ -82,9 +83,7 @@ def run_both_paths(make_machine, trace):
     """Run ``trace`` through fresh scalar and fast machines.
 
     ``make_machine(fast_path)`` must build a *new* machine each call.
-    Returns ``(scalar_signature, fast_signature, fast_result)``; setups
-    the fast path does not cover run the oracle under ``"on"`` too
-    (``fast_result.fast_path`` is then ``False``).
+    Returns ``(scalar_signature, fast_signature, fast_result)``.
     """
     scalar = make_machine("off")
     sig_scalar = machine_signature(scalar.run(trace), scalar)

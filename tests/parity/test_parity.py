@@ -16,9 +16,10 @@ Two scopes keep PR latency bounded (the ``parity-prefetch`` CI job):
   six workloads when ``REPRO_PARITY_FULL=1`` (nightly / `parity-full`
   label).
 
-monoDROPLETL1 and imp prefetch-fill the L1, which voids the fast
-path's guaranteed-hit filter, so ``fast_path='on'``/``'auto'`` route
-them to the scalar oracle; their matrix rows pin that routing.
+Every setup replays on the fast path under ``fast_path='on'``.
+monoDROPLETL1 and imp prefetch-fill the L1, which the guaranteed-hit
+filter never sees; the engine poisons those lines and replays every
+guaranteed touch, and the L1-fill cases below fail if it does not.
 """
 
 import os
@@ -26,6 +27,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.droplet.composite import PrefetchSetup
+from repro.graph import kronecker
+from repro.prefetch.stream import StreamPrefetcher
 from repro.system import Machine, SystemConfig
 from repro.trace import DataType, TraceBuffer
 from repro.workloads.registry import WORKLOADS, get_workload
@@ -34,8 +38,7 @@ from .signature import machine_signature, run_both_paths
 
 MAX_REFS = 20_000
 SETUPS = ("none", "stream", "droplet")
-#: The rest of the constructible matrix; the two L1-filling setups at
-#: the end replay on the scalar oracle.
+#: The rest of the constructible matrix, the two L1-filling setups last.
 EXTENDED_SETUPS = ("ghb", "vldp", "streamMPP1", "adaptive", "imp", "monoDROPLETL1")
 #: Extended-matrix workloads always exercised per PR; the rest join
 #: when REPRO_PARITY_FULL=1.
@@ -91,13 +94,29 @@ def test_fast_path_is_bit_identical(workload_runs, workload, setup):
 @pytest.mark.parametrize("setup", EXTENDED_SETUPS)
 @pytest.mark.parametrize("workload", _extended_workloads())
 def test_prefetch_matrix_is_bit_identical(workload_runs, workload, setup):
-    tier = False if setup in ("imp", "monoDROPLETL1") else "vector"
-    _assert_parity(workload_runs[workload], setup, expect_tier=tier)
+    _assert_parity(workload_runs[workload], setup, expect_tier="vector")
+
+
+@pytest.fixture(scope="module")
+def kron_s11():
+    return kronecker(scale=11, edge_factor=8, seed=3, name="kron-s11")
+
+
+# On this graph, replaying a guaranteed run from the plan's deduped
+# touch list under L1 prefetch fills is off from the oracle by one L1
+# hit for exactly these pairs (the 512-vertex matrix above misses it).
+@pytest.mark.parametrize(
+    "workload, setup",
+    [("CC", "monoDROPLETL1"), ("BFS", "imp"), ("BC", "imp")],
+)
+def test_l1_fills_replay_every_guaranteed_touch(kron_s11, workload, setup):
+    run = get_workload(workload).run(kron_s11, max_refs=MAX_REFS)
+    _assert_parity(run, setup, expect_tier="vector")
 
 
 def test_auto_mode_matches_forced_modes(workload_runs):
-    """``fast_path='auto'`` picks the fast path for eligible setups and
-    produces the same results as both forced modes."""
+    """``fast_path='auto'`` picks the fast path and produces the same
+    results as both forced modes."""
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
     results = {}
@@ -109,31 +128,28 @@ def test_auto_mode_matches_forced_modes(workload_runs):
 
 
 @pytest.mark.parametrize("name", ["monoDROPLETL1", "imp"])
-def test_l1_filling_setups_route_to_oracle(workload_runs, name):
-    """Setups that prefetch-fill the L1 void the guaranteed-hit filter:
-    'on' and 'auto' resolve them to the scalar oracle, and the removed
-    'vector' selector is rejected like any unknown mode."""
-    from repro.droplet.composite import make_prefetch_setup
-    from repro.system.fastreplay import eligible_setup
-
-    assert not eligible_setup(make_prefetch_setup(name))
+def test_l1_filling_setups_take_fast_path(workload_runs, name):
+    """Setups that prefetch-fill the L1 resolve 'on', 'auto' and True
+    to the fast path like every other setup, and the removed 'vector'
+    selector is rejected like any unknown mode."""
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
     for mode in ("on", "auto", True):
         m = Machine(cfg, layout=run.layout, setup=name, fast_path=mode)
-        assert m.fast_path is False, mode
-    assert m.run(run.trace).fast_path is False
+        assert m.fast_path == "vector", mode
+    assert m.run(run.trace).fast_path == "vector"
     with pytest.raises(ValueError):
         Machine(cfg, layout=run.layout, setup=name, fast_path="vector")
     with pytest.raises(ValueError):
         Machine(cfg, layout=run.layout, setup="none", fast_path="vector")
 
 
-@pytest.mark.parametrize("setup", ["droplet", "stream"])
+@pytest.mark.parametrize("setup", ["droplet", "stream", "monoDROPLETL1", "imp"])
 def test_pollution_taxonomy_counters_match(workload_runs, setup):
     """With attribution telemetry on (pollution tracker attached), the
     fast path reproduces the full prefetch taxonomy and per-region miss
-    attribution bit for bit."""
+    attribution bit for bit — for the L1-filling setups, including the
+    L1 pollution shadow set only they carry."""
     from repro.telemetry import Telemetry
 
     run = workload_runs["PR"]
@@ -170,10 +186,13 @@ class TestSyntheticEdgeCases:
     """Hand-built traces that aim at the replay engine's seams."""
 
     def _compare(self, trace, setup="none"):
+        """``setup`` is a name or a zero-argument factory (each machine
+        must get fresh prefetcher state)."""
         cfg = SystemConfig.scaled_baseline()
 
         def make_machine(fast_path):
-            return Machine(cfg, setup=setup, fast_path=fast_path)
+            built = setup() if callable(setup) else setup
+            return Machine(cfg, setup=built, fast_path=fast_path)
 
         sig_scalar, sig_fast, _ = run_both_paths(make_machine, trace)
         assert sig_scalar == sig_fast
@@ -242,3 +261,27 @@ class TestSyntheticEdgeCases:
             for i in range(0, 64, 2):
                 tb.load(base + i * 64, DataType.STRUCTURE, gap=1)
         self._compare(tb.finalize(), setup="stream")
+
+    def test_l1_prefetch_fill_between_same_set_touches(self):
+        """Line A is touched twice with no other access to its L1 set in
+        between, so the plan's touch dedup drops the first touch.  An L1
+        prefetch fill into that set lands between the two: it evicts the
+        set's LRU line, which is A only if the first touch was dropped."""
+        tb = TraceBuffer(name="l1fill")
+        # Fill L1 set 3 (8 sets x 8 ways), A = line 3 first, so it is the
+        # LRU line; one line per page keeps every stream untrained.
+        for k in range(8):
+            tb.load((3 + 64 * k) * 64, DataType.PROPERTY, gap=1)
+        tb.load(3 * 64, DataType.PROPERTY, gap=1)  # guaranteed: A -> MRU
+        # Three ascending misses in sets 0-2 confirm a stream, which
+        # prefetches lines 6411.. — the first into L1 set 3 (not into
+        # A's L2 set, which would back-invalidate A on both paths).
+        for line in (6408, 6409, 6410):
+            tb.load(line * 64, DataType.PROPERTY, gap=1)
+        tb.load(3 * 64, DataType.PROPERTY, gap=1)  # the oracle hits
+        self._compare(
+            tb.finalize(),
+            setup=lambda: PrefetchSetup(
+                "streamL1", StreamPrefetcher(), fill_into_l1=True
+            ),
+        )

@@ -6,7 +6,9 @@ Three fuzz surfaces the hand-built synthetic traces can't cover:
   streams, strides, hashed reuse, store bursts, dependency chains) are
   replayed through both paths with the stream prefetcher attached, so
   windows open/close at arbitrary points relative to prefetch fills and
-  back-invalidations;
+  back-invalidations — also with the streamer filling into a tiny L1,
+  so L1 prefetch fills and their victims land inside and between
+  guaranteed runs;
 * **plan-cache invalidation** — one trace replayed across machines with
   *different L1 geometries* must rebuild its cached replay plan whenever
   the geometry key changes, never reusing tables planned for another
@@ -24,7 +26,8 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheConfig
+from repro.droplet.composite import PrefetchSetup
+from repro.prefetch.stream import StreamPrefetcher
 from repro.system import Machine, SystemConfig
 from repro.trace import DataType, TraceBuffer
 
@@ -104,6 +107,22 @@ class TestPrefetchWindowFuzz:
         the streamer's."""
         cfg = SystemConfig.scaled_baseline()
         scalar, fast = both_signatures(cfg, build_trace(segs), "ghb")
+        assert scalar == fast
+
+    @settings(max_examples=25, deadline=None)
+    @given(segments)
+    def test_l1_filling_stream_bit_identical(self, segs):
+        """The streamer prefetch-filling a 2 KiB 2-way L1, with no graph
+        layout: prefetched L1 lines, their hits and their victims stress
+        the poison set and the undeduped touch replay."""
+        cfg = _l1_variant(SystemConfig.scaled_baseline(), 2, 2)
+        scalar, fast = both_signatures(
+            cfg,
+            build_trace(segs),
+            lambda: PrefetchSetup(
+                "streamL1", StreamPrefetcher(), fill_into_l1=True
+            ),
+        )
         assert scalar == fast
 
     @settings(max_examples=25, deadline=None)

@@ -59,8 +59,7 @@ def _payload(run, setup, fast_path):
 def test_fast_path_telemetry_matches_oracle(runs, workload, setup):
     tier, fast = _payload(runs[workload], setup, "on")
     _, oracle = _payload(runs[workload], setup, "off")
-    # monoDROPLETL1 prefetch-fills the L1, so "on" routes it to the oracle.
-    assert tier == (False if setup == "monoDROPLETL1" else "vector")
+    assert tier == "vector"
     payload = json.loads(fast)
     assert payload["events"]["records"]
     assert len(payload["samples"]) > 2
