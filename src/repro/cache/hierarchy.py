@@ -15,15 +15,15 @@ the same residency model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..trace.record import DataType
-from .cache import Cache, CacheConfig
+from .cache import Cache, CacheConfig, CacheLine
 
 __all__ = ["CacheHierarchy", "HierarchyEvent", "AccessOutcome"]
 
 
-@dataclass(frozen=True)
-class HierarchyEvent:
+class HierarchyEvent(NamedTuple):
     """Side-effect record drained by the machine after each access.
 
     ``kind`` is one of:
@@ -70,98 +70,172 @@ class CacheHierarchy:
         self.l3 = Cache(_named(l3_config, "L3", None))
         self.line_size = l3_config.line_size
         self.events: list[HierarchyEvent] = []
+        #: Whether every prefetched-line eviction becomes an event.  When
+        #: cleared (a machine without a telemetry session, the only
+        #: reader of the rest), only writebacks and L3 ``evict_unused_pf``
+        #: events, which DRAM and the prefetch ledger act on, are kept.
+        self.trace_evictions = True
         #: Optional :class:`repro.prefetch.stats.PollutionTracker` —
         #: attached for attribution-enabled runs; purely observational.
         self.pollution = None
         self._pf_issuer: str | None = None
         #: Optional poison hook, one set per core: when set (by the
         #: batch-replay engine), each L1 line dropped for inclusion, each
-        #: L1 victim of a prefetch fill and each line a prefetch fills
-        #: into the L1 is recorded in its core's set, so the engine can
-        #: void that core's guaranteed-hit predictions for it.
+        #: line a prefetch fills into the L1 and each L1 victim of a fill
+        #: that asks for it (see :meth:`_fill_l1`) is recorded in its
+        #: core's set, so the engine can void that core's guaranteed-hit
+        #: predictions for it; a demand refill of a line clears its entry.
         self.l1_inval_logs: list[set[int]] | None = None
 
     # ------------------------------------------------------------------
-    # Internal helpers
+    # Fill core
     # ------------------------------------------------------------------
-    def _note_eviction(self, line: int, meta, level: str, by_prefetch: bool = False) -> None:
-        if meta.prefetched:
-            kind = "evict_pf" if meta.used else "evict_unused_pf"
-            self.events.append(HierarchyEvent(kind, line, level))
-        if by_prefetch and self.pollution is not None:
-            self.pollution.on_prefetch_eviction(level, line, self._pf_issuer)
+    # Every fill on either replay path goes through these three methods:
+    # the refills of ``demand_access`` and of the batch-replay engine's
+    # cascade, stream and MPP prefetch fills, and LLC→L2 copies.  They
+    # work on each Cache's raw set dictionaries (``Cache.insert`` and
+    # ``Cache.invalidate`` inlined) and count as they go.
 
-    def _fill_l1(self, core: int, line: int, kind: DataType, dirty: bool, pf: bool) -> None:
-        victim = self.l1s[core].insert(line, kind, dirty=dirty, prefetched=pf)
-        if self.pollution is not None:
-            self.pollution.on_fill("L1", line)
-        if pf and self.l1_inval_logs is not None:
-            # The replay engine's guaranteed-hit filter sees neither the
-            # prefetched line nor the L1 victim it displaces.
-            poison = self.l1_inval_logs[core]
-            poison.add(line)
-            if victim is not None:
+    def _fill_l1(
+        self, core: int, line: int, kind: int, dirty: bool, pf: bool,
+        poison_victim: bool,
+    ) -> None:
+        """Install ``line`` in ``core``'s L1; a dirty victim merges below.
+
+        With poison logging on, a prefetch fill poisons its line, a
+        demand refill clears it, and ``poison_victim`` poisons the victim
+        (prefetch fills, and the demand fills of setups that prefetch
+        into the L1).
+        """
+        l1 = self.l1s[core]
+        s = l1._sets[line % l1._num_sets]
+        meta = s.get(line)
+        if meta is not None:
+            s.move_to_end(line)
+            meta.dirty = meta.dirty or dirty
+            victim = None
+        else:
+            victim = s.popitem(last=False) if len(s) >= l1._assoc else None
+            s[line] = CacheLine(dirty, pf, kind)
+            if pf:
+                l1.stats.prefetch_fills += 1
+        pollution = self.pollution
+        if pollution is not None:
+            pollution.on_fill("L1", line)
+        logs = self.l1_inval_logs
+        if logs is not None:
+            poison = logs[core]
+            if pf:
+                poison.add(line)
+            else:
+                poison.discard(line)
+            if poison_victim and victim is not None:
                 poison.add(victim[0])
         if victim is None:
             return
         vline, vmeta = victim
-        self._note_eviction(vline, vmeta, "L1", by_prefetch=pf)
+        l1.stats.evictions += 1
+        if vmeta.prefetched and self.trace_evictions:
+            ev = "evict_pf" if vmeta.used else "evict_unused_pf"
+            self.events.append(HierarchyEvent(ev, vline, "L1"))
+        if pf and pollution is not None:
+            pollution.on_prefetch_eviction("L1", vline, self._pf_issuer)
         if vmeta.dirty:
-            self._merge_dirty_below(core, vline)
+            # The dirtiness moves to the level that holds the line.
+            if self.l2s is not None:
+                l2 = self.l2s[core]
+                m2 = l2._sets[vline % l2._num_sets].get(vline)
+                if m2 is not None:
+                    m2.dirty = True
+                    return
+            self._merge_dirty_l3(vline)
 
-    def _fill_l2(self, core: int, line: int, kind: DataType, pf: bool) -> None:
+    def _fill_l2(self, core: int, line: int, kind: int, pf: bool) -> None:
+        """Install ``line`` in ``core``'s L2 (no-op without an L2)."""
         if self.l2s is None:
             return
-        victim = self.l2s[core].insert(line, kind, prefetched=pf)
-        if self.pollution is not None:
-            self.pollution.on_fill("L2", line)
+        l2 = self.l2s[core]
+        s = l2._sets[line % l2._num_sets]
+        if line in s:
+            s.move_to_end(line)
+            victim = None
+        else:
+            victim = s.popitem(last=False) if len(s) >= l2._assoc else None
+            s[line] = CacheLine(False, pf, kind)
+            if pf:
+                l2.stats.prefetch_fills += 1
+        pollution = self.pollution
+        if pollution is not None:
+            pollution.on_fill("L2", line)
         if victim is None:
             return
         vline, vmeta = victim
-        self._note_eviction(vline, vmeta, "L2", by_prefetch=pf)
+        l2.stats.evictions += 1
+        if vmeta.prefetched and self.trace_evictions:
+            ev = "evict_pf" if vmeta.used else "evict_unused_pf"
+            self.events.append(HierarchyEvent(ev, vline, "L2"))
+        if pf and pollution is not None:
+            pollution.on_prefetch_eviction("L2", vline, self._pf_issuer)
         # Inclusion: the L1 above must drop the line too.
-        l1_meta = self.l1s[core].invalidate(vline)
-        if l1_meta is not None and self.l1_inval_logs is not None:
-            self.l1_inval_logs[core].add(vline)
-        dirty = vmeta.dirty or (l1_meta is not None and l1_meta.dirty)
+        dirty = vmeta.dirty
+        l1 = self.l1s[core]
+        m1 = l1._sets[vline % l1._num_sets].pop(vline, None)
+        if m1 is not None:
+            l1.stats.back_invalidations += 1
+            if self.l1_inval_logs is not None:
+                self.l1_inval_logs[core].add(vline)
+            dirty = dirty or m1.dirty
         if dirty:
             self._merge_dirty_l3(vline)
 
-    def _fill_l3(self, line: int, kind: DataType, pf: bool) -> None:
-        victim = self.l3.insert(line, kind, prefetched=pf)
-        if self.pollution is not None:
-            self.pollution.on_fill("L3", line)
+    def _fill_l3(self, line: int, kind: int, pf: bool) -> None:
+        """Install ``line`` in the shared L3; the victim leaves the chip."""
+        l3 = self.l3
+        s = l3._sets[line % l3._num_sets]
+        if line in s:
+            s.move_to_end(line)
+            victim = None
+        else:
+            victim = s.popitem(last=False) if len(s) >= l3._assoc else None
+            s[line] = CacheLine(False, pf, kind)
+            if pf:
+                l3.stats.prefetch_fills += 1
+        pollution = self.pollution
+        if pollution is not None:
+            pollution.on_fill("L3", line)
         if victim is None:
             return
         vline, vmeta = victim
-        self._note_eviction(vline, vmeta, "L3", by_prefetch=pf)
-        dirty = vmeta.dirty
+        l3.stats.evictions += 1
+        # The prefetch ledger claims unused prefetches evicted here.
+        if vmeta.prefetched and (self.trace_evictions or not vmeta.used):
+            ev = "evict_pf" if vmeta.used else "evict_unused_pf"
+            self.events.append(HierarchyEvent(ev, vline, "L3"))
+        if pf and pollution is not None:
+            pollution.on_prefetch_eviction("L3", vline, self._pf_issuer)
         # Inclusion: back-invalidate every private cache.
-        for core in range(self.num_cores):
-            m1 = self.l1s[core].invalidate(vline)
-            if m1 is not None:
-                if self.l1_inval_logs is not None:
-                    self.l1_inval_logs[core].add(vline)
-                if m1.dirty:
-                    dirty = True
+        dirty = vmeta.dirty
+        logs = self.l1_inval_logs
+        for core, l1 in enumerate(self.l1s):
+            m = l1._sets[vline % l1._num_sets].pop(vline, None)
+            if m is not None:
+                l1.stats.back_invalidations += 1
+                if logs is not None:
+                    logs[core].add(vline)
+                dirty = dirty or m.dirty
             if self.l2s is not None:
-                m2 = self.l2s[core].invalidate(vline)
-                if m2 is not None and m2.dirty:
-                    dirty = True
+                l2 = self.l2s[core]
+                m = l2._sets[vline % l2._num_sets].pop(vline, None)
+                if m is not None:
+                    l2.stats.back_invalidations += 1
+                    dirty = dirty or m.dirty
         if dirty:
             self.events.append(HierarchyEvent("writeback", vline, "L3"))
 
-    def _merge_dirty_below(self, core: int, line: int) -> None:
-        """Push a dirty L1 victim's dirtiness into the level that holds it."""
-        if self.l2s is not None:
-            meta = self.l2s[core].lookup(line, update_lru=False)
-            if meta is not None:
-                meta.dirty = True
-                return
-        self._merge_dirty_l3(line)
-
     def _merge_dirty_l3(self, line: int) -> None:
-        meta = self.l3.lookup(line, update_lru=False)
+        """Mark the L3 copy of ``line`` dirty, else write the line back."""
+        l3 = self.l3
+        meta = l3._sets[line % l3._num_sets].get(line)
         if meta is not None:
             meta.dirty = True
         else:
@@ -198,6 +272,7 @@ class CacheHierarchy:
                 meta.dirty = True
             return AccessOutcome("L1", meta.prefetched, first)
         l1.stats.record(kind, hit=False)
+        kind = int(kind)
         pollution = self.pollution
         if pollution is not None:
             pollution.on_demand_miss("L1", line, kind)
@@ -212,7 +287,7 @@ class CacheHierarchy:
                     l2.stats.prefetch_hits += 1
                 # Demand-initiated refills do not carry the prefetch
                 # flag upward: usefulness was credited at first touch.
-                self._fill_l1(core, line, kind, dirty=is_store, pf=False)
+                self._fill_l1(core, line, kind, is_store, False, False)
                 return AccessOutcome("L2", meta.prefetched, first)
             l2.stats.record(kind, hit=False)
             if pollution is not None:
@@ -224,17 +299,17 @@ class CacheHierarchy:
             first = self._touch(meta)
             if meta.prefetched:
                 self.l3.stats.prefetch_hits += 1
-            self._fill_l2(core, line, kind, pf=False)
-            self._fill_l1(core, line, kind, dirty=is_store, pf=False)
+            self._fill_l2(core, line, kind, False)
+            self._fill_l1(core, line, kind, is_store, False, False)
             return AccessOutcome("L3", meta.prefetched, first)
         self.l3.stats.record(kind, hit=False)
         if pollution is not None:
             pollution.on_demand_miss("L3", line, kind)
 
         # Serviced by DRAM: install everywhere on the refill path.
-        self._fill_l3(line, kind, pf=False)
-        self._fill_l2(core, line, kind, pf=False)
-        self._fill_l1(core, line, kind, dirty=is_store, pf=False)
+        self._fill_l3(line, kind, False)
+        self._fill_l2(core, line, kind, False)
+        self._fill_l1(core, line, kind, is_store, False, False)
         return AccessOutcome("DRAM", False, False)
 
     # ------------------------------------------------------------------
@@ -253,26 +328,34 @@ class CacheHierarchy:
         ``issuer`` names the prefetch engine for pollution attribution;
         it is only read when a :class:`PollutionTracker` is attached.
         """
+        kind = int(kind)
         self._pf_issuer = issuer
-        self._fill_l3(line, kind, pf=True)
-        self._fill_l2(core, line, kind, pf=True)
+        self._fill_l3(line, kind, True)
+        self._fill_l2(core, line, kind, True)
         if into_l1:
-            self._fill_l1(core, line, kind, dirty=False, pf=True)
+            self._fill_l1(core, line, kind, False, True, True)
 
     def copy_to_l2(
         self, core: int, line: int, kind: DataType, issuer: str | None = None
-    ) -> None:
-        """LLC→L2 copy of an already on-chip line (DROPLET's on-chip path)."""
-        if self.l3.contains(line):
-            self._pf_issuer = issuer
-            self._fill_l2(core, line, kind, pf=True)
+    ) -> bool:
+        """LLC→L2 copy of an already on-chip line (DROPLET's on-chip path).
+
+        Returns whether the line was on chip, i.e. whether it was copied.
+        """
+        l3 = self.l3
+        if line not in l3._sets[line % l3._num_sets]:
+            return False
+        self._pf_issuer = issuer
+        self._fill_l2(core, line, int(kind), True)
+        return True
 
     def on_chip(self, line: int) -> bool:
         """Coherence-engine probe: is the line anywhere on chip?
 
         With an inclusive LLC a single L3 probe suffices.
         """
-        return self.l3.contains(line)
+        l3 = self.l3
+        return line in l3._sets[line % l3._num_sets]
 
     def drain_events(self) -> list[HierarchyEvent]:
         """Return and clear accumulated side-effect events."""

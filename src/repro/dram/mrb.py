@@ -7,8 +7,13 @@ for scheduling.  DROPLET reinterprets a set C-bit as "this is a
 the MPP knows which core's private L2 should receive the chased property
 prefetches.
 
-The MRB here is the bookkeeping the machine consults on every DRAM
-refill to decide whether to hand a copy of the line to the MPP.
+Trace replay does not queue requests here.  It models no request in
+flight, so each entry would retire in the step that queued it and the
+buffer would always be empty.  The machine instead reads the C-bit's
+meaning directly when it decides whether a prefetch fill goes to the
+MPP (:meth:`repro.system.machine.Machine._issue_stream_prefetch`).  The
+class keeps the buffer's capacity, overflow and storage accounting, and
+its telemetry gauges read 0 during replay.
 """
 
 from __future__ import annotations

@@ -13,10 +13,12 @@ but much faster:
    every prefix sum the window accounting needs.
 2. Guaranteed-hit runs are applied as bare LRU touches; their hit
    counters are folded in per window from prefix sums.
-3. Every other reference runs a lean demand cascade:
+3. Every other reference runs a lean demand cascade: the lookups of
    ``CacheHierarchy.demand_access`` inlined over the raw set
-   dictionaries, with local counters, followed by the same event drain,
-   MPP chase and prefetcher (and IMP) snoop as the scalar loop.
+   dictionaries, with local hit/miss counters, and a miss refilled
+   through the hierarchy's fill core — the one ``demand_access``, the
+   prefetch fills and the MPP chase use.  The same event drain, MPP
+   chase and prefetcher (and IMP) snoop as the scalar loop follow.
    Telemetry, attribution and pollution hooks sit behind per-run guards.
 4. Window timing runs on the sparse load set
    (:func:`repro.core.mlp.compute_window_timing_sparse`): cascade loads
@@ -24,11 +26,11 @@ but much faster:
 
 The guaranteed-hit filter only sees demand accesses.  L1 lines that
 leave or enter the L1 any other way join the owning core's *poison
-set*, and the engine routes poisoned lines through the cascade until a
-demand access re-fills them:
+set*, kept by the fill core, and the engine routes poisoned lines
+through the cascade until a demand access re-fills them:
 
 * back-invalidations (inclusion victims of this core's or another
-  core's fills), logged by the hierarchy;
+  core's fills);
 * for setups that prefetch-fill the L1 (``monoDROPLETL1``, ``imp``),
   every L1 victim — the extra lines shift LRU order under the filter —
   and every prefetched L1 line, so that hits on it take the cascade,
@@ -42,7 +44,9 @@ close, so :meth:`Machine._interleave` drives one trace (``Machine.run``)
 or several sharing the LLC (:func:`repro.system.run_multicore`) alike.
 The scalar path stays the reference oracle: ``tests/parity`` asserts
 bit-identical results across both paths for every workload × prefetch
-setup combination, single- and multi-core.
+setup combination, single- and multi-core.  The fill core both paths
+share is fuzzed against an independent naive hierarchy instead
+(``tests/parity/test_hierarchy_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..cache.cache import CacheLine
-from ..cache.hierarchy import HierarchyEvent
 from ..core.cycles import CycleStack
 from ..core.mlp import compute_window_timing_sparse
 from ..prefetch.base import NullPrefetcher
@@ -176,7 +178,6 @@ def run_fast(machine, trace: Trace):
     hierarchy = machine.hierarchy
     dram = machine.dram
     ledger = machine.ledger
-    mrb = machine.mrb
     prefetcher = setup.l2_prefetcher
     events = hierarchy.events
     core = trace.core
@@ -209,15 +210,16 @@ def run_fast(machine, trace: Trace):
     n = len(trace)
 
     l1_sets = l1._sets
-    l1_num_sets = l1._num_sets
-    l1_assoc = l1._assoc
     l1_stats = l1.stats
     l2_sets = l2._sets if l2 is not None else None
     l2_num_sets = l2._num_sets if l2 is not None else 1
-    l2_assoc = l2._assoc if l2 is not None else 0
     l3_sets = l3._sets
     l3_num_sets = l3._num_sets
-    l3_assoc = l3._assoc
+    # The hierarchy's fill core, shared with the oracle and the
+    # prefetch paths.
+    fill_l1 = hierarchy._fill_l1
+    fill_l2 = hierarchy._fill_l2
+    fill_l3 = hierarchy._fill_l3
 
     l2_lat = float(cfg.l2_service_latency)
     l3_lat = float(cfg.l3_service_latency)
@@ -237,7 +239,7 @@ def run_fast(machine, trace: Trace):
     line_size = machine._line_size
     # Prefetch fills into the L1 (see the module docstring): poison
     # every L1 victim, and replay guaranteed touches without the dedup.
-    fill_l1 = setup.fill_into_l1
+    into_l1 = setup.fill_into_l1
     clock = 0.0
     stack = CycleStack()
     stall = stack.stall
@@ -258,21 +260,10 @@ def run_fast(machine, trace: Trace):
     phase_ptr = 0
     num_phase_marks = len(phase_marks) if tel is not None else 0
 
-    # This core's L1 lines removed by back-invalidation: their
+    # This core's poisoned L1 lines (see the module docstring): their
     # guaranteed-hit predictions are void until the next demand access
-    # re-fills them.  An LLC eviction back-invalidates every core.
-    poisons = hierarchy.l1_inval_logs
-    poison = poisons[core]
-    private = [
-        (
-            c1._sets,
-            c1.stats,
-            poisons[c],
-            hierarchy.l2s[c]._sets if l2 is not None else None,
-            hierarchy.l2s[c].stats if l2 is not None else None,
-        )
-        for c, c1 in enumerate(hierarchy.l1s)
-    ]
+    # re-fills them.
+    poison = hierarchy.l1_inval_logs[core]
 
     # Demand-cascade counters, folded into the CacheStats at the last
     # window, or at every window while telemetry samples them.
@@ -282,76 +273,18 @@ def run_fast(machine, trace: Trace):
     c_l2_miss = {0: 0, 1: 0, 2: 0}
     c_l3_hit = {0: 0, 1: 0, 2: 0}
     c_l3_miss = {0: 0, 1: 0, 2: 0}
-    c_evict = {"L1": 0, "L2": 0, "L3": 0}
     c_pfhit = {"L1": 0, "L2": 0, "L3": 0}
     folds = [(l1, c_l1_hit, c_l1_miss, "L1"), (l3, c_l3_hit, c_l3_miss, "L3")]
     if l2 is not None:
         folds.append((l2, c_l2_hit, c_l2_miss, "L2"))
 
-    # The hierarchy's fill paths, inlined (same state changes, same
-    # event order).  Eviction events beyond the ledger's unused-prefetch
-    # claim are only observable through telemetry.
-    def _merge_dirty_l3(vline: int) -> None:
-        m3 = l3_sets[vline % l3_num_sets].get(vline)
-        if m3 is not None:
-            m3.dirty = True
-        else:
-            events.append(HierarchyEvent("writeback", vline, "L3"))
-
-    def _fill_l2(line: int, kind: int) -> None:
-        s2 = l2_sets[line % l2_num_sets]
-        if len(s2) >= l2_assoc:
-            vline, vmeta = s2.popitem(last=False)
-            c_evict["L2"] += 1
-            if vmeta.prefetched and tel is not None:
-                events.append(
-                    HierarchyEvent(
-                        "evict_pf" if vmeta.used else "evict_unused_pf", vline, "L2"
-                    )
-                )
-            m1 = l1_sets[vline % l1_num_sets].pop(vline, None)
-            if m1 is not None:
-                l1_stats.back_invalidations += 1
-                poison.add(vline)
-            if vmeta.dirty or (m1 is not None and m1.dirty):
-                _merge_dirty_l3(vline)
-        s2[line] = CacheLine(False, False, kind)
-
-    def _fill_l3(line: int, kind: int) -> None:
-        s3 = l3_sets[line % l3_num_sets]
-        if len(s3) >= l3_assoc:
-            vline, vmeta = s3.popitem(last=False)
-            c_evict["L3"] += 1
-            if vmeta.prefetched and (tel is not None or not vmeta.used):
-                events.append(
-                    HierarchyEvent(
-                        "evict_pf" if vmeta.used else "evict_unused_pf", vline, "L3"
-                    )
-                )
-            dirty = vmeta.dirty
-            for sets1, stats1, poison1, sets2, stats2 in private:
-                m = sets1[vline % l1_num_sets].pop(vline, None)
-                if m is not None:
-                    stats1.back_invalidations += 1
-                    poison1.add(vline)
-                    if m.dirty:
-                        dirty = True
-                if sets2 is not None:
-                    m = sets2[vline % l2_num_sets].pop(vline, None)
-                    if m is not None:
-                        stats2.back_invalidations += 1
-                        if m.dirty:
-                            dirty = True
-            if dirty:
-                events.append(HierarchyEvent("writeback", vline, "L3"))
-        s3[line] = CacheLine(False, False, kind)
-
     def _observe(line: int, kind: int, level: str) -> None:
         """One L1 miss's pollution and attribution hooks.
 
-        The hierarchy's ``pollution.on_fill`` calls on the refill path
-        are no-ops here: each follows an ``on_demand_miss`` of the same
-        line at the same level, which already dropped its shadow entry.
+        The fill core's ``pollution.on_fill`` calls on the refill path
+        that follows are no-ops: each comes after an ``on_demand_miss``
+        of the same line at the same level, which already dropped its
+        shadow entry.
         """
         if pollution is not None:
             pollution.on_demand_miss("L1", line, kind)
@@ -419,7 +352,7 @@ def run_fast(machine, trace: Trace):
                     # timestamp in the scalar loop.
                     if events:
                         _drain(clock + (icum[i] - window_icum) / dispatch)
-                    if clean and not fill_l1:
+                    if clean and not into_l1:
                         # No mutation can interrupt the run, so only the
                         # *last* touch of each line matters for LRU order
                         # — replay the deduped touch list, and one
@@ -521,36 +454,14 @@ def run_fast(machine, trace: Trace):
             if observe:
                 _observe(line, kind, level)
             if level == "DRAM":
-                _fill_l3(line, kind)
-                if l2_sets is not None:
-                    _fill_l2(line, kind)
-            elif level == "L3" and l2_sets is not None:
-                _fill_l2(line, kind)
+                fill_l3(line, kind, False)
+                fill_l2(core, line, kind, False)
+            elif level == "L3":
+                fill_l2(core, line, kind, False)
             # Every miss ends by installing into the L1.
-            if len(s1) >= l1_assoc:
-                vline, vmeta = s1.popitem(last=False)
-                c_evict["L1"] += 1
-                if fill_l1:
-                    poison.add(vline)
-                    if vmeta.prefetched and tel is not None:
-                        ev = "evict_pf" if vmeta.used else "evict_unused_pf"
-                        events.append(HierarchyEvent(ev, vline, "L1"))
-                if vmeta.dirty:
-                    m = (
-                        l2_sets[vline % l2_num_sets].get(vline)
-                        if l2_sets is not None
-                        else None
-                    )
-                    if m is not None:
-                        m.dirty = True
-                    else:
-                        _merge_dirty_l3(vline)
-            s1[line] = CacheLine(not load, False, kind)
-            poison.discard(line)
+            fill_l1(core, line, kind, not load, False, into_l1)
             if level == "DRAM":
-                mrb.enqueue(line, c_bit=False, core=core)
                 latency = float(dram.access(line, int(now)) + dram_path)
-                mrb.retire(line)
                 if tel is not None:
                     tel.emit(now, "dram_demand", line=line, core=core, dtype=kind)
                 if demand_chase and kind == _STRUCTURE:
@@ -665,8 +576,6 @@ def run_fast(machine, trace: Trace):
                     if v:
                         st.misses[k] += v
                         miss_c[k] = 0
-                st.evictions += c_evict[lvl]
-                c_evict[lvl] = 0
                 st.prefetch_hits += c_pfhit[lvl]
                 c_pfhit[lvl] = 0
         if tel is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ..cache.hierarchy import CacheHierarchy
 from ..core.cycles import CycleStack
@@ -34,6 +35,7 @@ __all__ = ["Machine", "SimResult", "RegionClassifier"]
 _STRUCTURE = int(DataType.STRUCTURE)
 _PROPERTY = int(DataType.PROPERTY)
 _INTERMEDIATE = int(DataType.INTERMEDIATE)
+_DATA_TYPES = {int(dt): dt for dt in DataType}
 
 
 class RegionClassifier:
@@ -195,6 +197,9 @@ class Machine:
         if telemetry is not None and not getattr(telemetry, "enabled", False):
             telemetry = None
         self._telemetry = telemetry
+        # Eviction events beyond writebacks and the ledger's L3 claims
+        # only feed the event trace.
+        self.hierarchy.trace_evictions = telemetry is not None
         self._window_telemetry: WindowTelemetry | None = None
         self._attribution = None
         if telemetry is not None:
@@ -272,16 +277,16 @@ class Machine:
         self, line: int, core: int, now: float, issuer: str | None = None
     ) -> bool:
         """Issue one L2-prefetcher candidate; returns whether issued."""
-        if self.hierarchy.on_chip(line) or self.ledger.is_tracked(line):
+        hierarchy = self.hierarchy
+        ledger = self.ledger
+        if hierarchy.on_chip(line) or ledger.is_tracked(line):
             return False
         kind = self.classifier.classify(line * self._line_size)
-        latency = self.dram.access(line, int(now), is_prefetch=True)
+        latency = self.dram.access(line, int(now), True)
         ready = now + latency + self.config.dram_base_latency
         issuer = issuer or self.setup.l2_prefetcher.name
-        self.hierarchy.prefetch_fill(
-            core, line, kind, into_l1=self.setup.fill_into_l1, issuer=issuer
-        )
-        self.ledger.issue(line, DataType(kind), ready, issuer)
+        hierarchy.prefetch_fill(core, line, kind, self.setup.fill_into_l1, issuer)
+        ledger.issue(line, _DATA_TYPES[kind], ready, issuer)
         if self._telemetry is not None:
             self._telemetry.emit(
                 now, "prefetch_issue", line=line, core=core, dtype=kind, detail=issuer
@@ -295,26 +300,25 @@ class Machine:
             )
             for cand in imp.observe_index_values(values):
                 self._issue_stream_prefetch(cand, core, ready, issuer="imp")
-        self.mrb.enqueue(line, c_bit=True, core=core)
-        entry = self.mrb.retire(line)
-        if (
-            self.mpp is not None
-            and self.setup.mpp_trigger == "prefetch"
-            and entry is not None
-            and entry.c_bit
-        ):
+        if self.mpp is not None and self.setup.mpp_trigger == "prefetch":
             if self.setup.mpp_config.identifies_structure:
                 is_structure = self.mpp.classifies_as_structure(line)
             else:
-                # DROPLET proper: the C-bit from the data-aware streamer
-                # *is* the structure guarantee (paper §V-C1).
+                # DROPLET proper: the C-bit the data-aware streamer sets
+                # on its requests *is* the structure guarantee (paper
+                # §V-C1).
                 is_structure = self._streamer_is_data_aware
             if is_structure:
                 self._chase_properties(line, core, ready)
         return True
 
     def _chase_properties(self, structure_line: int, core: int, fill_ready: float) -> None:
-        """MPP reaction to one structure prefetch fill."""
+        """MPP reaction to one structure prefetch fill.
+
+        A property line already on chip is copied from the inclusive LLC
+        into the requesting core's private L2 (paper §V-A); any other is
+        fetched from DRAM into the LLC and L2.
+        """
         tel = self._telemetry
         if tel is not None:
             tel.emit(
@@ -325,11 +329,13 @@ class Machine:
                 dtype="structure",
             )
         dram = self.dram
+        access = dram.access
         hierarchy = self.hierarchy
+        copy_to_l2 = hierarchy.copy_to_l2
+        prefetch_fill = hierarchy.prefetch_fill
         ledger = self.ledger
-        mrb = self.mrb
         is_tracked = ledger.is_tracked
-        on_chip = hierarchy.on_chip
+        issue = ledger.issue
         penalty = self.setup.mpp_issue_penalty
         into_l1 = self.setup.fill_into_l1
         l3_lat = self.config.l3_service_latency
@@ -341,34 +347,7 @@ class Machine:
             # Steady-state batch: one shared issue delay for every deduped
             # property line, and the requesting core is the chase's core.
             plines, delay = targets
-            issue_time = fill_ready + delay + penalty
-            itime = int(issue_time)
-            l3_time = issue_time + l3_lat
-            for pline in plines:
-                if multi_mc and dram.mc_of(pline) != home_mc:
-                    self.mpp_forwarded += 1
-                    if tel is not None:
-                        tel.emit(
-                            fill_ready,
-                            "mpp_forward",
-                            line=pline,
-                            core=core,
-                            dtype="property",
-                        )
-                if is_tracked(pline):
-                    continue
-                if on_chip(pline):
-                    hierarchy.copy_to_l2(core, pline, _PROPERTY, issuer="mpp")
-                    ledger.issue(pline, pf_dt, l3_time, "mpp")
-                else:
-                    latency = dram.access(pline, itime, is_prefetch=True)
-                    hierarchy.prefetch_fill(
-                        core, pline, _PROPERTY, into_l1=into_l1, issuer="mpp"
-                    )
-                    ledger.issue(pline, pf_dt, issue_time + latency, "mpp")
-                    mrb.enqueue(pline, c_bit=True, core=core)
-                    mrb.retire(pline)
-            return
+            targets = zip(plines, repeat(core), repeat(delay))
         for pline, rcore, issue_delay in targets:
             if multi_mc and dram.mc_of(pline) != home_mc:
                 # Forward the request (with core ID) to the destination
@@ -385,19 +364,12 @@ class Machine:
             if is_tracked(pline):
                 continue
             issue_time = fill_ready + issue_delay + penalty
-            if on_chip(pline):
-                # Already on chip: copy from the inclusive LLC into the
-                # requesting core's private L2 (paper §V-A).
-                hierarchy.copy_to_l2(rcore, pline, _PROPERTY, issuer="mpp")
-                ledger.issue(pline, pf_dt, issue_time + l3_lat, "mpp")
+            if copy_to_l2(rcore, pline, _PROPERTY, "mpp"):
+                ready = issue_time + l3_lat
             else:
-                latency = dram.access(pline, int(issue_time), is_prefetch=True)
-                hierarchy.prefetch_fill(
-                    rcore, pline, _PROPERTY, into_l1=into_l1, issuer="mpp"
-                )
-                ledger.issue(pline, pf_dt, issue_time + latency, "mpp")
-                mrb.enqueue(pline, c_bit=True, core=rcore)
-                mrb.retire(pline)
+                ready = issue_time + access(pline, int(issue_time), True)
+                prefetch_fill(rcore, pline, _PROPERTY, into_l1, "mpp")
+            issue(pline, pf_dt, ready, "mpp")
 
     def _resolve_fast_path(self, mode: str | bool) -> str | bool:
         """Normalize a fast-path selector to a replay path.
@@ -605,9 +577,7 @@ class Machine:
             elif level == "L3":
                 latency = float(l3_lat)
             else:  # DRAM
-                self.mrb.enqueue(line, c_bit=False, core=core)
                 latency = float(dram.access(line, int(now)) + dram_path)
-                self.mrb.retire(line)
                 if tel is not None:
                     tel.emit(now, "dram_demand", line=line, core=core, dtype=kind)
                 if (

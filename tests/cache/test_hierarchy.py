@@ -152,10 +152,10 @@ class TestPrefetchPath:
 
     def test_copy_to_l2_requires_l3_residency(self):
         h = make_hierarchy()
-        h.copy_to_l2(0, 7, DataType.PROPERTY)
+        assert h.copy_to_l2(0, 7, DataType.PROPERTY) is False
         assert not h.l2s[0].contains(7)
         h.demand_access(0, 7, DataType.PROPERTY)
-        h.copy_to_l2(0, 7, DataType.PROPERTY)
+        assert h.copy_to_l2(0, 7, DataType.PROPERTY) is True
         assert h.l2s[0].contains(7)
 
     def test_on_chip_probe(self):
