@@ -7,6 +7,8 @@ an aligned text table (the same rows/series the paper's figure plots).
 
 Graphs, traces and simulation results are cached per-process so that the
 benchmark suite does not regenerate the same trace for every figure.
+Graphs come from the runtime's process-wide graph memo
+(:meth:`repro.runtime.points.TraceSpec.graph`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..graph.csr import CSRGraph
-from ..graph.generators import PAPER_DATASET_NAMES, make_dataset
+from ..graph.generators import PAPER_DATASET_NAMES
 from ..workloads.base import TraceRun
 from ..workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
@@ -79,7 +81,6 @@ class ExperimentResult:
 # In-process memoization sits in front of the shared on-disk trace cache
 # (repro.runtime.trace_cache): first use in a process pays one disk load
 # (or one trace generation, stored for every later experiment and run).
-_GRAPH_CACHE: dict[tuple, CSRGraph] = {}
 _TRACE_CACHE: dict[tuple, TraceRun] = {}
 _DISK_CACHE = None
 
@@ -95,11 +96,12 @@ def _disk_cache():
 
 
 def get_graph(name: str, weighted: bool = False, scale_shift: int = 0) -> CSRGraph:
-    """Cached dataset construction."""
-    key = (name, weighted, scale_shift)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = make_dataset(name, scale_shift=scale_shift, weighted=weighted)
-    return _GRAPH_CACHE[key]
+    """The dataset's read-only graph from the shared graph memo."""
+    from ..runtime.points import TraceSpec
+
+    # Any workload of the right weightedness names the dataset's graph.
+    spec = TraceSpec("SSSP" if weighted else "PR", name, scale_shift=scale_shift)
+    return spec.graph()
 
 
 def get_trace_run(
@@ -115,15 +117,13 @@ def get_trace_run(
 
     key = (workload, dataset, max_refs, scale_shift)
     if key not in _TRACE_CACHE:
-        w = get_workload(workload)
-        graph = get_graph(dataset, weighted=w.needs_weights, scale_shift=scale_shift)
         spec = TraceSpec(
-            workload=w.name,
+            workload=get_workload(workload).name,
             dataset=dataset,
             max_refs=max_refs,
             scale_shift=scale_shift,
         )
-        _TRACE_CACHE[key] = _disk_cache().get_or_trace(spec, graph=graph)[0]
+        _TRACE_CACHE[key] = _disk_cache().get_or_trace(spec)[0]
     return _TRACE_CACHE[key]
 
 
@@ -152,7 +152,9 @@ def make_runner(
 def clear_caches() -> None:
     """Drop in-process cached graphs and traces (tests use this for
     isolation); on-disk trace-cache entries are kept."""
-    _GRAPH_CACHE.clear()
+    from ..runtime.points import GRAPH_MEMO
+
+    GRAPH_MEMO.clear()
     _TRACE_CACHE.clear()
 
 

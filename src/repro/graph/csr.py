@@ -143,7 +143,23 @@ class CSRGraph:
         self._in_csr = CSRGraph(
             t_offsets, t_neighbors, t_weights, name=self.name + ".T"
         )
+        if not self.neighbors.flags.writeable:
+            self._in_csr.freeze()
         return self._in_csr
+
+    def freeze(self) -> "CSRGraph":
+        """Make the CSR arrays read-only, and those of every transpose.
+
+        A graph shared across traces (the runtime's graph memo) is frozen,
+        so code that mutates it fails loudly instead of skewing later
+        users.  Returns ``self``.
+        """
+        for array in (self.offsets, self.neighbors, self.weights):
+            if array is not None:
+                array.flags.writeable = False
+        if self._in_csr is not None:
+            self._in_csr.freeze()
+        return self
 
     def symmetrized(self) -> "CSRGraph":
         """Return an undirected version with every edge present both ways."""
@@ -229,27 +245,27 @@ def build_csr(
         if len(weights) != len(edge_array):
             raise GraphError("weights must be parallel to edges")
 
-    # Sort by (src, dst) so adjacency lists come out contiguous and ordered.
-    if len(edge_array):
-        key = edge_array[:, 0] * num_vertices + edge_array[:, 1]
+    # Sort one (src, dst) key so adjacency lists come out contiguous and
+    # ordered; CSR construction through this helper always leaves lists
+    # sorted, whatever ``sort_neighbors`` says.
+    key = edge_array[:, 0] * num_vertices + edge_array[:, 1]
+    if weights is None:
+        key = np.sort(key)
+    else:
+        # Stable, so a duplicate edge keeps its first weight.
         order = np.argsort(key, kind="stable")
-        edge_array = edge_array[order]
+        key = key[order]
+        weights = weights[order]
+    if dedup:
+        keep = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
         if weights is not None:
-            weights = weights[order]
-        if dedup:
-            keep = np.ones(len(edge_array), dtype=bool)
-            keep[1:] = np.any(edge_array[1:] != edge_array[:-1], axis=1)
-            edge_array = edge_array[keep]
-            if weights is not None:
-                weights = weights[keep]
-        if not sort_neighbors:
-            # Undo the dst ordering inside each src block by shuffling back
-            # to original relative order is not supported; CSR construction
-            # always leaves lists sorted when built through this helper.
-            pass
+            weights = weights[keep]
+    src, dst = np.divmod(key, num_vertices)
 
-    counts = np.bincount(edge_array[:, 0], minlength=num_vertices)
+    counts = np.bincount(src, minlength=num_vertices)
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    neighbors = edge_array[:, 1].astype(np.int32)
+    neighbors = dst.astype(np.int32)
     return CSRGraph(offsets, neighbors, weights, name=name)

@@ -11,11 +11,81 @@ one failed point never kills the sweep.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
+from ..graph.csr import CSRGraph
+from ..graph.generators import PAPER_DATASET_NAMES, dataset_seed, make_dataset
 from ..workloads.base import TraceRun
 
-__all__ = ["TraceSpec", "SweepPoint", "PointError", "PointResult"]
+__all__ = [
+    "TraceSpec",
+    "SweepPoint",
+    "PointError",
+    "PointResult",
+    "GraphMemo",
+    "GRAPH_MEMO",
+]
+
+
+class GraphMemo:
+    """A fixed-capacity LRU of read-only graphs keyed by graph identity.
+
+    Service workers are threads sharing one memo, so every access holds
+    its lock, builds included: threads racing on a cold graph build it
+    once.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._graphs: OrderedDict[tuple, CSRGraph] = OrderedDict()
+        self._reset_lock()
+
+    def _reset_lock(self) -> None:
+        self._lock = threading.Lock()
+
+    def get(self, identity: tuple) -> CSRGraph | None:
+        """The memoized graph (now the most recently used), or ``None``."""
+        with self._lock:
+            graph = self._graphs.get(identity)
+            if graph is not None:
+                self._graphs.move_to_end(identity)
+            return graph
+
+    def get_or_build(self, identity: tuple, build) -> CSRGraph:
+        """The memoized graph, else ``build()``'s, frozen and memoized.
+
+        Memoizing evicts the least recently used graph past capacity.
+        """
+        with self._lock:
+            graph = self._graphs.get(identity)
+            if graph is None:
+                graph = self._graphs[identity] = build().freeze()
+                while len(self._graphs) > self.capacity:
+                    self._graphs.popitem(last=False)
+            self._graphs.move_to_end(identity)
+            return graph
+
+    def clear(self) -> None:
+        """Forget every memoized graph."""
+        with self._lock:
+            self._graphs.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._graphs)
+
+
+#: The memo every trace, trace-cache load and experiment in the process
+#: shares.  It holds one figure's graphs: the Table III datasets,
+#: weighted and not.
+GRAPH_MEMO = GraphMemo(capacity=2 * len(PAPER_DATASET_NAMES))
+
+# A forked pool worker keeps the memoized graphs, but must not inherit a
+# lock that another thread of its parent held mid-build.
+os.register_at_fork(after_in_child=GRAPH_MEMO._reset_lock)
 
 
 @dataclass(frozen=True)
@@ -57,10 +127,23 @@ class TraceSpec:
             "weighted": self.weighted,
         }
 
-    def build_graph(self):
-        """Deterministically (re)build the spec's graph."""
-        from ..graph.generators import make_dataset
+    @property
+    def graph_identity(self) -> tuple:
+        """``(dataset, scale_shift, weighted, seed)``: all the graph depends on.
 
+        The seed is the *effective* one, so ``seed=None`` and the
+        dataset's default seed name the same graph.
+        """
+        seed = self.seed
+        if seed is None:
+            try:
+                seed = dataset_seed(self.dataset)
+            except KeyError:
+                pass  # unknown dataset: building its graph raises
+        return (self.dataset, self.scale_shift, self.weighted, seed)
+
+    def build_graph(self):
+        """Deterministically build the spec's graph (no memo)."""
         return make_dataset(
             self.dataset,
             scale_shift=self.scale_shift,
@@ -68,13 +151,21 @@ class TraceSpec:
             seed=self.seed,
         )
 
+    def graph(self) -> CSRGraph:
+        """The spec's read-only graph from :data:`GRAPH_MEMO`.
+
+        :meth:`build_graph` runs only on a memo miss, so a process builds
+        each graph once while it stays memoized.
+        """
+        return GRAPH_MEMO.get_or_build(self.graph_identity, self.build_graph)
+
     def trace(self, graph=None) -> TraceRun:
-        """Trace the workload (no caching); ``graph`` skips regeneration."""
+        """Trace the workload (no caching); ``graph`` defaults to :meth:`graph`."""
         from ..workloads.registry import get_workload
 
         workload = get_workload(self.workload)
         if graph is None:
-            graph = self.build_graph()
+            graph = self.graph()
         return workload.run(
             graph,
             max_refs=self.max_refs,

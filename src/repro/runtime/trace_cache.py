@@ -33,8 +33,10 @@ A cached entry stores the five trace arrays (``.npz``, via
 :mod:`repro.trace.io`) plus a JSON sidecar recording every region the
 original :class:`~repro.memory.allocator.GraphLayout` held — including
 regions workloads allocate *during* tracing (frontier queues, bins).
-On load the graph is regenerated from its seed, the base layout rebuilt,
-and the recorded extra regions replayed through the same bump allocator.
+On load the graph comes from the process-wide graph memo
+(:meth:`TraceSpec.graph <repro.runtime.points.TraceSpec.graph>`, built
+from its seed only on a memo miss), the base layout is rebuilt, and the
+recorded extra regions are replayed through the same bump allocator.
 The resulting bases are verified against the recorded ones; any mismatch
 (allocator drift, partial write) is treated as a miss and the entry is
 dropped.  A cache-loaded :class:`~repro.workloads.base.TraceRun` is
@@ -265,7 +267,7 @@ class TraceCache:
 
         workload = get_workload(spec.workload)
         if graph is None:
-            graph = spec.build_graph()
+            graph = spec.graph()
         layout = workload.make_layout(graph)
         # Replay regions the workload allocated while tracing, in base
         # order, through the same bump allocator.
@@ -346,7 +348,9 @@ class TraceCache:
         On a miss the generate-and-store runs under the entry's advisory
         lock; a second sweep racing on the same cold entry blocks, then
         finds the freshly stored trace on its post-lock re-check instead
-        of generating it again.
+        of generating it again.  ``graph`` serves this call only; without
+        it the graph comes from :meth:`TraceSpec.graph
+        <repro.runtime.points.TraceSpec.graph>`.
         """
         trc = _spans.current()
         run = self.lookup(spec, graph=graph)

@@ -56,6 +56,44 @@ class TestBuildCSR:
             build_csr(3, [(0, 1), (1, 2)], weights=[1])
 
 
+class TestOneKeySort:
+    """The unweighted build sorts the edge key alone, the weighted one an
+    argsort of it: both must give the CSR a plain loop gives."""
+
+    @staticmethod
+    def _edges(n: int, m: int, seed: int) -> np.ndarray:
+        if n == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=(m, 2))
+        loops = np.repeat(rng.integers(0, n, size=(m // 8, 1)), 2, axis=1)
+        # Explicit duplicates and self-loops on top of the random ones.
+        return np.concatenate([edges, edges[: m // 4], loops])
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["keep", "dedup"])
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(0, 0, 0), (5, 0, 0), (1, 16, 1), (7, 60, 2), (40, 500, 3), (300, 4000, 4)],
+    )
+    def test_unweighted_matches_weighted_and_a_loop(self, n, m, seed, dedup):
+        edges = self._edges(n, m, seed)
+        plain = build_csr(n, edges, dedup=dedup)
+        dummy = build_csr(n, edges, weights=np.arange(len(edges)), dedup=dedup)
+        assert np.array_equal(plain.offsets, dummy.offsets)
+        assert np.array_equal(plain.neighbors, dummy.neighbors)
+        pairs = [(int(s), int(d)) for s, d in edges]
+        pairs = sorted(set(pairs)) if dedup else sorted(pairs)
+        assert [
+            (v, int(u)) for v in range(n) for u in plain.neighbors_of(v)
+        ] == pairs
+        if dedup:
+            # Each kept edge carries the weight of its first occurrence.
+            first = {}
+            for index, pair in enumerate(map(tuple, edges.tolist())):
+                first.setdefault(pair, index)
+            assert dummy.weights.tolist() == [first[pair] for pair in pairs]
+
+
 class TestCSRGraphValidation:
     def test_bad_offsets_start(self):
         with pytest.raises(GraphError):

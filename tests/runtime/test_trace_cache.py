@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.graph import build_csr
+from repro.graph.generators import dataset_seed
 from repro.reporting import summarize
 from repro.runtime import TraceCache, TraceSpec, default_cache_root, trace_key
+from repro.runtime.points import GRAPH_MEMO, GraphMemo
 from repro.runtime.trace_cache import CACHE_ENV_VAR
 from repro.system.runner import simulate
 
@@ -248,3 +251,156 @@ class TestDisabled:
         assert not (tmp_path / "traces").exists()
         assert cache.lookup(SPEC) is None
         assert cache.clear() == 0
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every real graph build (``TraceSpec.build_graph`` call), in order."""
+    calls = []
+    original = TraceSpec.build_graph
+
+    def counting_build(self):
+        calls.append(self.graph_identity)
+        return original(self)
+
+    monkeypatch.setattr(TraceSpec, "build_graph", counting_build)
+    return calls
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty process-wide graph memo, emptied again afterwards."""
+    GRAPH_MEMO.clear()
+    yield GRAPH_MEMO
+    GRAPH_MEMO.clear()
+
+
+class TestGraphMemo:
+    """The process-wide memo: one read-only graph per graph identity."""
+
+    def test_trace_cache_load_reuses_the_memoized_graph(
+        self, cache, builds, cold_memo
+    ):
+        cache.get_or_trace(BFS_SPEC)
+        run = cache.lookup(BFS_SPEC)
+        assert run is not None and cache.hits == 1
+        assert len(builds) == 1
+        assert run.layout.graph is cold_memo.get(BFS_SPEC.graph_identity)
+
+    def test_trace_builds_once_and_touches_no_disk(
+        self, tmp_path, monkeypatch, builds, cold_memo
+    ):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "default"))
+        SPEC.trace()
+        SPEC.trace()
+        assert len(builds) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_passed_graph_is_used_for_that_call_only(self, cache, cold_memo):
+        graph = SPEC.build_graph()
+        run, _ = cache.get_or_trace(SPEC, graph=graph)
+        assert run.layout.graph is graph
+        assert len(cold_memo) == 0
+
+    def test_default_seed_shares_one_entry(self, builds, cold_memo):
+        implicit = TraceSpec("PR", "kron", scale_shift=-6).graph()
+        explicit = TraceSpec(
+            "CC", "kron", scale_shift=-6, seed=dataset_seed("kron")
+        ).graph()
+        assert implicit is explicit
+        assert len(builds) == 1 and len(cold_memo) == 1
+
+    def test_weightedness_is_part_of_the_identity(self, cold_memo):
+        unweighted = TraceSpec("PR", "kron", scale_shift=-6).graph()
+        weighted = TraceSpec("SSSP", "kron", scale_shift=-6).graph()
+        assert weighted.is_weighted and not unweighted.is_weighted
+
+    def test_never_exceeds_its_capacity(self, cold_memo):
+        specs = [
+            TraceSpec("PR", "mesh", scale_shift=-5, seed=seed)
+            for seed in range(cold_memo.capacity + 3)
+        ]
+        for spec in specs:
+            spec.graph()
+            assert len(cold_memo) <= cold_memo.capacity
+        assert len(cold_memo) == cold_memo.capacity
+        # Least recently used first out.
+        assert cold_memo.get(specs[0].graph_identity) is None
+        assert cold_memo.get(specs[-1].graph_identity) is not None
+
+    def test_memoized_arrays_are_read_only(self, cold_memo):
+        graph = TraceSpec("SSSP", "kron", scale_shift=-6).graph()
+        for array in (graph.offsets, graph.neighbors, graph.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        transposed = graph.transpose()
+        for array in (transposed.offsets, transposed.neighbors, transposed.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_concurrent_cold_graph_builds_once(self, monkeypatch, cold_memo):
+        import threading
+        import time
+
+        built = []
+        original = TraceSpec.build_graph
+
+        def slow_build(self):
+            built.append(self.graph_identity)
+            time.sleep(0.05)  # let the other thread reach the memo
+            return original(self)
+
+        monkeypatch.setattr(TraceSpec, "build_graph", slow_build)
+        start = threading.Barrier(2)
+        graphs = []
+
+        def worker():
+            start.wait(timeout=10)
+            graphs.append(SPEC.graph())
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        assert len(graphs) == 2 and graphs[0] is graphs[1]
+
+    def test_threads_never_overfill_or_mix_up_entries(self):
+        import sys
+        import threading
+
+        memo = GraphMemo(capacity=3)
+        graphs = [build_csr(4, [(0, i % 4)], name=str(i)) for i in range(8)]
+        problems = []
+
+        def worker(offset):
+            try:
+                for step in range(5000):
+                    i = (offset + step) % len(graphs)
+                    got = memo.get_or_build(i, lambda: graphs[i])
+                    if got is not graphs[i]:
+                        problems.append(("mixed up", i))
+                    if len(memo) > memo.capacity:
+                        problems.append(("overfull", len(memo)))
+            except Exception as exc:  # a lost update corrupting the LRU
+                problems.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert problems == []
+        assert len(memo) == memo.capacity
+
+    def test_trace_keys_do_not_move(self):
+        # Traces stored before the memo existed must still hit.
+        assert trace_key(SPEC) == "b8d8ec6741a42b42224ec4750dbf0971"
