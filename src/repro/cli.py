@@ -30,8 +30,8 @@ Commands
 ``status``
     Point-level progress of a live or finished sweep run — state,
     retries, cache hits, replay tiers, ETA — reconstructed from its run
-    ledger and span sidecar (``--watch`` polls; ``--chrome`` exports the
-    Chrome-trace timeline).
+    ledger, with the span sidecar supplying points still in flight
+    (``--watch`` polls; ``--chrome`` exports the Chrome-trace timeline).
 ``trend``
     Aggregate archived sweep reports and replay-benchmark snapshots
     under a metrics-store directory into per-workload time-series with

@@ -1,25 +1,33 @@
-"""Append-only run ledgers: checkpoint/resume for interrupted sweeps.
+"""Append-only run ledgers: the durable record of every sweep run.
 
-A :class:`RunLedger` journals every *successful*
-:class:`~repro.runtime.points.PointResult` of a sweep to one JSONL file
-as the point completes, content-addressed by :func:`point_key`.  If the
-sweep dies — SIGKILL, OOM, power loss — re-running it against the same
-ledger (``repro sweep --resume <run-id>``) restores the journaled points
-and executes only the remainder.
+A :class:`RunLedger` journals a sweep to one JSONL file as it runs,
+content-addressed by :func:`point_key`.  ``repro status`` and the sweep
+service's crash recovery fold this file alone.  If the sweep dies —
+SIGKILL, OOM, power loss — re-running it against the same ledger
+(``repro sweep --resume <run-id>``) restores the successful points and
+executes only the remainder.
+
+After the ``header``, a ``run`` record lists one run's point keys and
+labels, ``workers`` and ``mode`` (one per ``SweepRunner.run()`` call,
+one per service run); a ``point`` record journals each settled point,
+ok or failed, with its summary, timings, attempts, timeouts, cache-hit
+flag, quarantined entries, ``error_kind`` and ``restored`` flag; and a
+``finish`` record carries the run's final ``SweepMetrics`` dict.
 
 Design notes
 ------------
 * **Append-only, line-atomic.**  Each record is one JSON line followed
   by ``flush`` + ``fsync``; a crash mid-write leaves at most one torn
-  trailing line, which :meth:`RunLedger.open` skips.  Nothing is ever
-  rewritten, so a ledger can only grow more complete.
+  trailing line, which readers skip.  Nothing is ever rewritten, so a
+  ledger can only grow more complete.
 * **Content-addressed.**  Records are keyed by a digest over the point's
   full identity (trace spec + machine knobs + on-disk format versions),
   not by index — reordering or extending the sweep still resumes
   correctly, and format bumps invalidate stale records automatically.
-* **Failures are not journaled.**  A resumed sweep retries every point
-  that did not complete successfully; errors are recomputed, never
-  replayed.
+* **Failures are journaled, never restored.**  :meth:`RunLedger.restore`,
+  ``len()`` and :meth:`RunLedger.completed_records` see successful
+  records only, so a resumed sweep retries every point that did not
+  complete successfully; errors are recomputed, never replayed.
 * **Summaries only.**  Restored points carry their journaled summary,
   telemetry payload and timings but no full ``SimResult`` (those are not
   JSON-serializable); resume is therefore exact for ``return_full=False``
@@ -36,7 +44,8 @@ import time
 from pathlib import Path
 
 from ..telemetry import spans as _spans
-from .points import PointResult, SweepPoint
+from ..telemetry.tail import read_jsonl
+from .points import PointError, PointResult, SweepPoint
 
 __all__ = [
     "RunLedger",
@@ -44,6 +53,7 @@ __all__ = [
     "point_key",
     "new_run_id",
     "default_ledger_root",
+    "result_from_record",
     "LEDGER_FORMAT",
 ]
 
@@ -104,13 +114,39 @@ def point_key(point: SweepPoint) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
+def result_from_record(point: SweepPoint, record: dict) -> PointResult:
+    """The ``restored`` :class:`PointResult` a ``point`` record journaled.
+
+    A failed record yields a :class:`PointError` of its journaled kind.
+    """
+    data = record.get("data", {})
+    error = None
+    if not record.get("ok", True):
+        error = PointError(
+            kind=str(data.get("error_kind") or "unknown"),
+            message="journaled as failed",
+        )
+    return PointResult(
+        point=point,
+        summary=data.get("summary"),
+        error=error,
+        wall_time=float(data.get("wall_time", 0.0)),
+        trace_cache_hit=data.get("trace_cache_hit"),
+        telemetry=data.get("telemetry"),
+        attempts=int(data.get("attempts", 1)),
+        restored=True,
+        cache_quarantined=int(data.get("quarantined", 0)),
+        replay_tier=data.get("replay_tier"),
+    )
+
+
 class RunLedger:
     """One sweep's on-disk journal: ``<root>/<run_id>.jsonl``.
 
     Usage: construct, :meth:`open` with the sweep's settings (loads any
-    existing records, writes the header on first use), then
-    :meth:`restore` per point before execution and :meth:`record` per
-    completed point.
+    existing records, writes the header on first use), :meth:`restore`
+    per point before execution, then :meth:`start_run`, :meth:`record`
+    per settled point and :meth:`finish_run`.
     """
 
     def __init__(self, run_id: str, root: str | Path | None = None):
@@ -119,7 +155,12 @@ class RunLedger:
         self.run_id = run_id
         self.root = Path(root) if root is not None else default_ledger_root()
         self.path = self.root / (run_id + ".jsonl")
+        #: Successful point records, by point key.
         self._completed: dict[str, dict] = {}
+        #: The latest point record of any outcome, by point key.
+        self._settled: dict[str, dict] = {}
+        #: Whether a ``finish`` record has been journaled.
+        self.finished = False
         self._opened = False
 
     # ------------------------------------------------------------------
@@ -143,17 +184,13 @@ class RunLedger:
         payloads.  Returns the number of restorable points.
         """
         self._completed.clear()
-        header = None
+        self._settled.clear()
+        self.finished = False
         if self.exists():
-            for line in self.path.read_text().splitlines():
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # torn trailing line from a hard kill
-                if record.get("kind") == "header" and header is None:
-                    header = record
-                elif record.get("kind") == "point" and "key" in record:
-                    self._completed[record["key"]] = record
+            records = read_jsonl(self.path)
+            header = next(
+                (r for r in records if r.get("kind") == "header"), None
+            )
             if header is None or header.get("format") != LEDGER_FORMAT:
                 raise LedgerError(
                     "%s is not a %s ledger" % (self.path, LEDGER_FORMAT)
@@ -167,6 +204,7 @@ class RunLedger:
                     "settings; resume with the original flags or start a "
                     "new run id" % self.run_id
                 )
+            self._fold(records)
         else:
             self._append(
                 {
@@ -183,59 +221,88 @@ class RunLedger:
 
     # ------------------------------------------------------------------
     def restore(self, point: SweepPoint) -> PointResult | None:
-        """Rebuild the journaled result for ``point``, or ``None``."""
+        """Rebuild the journaled successful result for ``point``, or ``None``."""
         record = self._completed.get(point_key(point))
         if record is None:
             return None
-        data = record.get("data", {})
-        result = PointResult(
-            point=point,
-            summary=data.get("summary"),
-            wall_time=float(data.get("wall_time", 0.0)),
-            trace_cache_hit=data.get("trace_cache_hit"),
-            telemetry=data.get("telemetry"),
-            attempts=int(data.get("attempts", 1)),
-            restored=True,
-            replay_tier=data.get("replay_tier"),
-        )
         trc = _spans.current()
         if trc is not None:
             trc.event("ledger.restore", key=point_key(point), label=point.label)
-        return result
+        return result_from_record(point, record)
 
-    def record(self, point: SweepPoint, result: PointResult) -> None:
-        """Journal one completed point (successful results only)."""
+    def settled_record(self, point: SweepPoint) -> dict | None:
+        """The latest journaled record for ``point``, failed ones included."""
+        return self._settled.get(point_key(point))
+
+    def start_run(self, points, workers: int, mode: str) -> None:
+        """Journal the start of one run over ``points``."""
+        self._append(
+            {
+                "kind": "run",
+                "keys": [point_key(p) for p in points],
+                "labels": [p.label for p in points],
+                "workers": workers,
+                "mode": mode,
+                "started_at": time.time(),
+            }
+        )
+
+    def record(
+        self,
+        point: SweepPoint,
+        result: PointResult,
+        timeouts: int = 0,
+        restored: bool = False,
+    ) -> None:
+        """Journal one settled point, successful or failed.
+
+        ``timeouts`` counts the watchdog expiries among its attempts;
+        ``restored`` marks an answer taken from another run's result.
+        """
         if not self._opened:
             raise LedgerError("ledger %s not opened" % self.run_id)
-        if not result.ok:
-            return  # failures re-execute on resume
         key = point_key(point)
+        data = {
+            "summary": result.summary,
+            # Wall-clock completion stamp plus the monotonic duration:
+            # `repro status` ETAs and `repro trend` need both even on
+            # historical ledgers.
+            "completed_at": time.time(),
+            "duration_s": result.wall_time,
+            "wall_time": result.wall_time,
+            "trace_cache_hit": result.trace_cache_hit,
+            "telemetry": result.telemetry,
+            "attempts": result.attempts,
+            "replay_tier": result.replay_tier,
+            "timeouts": timeouts,
+            "quarantined": result.cache_quarantined,
+        }
+        if restored:
+            data["restored"] = True
+        if not result.ok:
+            data["error_kind"] = result.error.kind
         record = {
             "kind": "point",
             "key": key,
             "label": point.label,
-            "data": {
-                "summary": result.summary,
-                # Wall-clock completion stamp plus the monotonic duration:
-                # `repro status` ETAs and `repro trend` need both even on
-                # historical ledgers.
-                "completed_at": time.time(),
-                "duration_s": result.wall_time,
-                "wall_time": result.wall_time,
-                "trace_cache_hit": result.trace_cache_hit,
-                "telemetry": result.telemetry,
-                "attempts": result.attempts,
-                "replay_tier": result.replay_tier,
-            },
+            "ok": result.ok,
+            "data": data,
         }
         self._append(record)
-        self._completed[key] = record
+        self._fold([record])
         trc = _spans.current()
         if trc is not None:
             trc.event("ledger.append", key=key, label=point.label)
 
+    def finish_run(self, metrics: dict) -> None:
+        """Journal the end of a run with its final metrics dict."""
+        self._append(
+            {"kind": "finish", "metrics": metrics, "finished_at": time.time()}
+        )
+        self.finished = True
+
     def completed_records(self) -> dict[str, dict]:
-        """Snapshot of the journaled point records, keyed by point key.
+        """Snapshot of the successful point records, keyed by point key.
 
         Read-side accessor for observers (the service's ``/results``
         endpoint) that load a ledger via :meth:`refresh` without opening
@@ -243,31 +310,26 @@ class RunLedger:
         """
         return dict(self._completed)
 
-    def refresh(self) -> list[str]:
-        """Merge records appended to the file by other processes.
+    def refresh(self) -> None:
+        """Fold in records appended to the file by other processes.
 
         Multi-host sweep-service processes share one ledger file per
         run over shared storage: the executing process appends, the
-        observers ``refresh()`` and adopt.  Re-reads the file (tolerant
-        of a torn tail, like :meth:`open`) and folds in any ``point``
-        records this instance has not seen; returns their keys.
+        observers ``refresh()`` and adopt.
         """
-        if not self.exists():
-            return []
-        fresh: list[str] = []
-        for line in self.path.read_text().splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn trailing line from a hard kill
-            if record.get("kind") != "point" or "key" not in record:
-                continue
-            if record["key"] not in self._completed:
-                self._completed[record["key"]] = record
-                fresh.append(record["key"])
-        return fresh
+        self._fold(read_jsonl(self.path))
 
     # ------------------------------------------------------------------
+    def _fold(self, records: list[dict]) -> None:
+        for record in records:
+            kind = record.get("kind")
+            if kind == "finish":
+                self.finished = True
+            elif kind == "point" and "key" in record:
+                self._settled[record["key"]] = record
+                if record.get("ok", True):
+                    self._completed[record["key"]] = record
+
     def _append(self, record: dict) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record, separators=(",", ":")) + "\n"

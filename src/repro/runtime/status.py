@@ -2,26 +2,26 @@
 
 The store seam of the scheduler/executor/store split (ROADMAP item 1):
 :func:`load_run_status` rebuilds a :class:`RunStatus` for a live or
-finished sweep purely from its on-disk artifacts — the
-:class:`~repro.runtime.ledger.RunLedger` JSONL and the span sidecar
-journaled by :mod:`repro.telemetry.spans` — without touching the sweep
-process.  ``repro status`` renders it; the future sweep service will
-stream it.
+finished sweep purely from its on-disk artifacts, without touching the
+sweep process.  ``repro status`` renders it; the sweep service serves
+it over HTTP.
 
-Two sources, merged:
+One durable record, one live view:
 
-* **Span sidecar** (``<run_id>.spans.jsonl``) — authoritative while a
-  sweep runs: the ``sweep.run`` meta record enumerates every point
-  label, ``point.final`` instants settle each point, an unmatched
-  ``point`` begin means *running right now* (or a worker that died
-  mid-point), ``point.retry``/``point.timeout``/``pool.respawn``
-  instants are 1:1 with the runner's resilience counters, and the
-  ``sweep.finish`` record carries the final metrics dict verbatim — so
-  a finished run's status counters match its sweep report exactly.
-* **Run ledger** (``<run_id>.jsonl``) — the durable completion journal;
-  on historical runs recorded before span tracing existed (or with
-  ``--no-spans``) it alone yields per-point completion, durations and
-  ETAs.
+* **Run ledger** (``<run_id>.jsonl``) — the record.  Its latest ``run``
+  record lists the points, workers and mode; each point's latest
+  ``point`` record settles it as done, restored or failed; a ``finish``
+  record after that ``run`` record marks the run finished and carries
+  its metrics dict verbatim — so a finished run's status counters match
+  its sweep report exactly.  A ledger journaled before ``run`` records
+  existed lists its journaled points.
+* **Span sidecar** (``<run_id>.spans.jsonl``) — read only for points the
+  ledger has not settled yet: an unmatched ``point`` begin means
+  *running right now* (or a worker that died mid-point), and
+  ``point.retry``/``point.timeout``/``pool.respawn`` instants add the
+  in-flight resilience counters of an unfinished run.  A finished run's
+  status never reads it, so rotating or deleting the sidecar changes
+  nothing there.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..telemetry import spans as _spans
-from ..telemetry.tail import JsonlTailer
+from ..telemetry.tail import JsonlTailer, read_jsonl
 from .ledger import default_ledger_root
 
 __all__ = [
@@ -46,6 +46,16 @@ __all__ = [
 
 #: Point states, in display order.
 POINT_STATES = ("done", "restored", "failed", "running", "retrying", "pending")
+
+#: Resilience counters, named as in ``SweepMetrics.as_dict()``.
+COUNTER_KEYS = (
+    "retries",
+    "timeouts",
+    "recovered_workers",
+    "quarantined_entries",
+    "restored_points",
+    "errors",
+)
 
 
 @dataclass
@@ -84,9 +94,9 @@ class RunStatus:
     points: list[PointState] = field(default_factory=list)
     workers: int = 1
     mode: str = "serial"
-    #: Resilience counters.  From the ``sweep.finish`` metrics verbatim
-    #: when the run finished under tracing; derived 1:1 from the
-    #: retry/timeout/respawn instants while it runs.
+    #: Resilience counters.  The finish metrics verbatim once the run
+    #: finished; while it runs, summed from its settled point records
+    #: plus the sidecar instants of its unsettled points.
     counters: dict = field(default_factory=dict)
     #: The final ``SweepMetrics.as_dict()`` when the run finished.
     metrics: dict | None = None
@@ -172,10 +182,9 @@ class RunStatusBuilder:
 
     The single reconstruction algorithm behind both ``repro status``
     access patterns: :func:`load_run_status` feeds it every record at
-    once; the incremental ``--watch`` (and the sweep service's pollers)
-    feed it only the records appended since the last poll, via
-    :class:`~repro.telemetry.tail.JsonlTailer`.  Folding is
-    incremental; :meth:`snapshot` materializes the merged view, and
+    once; the incremental ``--watch`` feeds it only the records appended
+    since the last poll, via :class:`~repro.telemetry.tail.JsonlTailer`.
+    Folding is incremental; :meth:`snapshot` materializes the view, and
     ``snapshot()`` after incremental folds is identical to a full
     reload (asserted by ``tests/runtime/test_status.py``).
     """
@@ -184,177 +193,143 @@ class RunStatusBuilder:
         self.run_id = run_id
         self.ledger_path = Path(ledger_path)
         self.sidecar_path = Path(sidecar_path)
-        # Span-side accumulators.
-        self._labels: list[str] = []
-        self._workers = 1
-        self._mode = "serial"
-        self._finished = False
-        self._metrics: dict | None = None
-        self._finals: dict[int, dict] = {}
+        # Ledger side: the latest ``run`` and ``finish`` records and the
+        # latest ``point`` record per key, each with its ordinal.
+        self._seq = 0
+        self._run: tuple[int, dict] = (-1, {})
+        self._finish: tuple[int, dict] = (-1, {})
+        self._points: dict[str, tuple[int, dict]] = {}
+        # Sidecar side: the live state of unsettled points.
         self._begun: dict[str, dict] = {}  # span id -> B attrs (unmatched)
         self._retried: dict[int, int] = {}
-        self._derived = {"retries": 0, "timeouts": 0, "recovered_workers": 0}
-        self._quarantined = 0
+        self._timed_out: dict[int, int] = {}
+        self._respawns = 0
         self._span_records = 0
-        # Ledger-side accumulators.
-        self._journaled: dict[str, dict] = {}
-        self._ledger_order: list[str] = []
 
     # ------------------------------------------------------------------
     def fold_span(self, record: dict) -> None:
-        """Fold one span-sidecar record into the accumulated state."""
+        """Fold one span-sidecar record into the live state."""
         kind = record.get("k")
         if kind not in _spans.RECORD_KINDS:
             return
         self._span_records += 1
         name = record.get("name")
         attrs = record.get("attrs", {}) or {}
-        if kind == "M" and name == "sweep.run":
-            self._labels = list(attrs.get("labels") or [])
-            self._workers = int(attrs.get("workers") or 1)
-            self._mode = str(attrs.get("mode") or self._mode)
-        elif kind == "F" and name == "sweep.finish":
-            self._finished = True
-            metrics = attrs.get("metrics")
-            if isinstance(metrics, dict):
-                self._metrics = metrics
-        elif kind == "B" and name == "point":
+        idx = attrs.get("index")
+        if kind == "B" and name == "point":
             self._begun[record.get("id")] = attrs
         elif kind == "E" and name == "point":
             self._begun.pop(record.get("id"), None)
-        elif kind == "I" and name == "point.final":
-            idx = attrs.get("index")
-            if isinstance(idx, int):
-                self._finals[idx] = attrs
-        elif kind == "I" and name == "point.retry":
-            self._derived["retries"] += 1
-            idx = attrs.get("index")
-            if isinstance(idx, int):
-                self._retried[idx] = self._retried.get(idx, 0) + 1
-        elif kind == "I" and name == "point.timeout":
-            self._derived["timeouts"] += 1
+        elif kind == "I" and name == "point.retry" and isinstance(idx, int):
+            self._retried[idx] = self._retried.get(idx, 0) + 1
+        elif kind == "I" and name == "point.timeout" and isinstance(idx, int):
+            self._timed_out[idx] = self._timed_out.get(idx, 0) + 1
         elif kind == "I" and name == "pool.respawn":
-            self._derived["recovered_workers"] += 1
-        elif kind == "I" and name == "trace_cache.quarantine":
-            self._quarantined += 1
+            self._respawns += 1
 
     def fold_ledger(self, record: dict) -> None:
         """Fold one run-ledger record into the accumulated state."""
-        if not isinstance(record, dict) or record.get("kind") != "point":
+        kind = record.get("kind")
+        if kind == "run":
+            self._run = (self._seq, record)
+        elif kind == "finish":
+            self._finish = (self._seq, record)
+        elif kind == "point" and isinstance(record.get("key"), str):
+            self._points[record["key"]] = (self._seq, record)
+        else:
             return
-        label = record.get("label")
-        if isinstance(label, str):
-            if label not in self._journaled:
-                self._ledger_order.append(label)
-            self._journaled[label] = record.get("data", {}) or {}
+        self._seq += 1
 
     # ------------------------------------------------------------------
     @property
-    def folded(self) -> int:
-        """Records folded so far (either source)."""
-        return self._span_records + len(self._journaled)
+    def finished(self) -> bool:
+        """Whether a ``finish`` record follows the latest ``run`` record.
+
+        A ledger journaled before ``run`` records existed lists only
+        settled points, so it is finished once it lists any.
+        """
+        if self._run[0] < 0 and self._finish[0] < 0:
+            return bool(self._points)
+        return self._finish[0] > self._run[0]
 
     def snapshot(self) -> RunStatus:
-        """Materialize the merged :class:`RunStatus` of the state so far."""
+        """Materialize the :class:`RunStatus` of the state so far."""
+        run_seq, run = self._run
+        finished = self.finished
         status = RunStatus(
             run_id=self.run_id,
             ledger_path=self.ledger_path,
             sidecar_path=self.sidecar_path,
-            workers=self._workers,
-            mode=self._mode,
-            finished=self._finished,
-            metrics=self._metrics,
+            workers=int(run.get("workers") or 1),
+            mode=str(run.get("mode") or "serial"),
+            finished=finished,
+            metrics=self._finish[1].get("metrics") if finished else None,
             found=bool(
-                self.folded
-                or self._span_records
-                or self.ledger_path.is_file()
+                self._seq or self._span_records or self.ledger_path.is_file()
             ),
         )
-        open_points: dict[int, dict] = {}
-        for attrs in self._begun.values():
-            idx = attrs.get("index")
-            if isinstance(idx, int) and idx not in self._finals:
-                open_points[idx] = attrs
-        labels = self._labels or list(self._ledger_order)
-
-        # ------------------------------------------------------- merge
-        for idx, label in enumerate(labels):
+        if run:
+            entries = list(zip(run.get("keys") or [], run.get("labels") or []))
+        else:
+            entries = [(k, r.get("label")) for k, (_, r) in self._points.items()]
+        # A CLI run appends a ``run`` record per resume, so a point record
+        # older than the latest one was restored, not executed, by this
+        # run.  The service journals one ``run`` record per run and flags
+        # its restored answers instead.
+        resumed_at = run_seq if run.get("mode") != "service" else -1
+        running: dict[int, dict] = {}
+        if not finished:
+            for attrs in self._begun.values():
+                if isinstance(attrs.get("index"), int):
+                    running[attrs["index"]] = attrs
+        counters = dict.fromkeys(COUNTER_KEYS, 0)
+        for idx, (key, label) in enumerate(entries):
             point = PointState(index=idx, label=label)
-            final = self._finals.get(idx)
-            data = self._journaled.get(label)
-            if final is not None:
-                restored = bool(final.get("restored"))
-                if final.get("ok"):
-                    point.state = "restored" if restored else "done"
-                else:
+            seq, record = self._points.get(key, (-1, None))
+            ok = record is not None and record.get("ok", True)
+            if record is not None and (ok or seq > run_seq):
+                data = record.get("data", {}) or {}
+                if not ok:
                     point.state = "failed"
-                    point.error_kind = final.get("error_kind")
-                point.attempts = int(final.get("attempts") or 0)
-                point.cache_hit = final.get("cache_hit")
-                point.tier = final.get("tier")
-                point.wall_time = final.get("wall_time")
-            elif idx in open_points:
-                point.state = "running"
-                point.attempts = int(open_points[idx].get("attempt") or 1)
-            elif idx in self._retried:
-                point.state = "retrying"
-                point.attempts = self._retried[idx] + 1
-            elif data is not None:
-                point.state = "done"
+                    point.error_kind = data.get("error_kind")
+                elif data.get("restored") or seq < resumed_at:
+                    point.state = "restored"
+                else:
+                    point.state = "done"
                 point.attempts = int(data.get("attempts") or 1)
                 point.cache_hit = data.get("trace_cache_hit")
                 point.tier = data.get("replay_tier")
                 point.wall_time = data.get("duration_s", data.get("wall_time"))
-            if point.wall_time is None and data is not None:
-                point.wall_time = data.get("duration_s", data.get("wall_time"))
+                if point.state != "restored":
+                    counters["retries"] += point.attempts - 1
+                    counters["timeouts"] += int(data.get("timeouts") or 0)
+                    counters["quarantined_entries"] += int(
+                        data.get("quarantined") or 0
+                    )
+            elif not finished:
+                counters["retries"] += self._retried.get(idx, 0)
+                counters["timeouts"] += self._timed_out.get(idx, 0)
+                if idx in running:
+                    point.state = "running"
+                    point.attempts = int(running[idx].get("attempt") or 1)
+                elif idx in self._retried:
+                    point.state = "retrying"
+                    point.attempts = self._retried[idx] + 1
             status.points.append(point)
 
-        # --------------------------------------------------- counters
         if status.metrics is not None:
-            # Finished under tracing: report the sweep's own metrics
-            # verbatim so these counters match the sweep report exactly.
-            status.counters = {
-                key: status.metrics.get(key, 0)
-                for key in (
-                    "retries",
-                    "timeouts",
-                    "recovered_workers",
-                    "quarantined_entries",
-                    "restored_points",
-                    "errors",
-                )
-            }
+            # Report the run's own metrics verbatim so these counters
+            # match the sweep report exactly.
+            counters = {k: status.metrics.get(k, 0) for k in COUNTER_KEYS}
         else:
-            derived = dict(self._derived)
-            derived["restored_points"] = status.count("restored")
-            derived["errors"] = status.count("failed")
-            derived["quarantined_entries"] = self._quarantined
-            status.counters = derived
-        status.counters["cache_hits"] = sum(
+            counters["recovered_workers"] = 0 if finished else self._respawns
+            counters["restored_points"] = status.count("restored")
+            counters["errors"] = status.count("failed")
+        counters["cache_hits"] = sum(
             1 for p in status.points if p.cache_hit is True
         )
-        # A ledger-only run has no finish record; call it finished when
-        # every enumerated point is settled and nothing is in flight.
-        if not self._span_records and status.points:
-            status.finished = all(p.state == "done" for p in status.points)
+        status.counters = counters
         return status
-
-
-def _ledger_records(path: Path) -> list[dict]:
-    """All records of a ledger file (tolerant parse)."""
-    import json
-
-    records: list[dict] = []
-    if not path.is_file():
-        return []
-    for line in path.read_text().splitlines():
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn trailing line
-        if isinstance(record, dict):
-            records.append(record)
-    return records
 
 
 def status_paths(run_id: str, root: str | Path | None = None) -> tuple[Path, Path]:
@@ -369,15 +344,17 @@ def load_run_status(run_id: str, root: str | Path | None = None) -> RunStatus:
 
     ``root`` defaults to the run-ledger directory
     (``$REPRO_RUN_LEDGER`` / ``~/.cache/repro/runs``).  Works on live
-    sweeps (tail the sidecar), finished ones, and historical ledger-only
-    runs; a run with no artifacts at all yields ``found=False``.
+    sweeps (whose sidecar supplies the unsettled points' live state),
+    finished ones (the ledger alone), and historical ledgers; a run with
+    no artifacts at all yields ``found=False``.
     """
     ledger_path, sidecar = status_paths(run_id, root)
     builder = RunStatusBuilder(run_id, ledger_path, sidecar)
-    for record in _ledger_records(ledger_path):
+    for record in read_jsonl(ledger_path):
         builder.fold_ledger(record)
-    for record in _spans.read_sidecar(sidecar):
-        builder.fold_span(record)
+    if not builder.finished:
+        for record in _spans.read_sidecar(sidecar):
+            builder.fold_span(record)
     return builder.snapshot()
 
 

@@ -20,8 +20,9 @@ descriptions either serially in-process or fanned out over a
   process pool is respawned — repeatedly-broken pools degrade to fewer
   workers and ultimately to in-process serial execution — and completed
   results are never lost.  With a :class:`~repro.runtime.ledger.RunLedger`
-  attached, completed points journal to disk as they finish, so a killed
-  sweep resumes from where it died.
+  attached, the run, each settled point and the final metrics journal
+  to disk as they happen, so a killed sweep resumes from where it died
+  and ``repro status`` reads the ledger alone.
 * **Metrics** — per-point wall time, trace-cache hit/miss counts, trace
   generation counts, aggregate worker utilization, and the resilience
   counters (retries, timeouts, pool recoveries, quarantined cache
@@ -32,7 +33,8 @@ descriptions either serially in-process or fanned out over a
   :func:`repro.telemetry.spans.set_current`), the sweep journals a
   structured timeline: per-point spans, retry/timeout/respawn instants,
   and a final ``F`` record carrying the sweep metrics verbatim — the
-  substrate behind ``repro status`` and the Chrome-trace export.
+  substrate behind the Chrome-trace export and the live state of
+  unsettled points in ``repro status``.
 
 The execution machinery itself lives in the sibling modules this one
 re-exports from: :mod:`~repro.runtime.executor` (how one point runs,
@@ -355,9 +357,10 @@ class SweepRunner:
         Optional :class:`~repro.runtime.faults.FaultPlan` injected into
         point execution — testing/CI only.
     ledger:
-        Optional :class:`~repro.runtime.ledger.RunLedger`.  Completed
+        Optional :class:`~repro.runtime.ledger.RunLedger`.  Settled
         points journal to it as they finish; points already journaled
-        (a resumed run) are restored instead of re-executed.
+        as successful (a resumed run) are restored instead of
+        re-executed.
     tracer:
         Optional :class:`~repro.telemetry.spans.SpanRecorder` journaling
         this runner's spans (installed as the process-wide current
@@ -392,6 +395,8 @@ class SweepRunner:
         self.ledger = ledger
         self.tracer = tracer
         self._memo: dict = {}
+        #: Watchdog timeouts per point index of the current run.
+        self._timeouts: dict[int, int] = {}
         #: Lifetime resilience tallies (across runs) backing the
         #: telemetry gauges registered by :meth:`register_telemetry`.
         self.counters: dict[str, int] = {
@@ -430,10 +435,11 @@ class SweepRunner:
         point gets a fresh ``Machine``, so no simulator state leaks
         between points in either execution mode.
 
-        With a ledger attached, points journaled by a previous run of
-        the same run id are restored without execution and every fresh
-        completion is journaled as it lands — interrupting the process
-        at any moment loses at most the points still in flight.
+        With a ledger attached, points journaled as successful by a
+        previous run of the same run id are restored without execution
+        and every fresh outcome is journaled as it lands — interrupting
+        the process at any moment loses at most the points still in
+        flight.
         """
         tracer = self.tracer if self.tracer is not None else _spans.current()
         with _spans.use(tracer):
@@ -461,7 +467,9 @@ class SweepRunner:
                 restored = self.ledger.restore(point)
                 if restored is not None:
                     slots[idx] = restored
+            self.ledger.start_run(points, metrics.workers, metrics.mode)
         todo = [(i, p) for i, p in enumerate(points) if i not in slots]
+        self._timeouts = {}
 
         if tracer is not None:
             tracer.meta(
@@ -473,24 +481,13 @@ class SweepRunner:
                 mode=metrics.mode,
                 telemetry=self.telemetry,
             )
-            for idx in sorted(slots):
-                restored = slots[idx]
-                tracer.event(
-                    "point.final",
-                    index=idx,
-                    label=restored.point.label,
-                    ok=restored.ok,
-                    attempts=restored.attempts,
-                    cache_hit=restored.trace_cache_hit,
-                    tier=restored.replay_tier,
-                    wall_time=restored.wall_time,
-                    restored=True,
-                )
 
         def on_final(idx: int, point: SweepPoint, result: PointResult) -> None:
             slots[idx] = result
             if self.ledger is not None:
-                self.ledger.record(point, result)
+                self.ledger.record(
+                    point, result, timeouts=self._timeouts.get(idx, 0)
+                )
             if tracer is not None:
                 attrs = dict(
                     index=idx,
@@ -520,6 +517,8 @@ class SweepRunner:
             metrics, results, warm_stats, time.perf_counter() - start
         )
         self._accumulate(metrics)
+        if self.ledger is not None:
+            self.ledger.finish_run(metrics.as_dict())
         if tracer is not None:
             tracer.meta("sweep.finish", kind="F", metrics=metrics.as_dict())
         return SweepReport(points=results, metrics=metrics)
@@ -543,6 +542,7 @@ class SweepRunner:
         trc = _spans.current()
         if result.error.kind == POINT_TIMEOUT_KIND:
             metrics.timeouts += 1
+            self._timeouts[index] = self._timeouts.get(index, 0) + 1
             if trc is not None:
                 trc.event(
                     "point.timeout",

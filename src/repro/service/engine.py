@@ -4,9 +4,9 @@ The long-running half of ``repro serve`` (ROADMAP item 1's job queue +
 dedupe).  A :class:`SweepService` owns one ledger root and a pool of
 supervised worker *threads*; each ``POST /sweeps`` submission becomes a
 :class:`RunHandle` journaling the exact artifacts a CLI sweep would —
-a :class:`~repro.runtime.ledger.RunLedger` plus a span sidecar with the
-same ``sweep.run`` / ``point`` / ``point.final`` / ``sweep.finish``
-vocabulary — so the observability surface is *artifact-backed*:
+a :class:`~repro.runtime.ledger.RunLedger` with the same ``run`` /
+``point`` / ``finish`` records, plus a span sidecar timeline — so the
+observability surface is *artifact-backed*:
 ``GET /sweeps/<id>`` is :func:`~repro.runtime.status.load_run_status`
 verbatim, SSE is a :class:`~repro.telemetry.tail.JsonlTailer` over the
 sidecar, and killing the daemon loses nothing a restarted ``repro
@@ -20,8 +20,8 @@ disk:
 * **Durable accept journal** — every submission is fsync'd to the
   :class:`~repro.service.journal.SubmissionJournal` *before* the run
   handle exists; :meth:`SweepService.start` replays the journal and
-  reconciles each pending run against its ledger (settled points are
-  adopted silently from the existing sidecar, unfinished points
+  reconciles each pending run against its ledger (points the ledger
+  settled, failed ones too, are adopted silently; unfinished points
   re-enqueue), so ``kill -9`` + restart resumes every accepted run
   with zero client action and a final status indistinguishable from an
   uninterrupted run.
@@ -60,11 +60,11 @@ from pathlib import Path
 from ..runtime.executor import POINT_TIMEOUT_KIND, execute_point
 from ..runtime.faults import ServiceFaultPlan
 from ..runtime.ledger import (
-    LedgerError,
     RunLedger,
     default_ledger_root,
     new_run_id,
     point_key,
+    result_from_record,
 )
 from ..runtime.points import PointError, PointResult, SweepPoint
 from ..runtime.sweep import RetryPolicy, SweepMetrics
@@ -123,6 +123,11 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
     service by serializing its arguments.  Raises :class:`ValueError`
     with an operator-readable message on any unknown field or value —
     the HTTP layer maps that to a 400.
+
+    ``timeout`` is accepted but has no effect in the service: the
+    ``SIGALRM`` watchdog arms only on the main thread, and service
+    workers are threads, so a point runs to completion however long it
+    takes.
     """
     from ..droplet.composite import PREFETCH_CONFIG_NAMES
     from ..graph.generators import PAPER_DATASET_NAMES
@@ -332,7 +337,8 @@ class Job:
     """
 
     __slots__ = ("key", "point", "retry", "timeout", "state", "result",
-                 "subscribers", "attempt", "not_before", "lease", "stolen")
+                 "subscribers", "attempt", "timeouts", "not_before",
+                 "lease", "stolen")
 
     def __init__(self, key: str, point: SweepPoint, retry: RetryPolicy,
                  timeout: float | None):
@@ -344,6 +350,7 @@ class Job:
         self.result: PointResult | None = None
         self.subscribers: list[dict] = []
         self.attempt = 1
+        self.timeouts = 0
         self.not_before = 0.0
         self.lease = None
         self.stolen = False
@@ -352,23 +359,23 @@ class Job:
 class RunHandle:
     """One submission's artifacts: ledger, span sidecar, settle tracking.
 
-    Journals exactly what a CLI sweep with a ledger journals — the
-    ``sweep.run`` meta record on submit (``mode="service"``), one
-    ``point.final`` instant per settled point, and the ``sweep.finish``
-    record carrying a :class:`~repro.runtime.sweep.SweepMetrics` dict —
-    so ``repro status`` (and the HTTP status endpoint, which *is*
-    ``repro status``) reconstructs the run with no service-specific
-    code path.
+    Journals exactly what a CLI sweep with a ledger journals — a ``run``
+    ledger record and ``sweep.run`` meta on submit (``mode="service"``),
+    one ledger record and ``point.final`` instant per settled point, and
+    a ``finish`` ledger record and ``sweep.finish`` meta carrying a
+    :class:`~repro.runtime.sweep.SweepMetrics` dict — so ``repro
+    status`` (and the HTTP status endpoint, which *is* ``repro status``)
+    reconstructs the run with no service-specific code path.
 
     With ``resume=True`` (journal replay after a crash, or adopting a
-    peer's submission) the handle first rebuilds its in-memory state
-    from the artifacts already on disk: points with an existing
-    ``point.final`` are settled silently — no new ledger or sidecar
-    writes, tallies recovered from the recorded attributes — so a
-    recovered run's artifacts stay *identical* to an uninterrupted
-    run's.  Shared-once records (``sweep.run`` meta, ``sweep.finish``)
-    are election-guarded through :meth:`LeaseManager.once`, so exactly
-    one process across all crashes and peers writes each.
+    peer's submission) the handle first folds its ledger: every point
+    the ledger already settled, ok or failed, is settled silently — no
+    new ledger or sidecar writes, tallies recovered from the records —
+    so a recovered run's artifacts stay *identical* to an uninterrupted
+    run's.  Shared-once records (the ``run`` record and ``sweep.run``
+    meta, the ``finish`` record and ``sweep.finish``) are
+    election-guarded through :meth:`LeaseManager.once`, so exactly one
+    process across all crashes and peers writes each.
     """
 
     def __init__(
@@ -408,9 +415,8 @@ class RunHandle:
             "quarantined": 0,
             "point_time": 0.0,
         }
-        if resume:
-            self._rebuild()
         if self._once("meta"):
+            self.ledger.start_run(points, workers, "service")
             self.tracer.meta(
                 "sweep.run",
                 run_id=run_id,
@@ -420,8 +426,8 @@ class RunHandle:
                 mode="service",
                 telemetry=False,
             )
-        if resume and not self.finished and len(self.settled) == len(points):
-            self._finish()
+        if resume:
+            self._rebuild()
 
     # ------------------------------------------------------------------
     def _once(self, what: str) -> bool:
@@ -430,82 +436,42 @@ class RunHandle:
             return True
         return self.leases.once("%s-%s" % (what, self.run_id))
 
-    def _tally(self, ok: bool, restored: bool, cache_hit,
-               wall_time: float, quarantined: int) -> None:
-        if not ok:
+    def _tally(self, result: PointResult, restored: bool,
+               timeouts: int) -> None:
+        if not result.ok:
             self.tallies["errors"] += 1
         if restored:
             self.tallies["restored"] += 1
-        else:
-            self.tallies["point_time"] += wall_time or 0.0
-            if cache_hit is True:
-                self.tallies["cache_hits"] += 1
-            elif cache_hit is False:
-                self.tallies["cache_misses"] += 1
-            self.tallies["quarantined"] += quarantined
+            return
+        self.tallies["point_time"] += result.wall_time or 0.0
+        self.tallies["retries"] += max(0, result.attempts - 1)
+        self.tallies["timeouts"] += timeouts
+        if result.trace_cache_hit is True:
+            self.tallies["cache_hits"] += 1
+        elif result.trace_cache_hit is False:
+            self.tallies["cache_misses"] += 1
+        self.tallies["quarantined"] += result.cache_quarantined
 
     def _rebuild(self) -> None:
-        """Adopt this run's pre-existing artifacts (crash recovery).
+        """Adopt what this run's ledger already holds (crash recovery).
 
-        Scans the sidecar: every recorded ``point.final`` settles its
-        index silently (tallies recovered from the final's attributes),
-        retry/timeout instants restore those tallies, and an existing
-        ``sweep.finish`` marks the run finished.  A point whose ledger
-        record landed but whose ``point.final`` never did (killed
-        between the two appends) gets the missing final reconstructed
-        from the ledger — the one write a recovered run may add that
-        the dying process was already committed to.
+        Every index whose key has a ledger record settles silently from
+        the latest one, ok or failed, and a ``finish`` record marks the
+        run finished.
         """
-        for record in _spans.read_sidecar(self.tracer.sidecar):
-            kind, name = record.get("k"), record.get("name")
-            attrs = record.get("attrs") or {}
-            if kind == "I" and name == "point.retry":
-                self.tallies["retries"] += 1
-            elif kind == "I" and name == "point.timeout":
-                self.tallies["timeouts"] += 1
-            elif kind == "I" and name == "point.final":
-                index = attrs.get("index")
-                if not isinstance(index, int) or index in self.settled:
-                    continue
-                if not 0 <= index < len(self.points):
-                    continue
-                point = self.points[index]
-                result = self.ledger.restore(point)
-                if result is None:
-                    error = PointError(
-                        kind=str(attrs.get("error_kind") or "unknown"),
-                        message="recorded as failed before recovery",
-                    )
-                    result = PointResult(point=point, error=error)
-                self._tally(
-                    ok=bool(attrs.get("ok")),
-                    restored=bool(attrs.get("restored")),
-                    cache_hit=attrs.get("cache_hit"),
-                    wall_time=float(attrs.get("wall_time") or 0.0),
-                    quarantined=int(attrs.get("quarantined") or 0),
-                )
-                self.settled[index] = result
-            elif kind == "F" and name == "sweep.finish":
-                self.finished = True
-        # Ledger ahead of the sidecar: record landed, final didn't.
+        self.finished = self.ledger.finished
         for index, point in enumerate(self.points):
-            if index in self.settled:
-                continue
-            result = self.ledger.restore(point)
-            if result is not None:
-                self.settle(
-                    index, point, replace(result, restored=False),
-                    restored=False,
-                )
+            record = self.ledger.settled_record(point)
+            if record is not None:
+                self.adopt(index, point, record)
 
     # ------------------------------------------------------------------
     def settle(self, index: int, point: SweepPoint, result: PointResult,
-               restored: bool) -> None:
+               restored: bool, timeouts: int = 0) -> None:
         """Record one settled point: ledger first, then the timeline."""
         if index in self.settled:
             return  # already adopted/settled (recovery or deadline race)
-        if result.ok:
-            self.ledger.record(point, result)
+        self.ledger.record(point, result, timeouts=timeouts, restored=restored)
         attrs = dict(
             index=index,
             label=point.label,
@@ -519,32 +485,26 @@ class RunHandle:
         )
         if not result.ok:
             attrs["error_kind"] = result.error.kind
-        self._tally(
-            ok=result.ok, restored=restored,
-            cache_hit=None if restored else result.trace_cache_hit,
-            wall_time=result.wall_time,
-            quarantined=result.cache_quarantined,
-        )
+        self._tally(result, restored, timeouts)
         self.tracer.event("point.final", **attrs)
         self.settled[index] = result
         if len(self.settled) == len(self.points):
             self._finish()
 
-    def adopt(self, index: int, point: SweepPoint,
-              result: PointResult) -> None:
-        """Mark a point settled by a cooperating process — no new writes.
+    def adopt(self, index: int, point: SweepPoint, record: dict) -> None:
+        """Settle a point from a record already in this run's ledger.
 
-        The executing process already journaled this run's ledger record
-        and ``point.final``; adopting only updates in-memory tallies and
+        The process that settled it (a cooperating peer, or this run
+        before a crash) already wrote the ledger record and
+        ``point.final``; adopting only updates in-memory tallies and
         completion tracking so this process's view converges.
         """
         if index in self.settled:
             return
-        self._tally(
-            ok=result.ok, restored=False,
-            cache_hit=result.trace_cache_hit,
-            wall_time=result.wall_time, quarantined=0,
-        )
+        data = record.get("data", {})
+        result = result_from_record(point, record)
+        self._tally(result, restored=bool(data.get("restored")),
+                    timeouts=int(data.get("timeouts") or 0))
         self.settled[index] = result
         if len(self.settled) == len(self.points):
             self._finish()
@@ -565,8 +525,9 @@ class RunHandle:
                 timeouts=self.tallies["timeouts"],
                 quarantined_entries=self.tallies["quarantined"],
                 restored=self.tallies["restored"],
-            )
-            self.tracer.meta("sweep.finish", kind="F", metrics=metrics.as_dict())
+            ).as_dict()
+            self.ledger.finish_run(metrics)
+            self.tracer.meta("sweep.finish", kind="F", metrics=metrics)
         if self.on_finish is not None:
             self.on_finish(self)
 
@@ -973,23 +934,26 @@ class SweepService:
 
         Returns ``False`` when the peer's result is not visible on disk
         yet (its ledger append may still be in flight) — the job defers
-        and retries.  Runs the peer also knows already have their
-        artifacts written (adopt silently); runs it does not get the
-        result settled from the peer's source-run ledger, exactly like
-        a cached answer.
+        and retries.  Runs whose ledger the peer already wrote, ok or
+        failed, adopt that record silently; other runs get the result
+        settled from the peer's source-run ledger, exactly like a cached
+        answer, or a failure settled under the peer's error kind.
         """
         remote: PointResult | None = None
+        failed = record.get("state") == "failed"
         for entry in list(job.subscribers):
             handle = entry["handle"]
             index = entry["index"]
             if index in handle.settled:
                 continue
             handle.ledger.refresh()
-            own = handle.ledger.restore(job.point)
-            if own is not None:
-                handle.adopt(index, job.point, replace(own, restored=False))
+            own = handle.ledger.settled_record(job.point)
+            if own is not None and (own.get("ok", True) or failed):
+                handle.adopt(index, job.point, own)
                 continue
-            if record.get("state") == "failed":
+            if failed and record.get("run") == handle.run_id:
+                return False  # this run's own failure is still journaling
+            if failed:
                 error = PointError(
                     kind=str(record.get("error_kind") or "RemoteFailure"),
                     message="point %s failed on %s"
@@ -1026,12 +990,7 @@ class SweepService:
             ledger = RunLedger(source, root=self.root)
         except ValueError:
             return None
-        if not ledger.exists():
-            return None
-        try:
-            ledger.open()
-        except LedgerError:
-            return None
+        ledger.refresh()
         return ledger.restore(job.point)
 
     # ------------------------------------------------------------------
@@ -1042,6 +1001,7 @@ class SweepService:
 
             self._config = SystemConfig.scaled_baseline()
         attempt = 1
+        job.timeouts = 0
         while True:
             job.attempt = attempt
             result = execute_point(
@@ -1053,8 +1013,8 @@ class SweepService:
             with self._cv:
                 if result.error.kind == POINT_TIMEOUT_KIND:
                     self.counters["timeouts"] += 1
+                    job.timeouts += 1
                     for entry in job.subscribers:
-                        entry["handle"].tallies["timeouts"] += 1
                         entry["handle"].tracer.event(
                             "point.timeout", index=entry["index"],
                             label=job.point.label, attempt=attempt,
@@ -1066,7 +1026,6 @@ class SweepService:
                 if retrying:
                     self.counters["retries"] += 1
                     for entry in job.subscribers:
-                        entry["handle"].tallies["retries"] += 1
                         entry["handle"].tracer.event(
                             "point.retry", index=entry["index"],
                             label=job.point.label, attempt=attempt,
@@ -1106,7 +1065,8 @@ class SweepService:
                 if not result.ok:
                     span.set(error_kind=result.error.kind)
                 handle.tracer.finish(span)
-            handle.settle(entry["index"], job.point, result, restored=False)
+            handle.settle(entry["index"], job.point, result, restored=False,
+                          timeouts=job.timeouts)
 
     # ------------------------------------------------------------------
     def _housekeeper(self) -> None:

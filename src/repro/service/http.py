@@ -28,8 +28,9 @@ or runs ``repro status`` against the ledger root:
     header resumes from that offset without replaying history.  A final
     ``event: end`` closes the stream when the run finishes.
 ``GET /sweeps/<run-id>/results``
-    Journaled per-point summaries keyed by content-addressed point key,
-    read straight from the run's ledger file — how a remote
+    Journaled summaries of the successful points, keyed by
+    content-addressed point key, read straight from the run's ledger
+    file — how a remote
     ``repro pareto --service`` tuner harvests a finished rung's metrics.
 ``GET /metrics``
     Prometheus text exposition (:func:`~repro.telemetry.export.render_prom`)
@@ -273,7 +274,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _results(self, run_id: str) -> int:
-        """Journaled per-point summaries, keyed by content-addressed key.
+        """Journaled summaries of the successful points, keyed by point key.
 
         Serves straight from the run's ledger file (torn-tail tolerant),
         so remote harvesters — the ``repro pareto --service`` tuner —

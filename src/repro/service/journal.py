@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..runtime.faults import ServiceFaultPlan
+from ..telemetry.tail import read_jsonl
 
 __all__ = [
     "SubmissionJournal",
@@ -159,17 +160,7 @@ class SubmissionJournal:
     # ------------------------------------------------------------------
     def records(self) -> list[dict]:
         """All parseable journal records, torn tail tolerated."""
-        if not self.exists():
-            return []
-        records: list[dict] = []
-        for line in self.path.read_text().splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn trailing line from a hard kill
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        return read_jsonl(self.path)
 
     def replay(self) -> tuple[list[JournalEntry], set[str]]:
         """Reconstruct ``(entries, done_ids)`` from the journal.

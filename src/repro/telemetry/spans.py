@@ -31,8 +31,8 @@ Record vocabulary (the ``k`` field of each JSONL line):
     Instant event (retry decisions, pool respawns, cache hits).
 ``M``/``F``
     Run metadata / run-finished summary (``F`` carries the sweep's final
-    metrics dict, which ``repro status --json`` reports verbatim so its
-    counters match the sweep report exactly).
+    metrics dict for the timeline; ``repro status`` reads the same dict
+    from the run ledger's ``finish`` record).
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
+
+from .tail import read_jsonl
 
 __all__ = [
     "Span",
@@ -370,16 +372,12 @@ def read_sidecar(path: str | Path) -> list[dict]:
     first; a missing file yields ``[]`` (a sweep may die before its
     first span lands).
     """
-    records: list[dict] = []
-    for generation in sidecar_generations(path):
-        for line in generation.read_text().splitlines():
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a hard kill
-            if isinstance(record, dict) and record.get("k") in RECORD_KINDS:
-                records.append(record)
-    return records
+    return [
+        record
+        for generation in sidecar_generations(path)
+        for record in read_jsonl(generation)
+        if record.get("k") in RECORD_KINDS
+    ]
 
 
 def chrome_trace_events(records: list[dict]) -> list[dict]:

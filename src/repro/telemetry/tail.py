@@ -22,6 +22,10 @@ appeared since I last looked*.  :class:`JsonlTailer` provides it:
 
 A missing file is not an error — the sweep may not have started yet —
 polls simply return ``[]`` until it appears.
+
+:func:`read_jsonl` is the one-shot counterpart: every record of a file
+in one read, for the readers that fold a whole ledger, journal or
+sidecar generation at once.
 """
 
 from __future__ import annotations
@@ -29,10 +33,31 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["JsonlTailer", "ROTATED_SUFFIX"]
+__all__ = ["JsonlTailer", "ROTATED_SUFFIX", "read_jsonl"]
 
 #: Suffix of the single rotated generation kept beside a bounded file.
 ROTATED_SUFFIX = ".1"
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """Every JSON-object line of ``path``, in file order.
+
+    Unparseable lines — the torn tail a hard kill leaves mid-append —
+    are skipped, and a missing file reads as ``[]``.
+    """
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        return []
+    records: list[dict] = []
+    for line in text.splitlines():
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records
 
 
 class JsonlTailer:

@@ -12,6 +12,8 @@ points stay tiny (scale_shift=-6, a few thousand references).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.runtime import (
@@ -327,6 +329,32 @@ class TestRunLedger:
         fresh = RunLedger("run-b", root=tmp_path)
         assert fresh.open() == 0
 
+    def test_failed_records_are_journaled_but_never_restored(self, tmp_path):
+        ledger = RunLedger("run-f", root=tmp_path)
+        ledger.open()
+        ledger.record(
+            self.point(),
+            PointResult(
+                point=self.point(),
+                error=PointError(kind="ValueError", message="nope"),
+                attempts=2,
+            ),
+        )
+        lines = ledger.path.read_text().splitlines()
+        (record,) = [
+            r for r in map(json.loads, lines) if r.get("kind") == "point"
+        ]
+        assert record["ok"] is False
+        assert record["data"]["error_kind"] == "ValueError"
+        assert record["data"]["attempts"] == 2
+        assert len(ledger) == 0
+        assert ledger.restore(self.point()) is None
+        fresh = RunLedger("run-f", root=tmp_path)
+        assert fresh.open() == 0 and len(fresh) == 0
+        assert fresh.restore(self.point()) is None
+        fresh.refresh()
+        assert fresh.completed_records() == {}
+
     def test_torn_tail_is_tolerated(self, tmp_path):
         ledger = RunLedger("run-c", root=tmp_path)
         ledger.open()
@@ -370,6 +398,22 @@ class TestResume:
         assert report.summaries() == clean.summaries()
         # Restored points were not re-executed: no fresh trace/cache work.
         assert report.metrics.cache_hits + report.metrics.cache_misses == 2
+
+    def test_resume_re_executes_journaled_failures(self, tmp_path):
+        points = make_points(workloads=("PR",))
+        first = serial_runner(
+            tmp_path,
+            ledger=RunLedger("run-z", root=tmp_path / "runs"),
+            faults=FaultPlan.from_spec("error@0"),
+            retry=RetryPolicy(max_attempts=1),
+        ).run(points)
+        assert [r.ok for r in first.points] == [False, True]
+        resumed = serial_runner(
+            tmp_path, ledger=RunLedger("run-z", root=tmp_path / "runs")
+        ).run(points)
+        assert resumed.ok()
+        assert [r.restored for r in resumed.points] == [False, True]
+        assert resumed.metrics.restored == 1
 
     def test_fully_journaled_run_restores_everything(self, tmp_path):
         points = make_points(workloads=("PR",))

@@ -16,6 +16,7 @@ import pytest
 
 from repro.runtime import (
     FaultPlan,
+    PointResult,
     RetryPolicy,
     RunLedger,
     RunStatusBuilder,
@@ -27,6 +28,7 @@ from repro.runtime import (
     status_table_rows,
     watch,
 )
+from repro.runtime.status import COUNTER_KEYS
 from repro.telemetry.tail import JsonlTailer
 from repro.telemetry import spans
 from repro.telemetry.trend import (
@@ -53,6 +55,14 @@ def make_points(workloads=("PR", "BFS"), setups=("none", "droplet")):
         for w in workloads
         for s in setups
     ]
+
+
+def live_ledger(tmp_path, run_id, points, workers=1, mode="serial"):
+    """A ledger as a live sweep leaves it: opened, with its run record."""
+    ledger = RunLedger(run_id, root=tmp_path / "runs")
+    ledger.open()
+    ledger.start_run(points, workers, mode)
+    return ledger
 
 
 def traced_runner(tmp_path, run_id, **kwargs):
@@ -129,30 +139,22 @@ class TestRunStatus:
         assert payload["eta_s"] == 0.0
 
     def test_live_run_shows_unfinished_point_as_running(self, tmp_path):
-        # Forge the sidecar a live sweep would have written: the run meta,
-        # one settled point and one eager begin without an end.
-        ledger_path = tmp_path / "runs" / "live.jsonl"
-        rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger_path))
-        rec.meta(
-            "sweep.run",
-            run_id="live",
-            total=2,
-            labels=["PR/kron/none", "PR/kron/droplet"],
-            workers=2,
-            mode="parallel",
+        # Forge the artifacts a live sweep would have written: the ledger's
+        # run record and one settled point, and in the sidecar one eager
+        # begin without an end.
+        points = make_points(workloads=("PR",))
+        ledger = live_ledger(tmp_path, "live", points, workers=2, mode="parallel")
+        ledger.record(
+            points[0],
+            PointResult(
+                point=points[0],
+                summary={},
+                wall_time=1.5,
+                trace_cache_hit=False,
+                replay_tier="vector",
+            ),
         )
-        rec.event(
-            "point.final",
-            index=0,
-            label="PR/kron/none",
-            ok=True,
-            attempts=1,
-            cache_hit=False,
-            tier="vector",
-            wall_time=1.5,
-            quarantined=0,
-            restored=False,
-        )
+        rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger.path))
         rec.start("point", index=1, label="PR/kron/droplet", attempt=2)
         rec.event("point.retry", index=1)
         status = load_run_status("live", root=tmp_path / "runs")
@@ -165,9 +167,9 @@ class TestRunStatus:
         assert status.eta_seconds() == pytest.approx(1.5 / 2)
 
     def test_retried_point_without_open_span_shows_retrying(self, tmp_path):
-        ledger_path = tmp_path / "runs" / "retry.jsonl"
-        rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger_path))
-        rec.meta("sweep.run", total=1, labels=["PR/kron/none"], workers=1)
+        points = make_points(workloads=("PR",), setups=("none",))
+        ledger = live_ledger(tmp_path, "retry", points)
+        rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger.path))
         rec.event("point.retry", index=0)
         status = load_run_status("retry", root=tmp_path / "runs")
         (point,) = status.points
@@ -212,6 +214,127 @@ class TestRunStatus:
         status = load_run_status("ghost", root=tmp_path / "runs")
         assert not status.found
         assert status.total == 0
+
+
+#: The point-record fields the previous ledger layout journaled.
+OLD_POINT_DATA = (
+    "summary",
+    "completed_at",
+    "duration_s",
+    "wall_time",
+    "trace_cache_hit",
+    "telemetry",
+    "attempts",
+    "replay_tier",
+)
+
+
+def rotate_twice(sidecar):
+    """Push a sidecar through two size rotations with filler records."""
+    filler = spans.SpanRecorder(sidecar=sidecar, max_bytes=512)
+    while filler.rotations < 2:
+        filler.event("filler", pad="x" * 64)
+
+
+def delete_sidecar(sidecar):
+    for path in spans.sidecar_generations(sidecar):
+        path.unlink()
+
+
+class TestLedgerIsTheRecord:
+    """Status of a settled point comes from the ledger, whatever happened
+    to the size-rotated span sidecar."""
+
+    def test_rotation_loses_no_failure(self, tmp_path):
+        ledger = RunLedger("rotating", root=tmp_path / "runs")
+        tracer = spans.SpanRecorder(
+            sidecar=spans.sidecar_path(ledger.path), max_bytes=1500
+        )
+        runner = SweepRunner(
+            trace_cache=TraceCache(tmp_path / "traces"),
+            return_full=False,
+            ledger=ledger,
+            tracer=tracer,
+            faults=FaultPlan.from_spec("error@0"),
+            retry=RetryPolicy(max_attempts=1),
+        )
+        report = runner.run(
+            make_points(
+                workloads=("PR", "BFS", "CC"),
+                setups=("none", "stream", "droplet"),
+            )
+        )
+        assert tracer.rotations >= 2
+        status = load_run_status("rotating", root=tmp_path / "runs")
+        assert status.finished
+        assert status.total == 9
+        assert status.count("failed") == 1
+        assert status.points[0].error_kind == "FaultError"
+        metrics = report.metrics.as_dict()
+        for key in COUNTER_KEYS:
+            assert status.counters[key] == metrics[key], key
+
+    def test_finished_status_ignores_the_sidecar(self, tmp_path):
+        runner, _, tracer = traced_runner(
+            tmp_path,
+            "sealed",
+            faults=FaultPlan.from_spec("error@0"),
+            retry=RetryPolicy(max_attempts=1),
+        )
+        runner.run(make_points(workloads=("PR",)))
+        present = load_run_status("sealed", root=tmp_path / "runs").as_dict()
+        assert present["finished"] and present["metrics"] is not None
+        assert present["states"]["failed"] == 1
+        rotate_twice(tracer.sidecar)
+        rotated = load_run_status("sealed", root=tmp_path / "runs").as_dict()
+        assert rotated == present
+        delete_sidecar(tracer.sidecar)
+        deleted = load_run_status("sealed", root=tmp_path / "runs").as_dict()
+        assert deleted == present
+
+    def test_resumed_points_stay_restored_without_a_sidecar(self, tmp_path):
+        points = make_points()
+        first, _, _ = traced_runner(tmp_path, "resumed")
+        first.run(points[:2])
+        resumed, _, tracer = traced_runner(tmp_path, "resumed")
+        report = resumed.run(points)
+        delete_sidecar(tracer.sidecar)
+        status = load_run_status("resumed", root=tmp_path / "runs")
+        assert status.finished
+        assert [p.state for p in status.points] == [
+            "restored", "restored", "done", "done",
+        ]
+        assert status.counters["restored_points"] == report.metrics.restored == 2
+
+    def test_old_layout_ledger_still_restores_and_renders(self, tmp_path):
+        # A ledger journaled before run, finish and failed-point records
+        # existed: successful point records with the old field set only.
+        runner, ledger, _ = traced_runner(tmp_path, "old-layout")
+        points = make_points(workloads=("PR",))
+        runner.run(points)
+        spans.sidecar_path(ledger.path).unlink()
+        records = [json.loads(line) for line in ledger.path.read_text().splitlines()]
+        old = [records[0]] + [
+            {
+                "kind": "point",
+                "key": r["key"],
+                "label": r["label"],
+                "data": {name: r["data"][name] for name in OLD_POINT_DATA},
+            }
+            for r in records
+            if r["kind"] == "point"
+        ]
+        ledger.path.write_text("".join(json.dumps(r) + "\n" for r in old))
+        status = load_run_status("old-layout", root=tmp_path / "runs")
+        assert status.found and status.finished
+        assert [p.state for p in status.points] == ["done", "done"]
+        assert all(p.tier and p.wall_time for p in status.points)
+        assert status.metrics is None
+        reopened = RunLedger("old-layout", root=tmp_path / "runs")
+        assert reopened.open() == 2
+        for point in points:
+            restored = reopened.restore(point)
+            assert restored is not None and restored.restored
 
 
 class TestWatchIncremental:
@@ -287,9 +410,9 @@ class TestWatchIncremental:
         ).as_dict()
 
     def test_watch_max_polls_bounds_an_unfinished_run(self, tmp_path):
-        ledger_path = tmp_path / "runs" / "stuck.jsonl"
-        rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger_path))
-        rec.meta("sweep.run", total=1, labels=["PR/kron/none"], workers=1)
+        points = make_points(workloads=("PR",), setups=("none",))
+        ledger = live_ledger(tmp_path, "stuck", points)
+        rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger.path))
         rec.start("point", index=0, label="PR/kron/none", attempt=1)
         status = watch(
             "stuck", root=tmp_path / "runs", poll=0.01, max_polls=2

@@ -31,8 +31,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime.ledger import point_key
 from repro.service.client import fetch_status, submit_sweep, wait_for_run
+from repro.service.engine import parse_spec
 from repro.telemetry import parse_prom_text, spans
+from repro.telemetry.tail import read_jsonl
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -177,6 +180,16 @@ def final_records(root, run_id):
     ]
 
 
+def ledger_point_keys(root, run_id):
+    """Point keys of every point record in the run's ledger, sorted."""
+    records = read_jsonl(Path(root) / ("%s.jsonl" % run_id))
+    return sorted(r["key"] for r in records if r.get("kind") == "point")
+
+
+#: One ledger point record per CHAOS_SPEC point, each exactly once.
+CHAOS_KEYS = sorted(point_key(p) for p in parse_spec(CHAOS_SPEC)[0])
+
+
 class TestSigkillRestart:
     def test_recovered_status_is_identical_to_uninterrupted(
         self, tmp_path, warm_cache
@@ -240,6 +253,7 @@ class TestSigkillRestart:
             finals = final_records(root, "chaos")
             indexes = sorted(r["attrs"]["index"] for r in finals)
             assert indexes == list(range(CHAOS_POINTS)), run_dir
+            assert ledger_point_keys(root, "chaos") == CHAOS_KEYS, run_dir
 
 
 class TestKillAfterAccept:
@@ -332,6 +346,7 @@ class TestMultiHost:
         finals = final_records(root, "multi")
         indexes = sorted(r["attrs"]["index"] for r in finals)
         assert indexes == list(range(CHAOS_POINTS))
+        assert ledger_point_keys(root, "multi") == CHAOS_KEYS
         records = spans.read_sidecar(root / "multi.spans.jsonl")
         ok_ends = [
             r for r in records
@@ -395,3 +410,4 @@ class TestMultiHost:
         finals = final_records(root, "takeover")
         indexes = sorted(r["attrs"]["index"] for r in finals)
         assert indexes == list(range(CHAOS_POINTS))
+        assert ledger_point_keys(root, "takeover") == CHAOS_KEYS

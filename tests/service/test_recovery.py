@@ -7,14 +7,15 @@ mechanics deterministically with a stubbed executor.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
-from repro.runtime import TraceCache, point_key
+from repro.runtime import TraceCache, load_run_status, point_key
 from repro.runtime.ledger import RunLedger
-from repro.runtime.points import PointResult
+from repro.runtime.points import PointError, PointResult
 from repro.service import SweepService, parse_spec
 from repro.service.engine import DEADLINE_KIND, QueueFull
 from repro.service.journal import SubmissionJournal
@@ -73,6 +74,19 @@ def wait_finished(service, run_id, timeout=30.0):
 
 def journal_spec(run_id):
     return dict(SPEC, run_id=run_id)
+
+
+def failed_result(point):
+    return PointResult(
+        point=point, error=PointError(kind="ValueError", message="bad setup")
+    )
+
+
+def ledger_point_keys(root, run_id):
+    """Point keys of every point record in the run's ledger, sorted."""
+    lines = RunLedger(run_id, root=root).path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    return sorted(r["key"] for r in records if r.get("kind") == "point")
 
 
 class TestJournalReplay:
@@ -146,7 +160,7 @@ class TestJournalReplay:
         self, tmp_path, monkeypatch
     ):
         """Killed between the ledger append and the point.final: recovery
-        reconstructs the missing final from the ledger record."""
+        settles the point from its ledger record and writes no second one."""
         root = tmp_path / "runs"
         points, _ = parse_spec(SPEC)
         SubmissionJournal(root).submit("crashed", journal_spec("crashed"))
@@ -159,13 +173,48 @@ class TestJournalReplay:
         service = make_service(tmp_path).start()
         wait_finished(service, "crashed")
         assert executed == ["PR/kron/droplet"]
-        records = spans.read_sidecar(root / "crashed.spans.jsonl")
-        finals = {
-            r["attrs"]["index"]: r["attrs"] for r in records
-            if r.get("k") == "I" and r.get("name") == "point.final"
-        }
-        assert sorted(finals) == [0, 1]
-        assert finals[0]["ok"] is True and finals[0]["restored"] is False
+        status = load_run_status("crashed", root=root)
+        assert [p.state for p in status.points] == ["done", "done"]
+        assert ledger_point_keys(root, "crashed") == sorted(
+            point_key(p) for p in points
+        )
+        assert service.drain(timeout=10)
+
+    @pytest.mark.parametrize("sidecar_fate", ["deleted", "rotated"])
+    def test_failed_point_settled_before_the_crash_stays_failed(
+        self, tmp_path, monkeypatch, sidecar_fate
+    ):
+        """A point the dead process settled as failed is neither
+        re-executed nor changed, whatever became of the span sidecar."""
+        from repro.service.engine import RunHandle
+
+        root = tmp_path / "runs"
+        points, _ = parse_spec(SPEC)
+        SubmissionJournal(root).submit("crashed", journal_spec("crashed"))
+        pre = RunHandle(
+            "crashed", root, points, workers=1, leases=LeaseManager(root)
+        )
+        pre.settle(0, points[0], failed_result(points[0]), restored=False)
+        sidecar = root / "crashed.spans.jsonl"
+        if sidecar_fate == "deleted":
+            sidecar.unlink()
+        else:
+            filler = spans.SpanRecorder(sidecar=sidecar, max_bytes=512)
+            while filler.rotations < 2:
+                filler.event("filler", pad="x" * 64)
+
+        executed = []
+        stub_executor(monkeypatch, executed)
+        service = make_service(tmp_path).start()
+        wait_finished(service, "crashed")
+        assert executed == ["PR/kron/droplet"]  # point 0 never re-ran
+        status = load_run_status("crashed", root=root)
+        assert [p.state for p in status.points] == ["failed", "done"]
+        assert status.points[0].error_kind == "ValueError"
+        assert status.counters["errors"] == status.metrics["errors"] == 1
+        assert ledger_point_keys(root, "crashed") == sorted(
+            point_key(p) for p in points
+        )
         assert service.drain(timeout=10)
 
     def test_replay_error_spec_is_skipped_not_fatal(self, tmp_path, monkeypatch):
@@ -312,3 +361,53 @@ class TestLeaseIntegration:
         }
         assert adopted[0]["restored"] is True
         assert service.drain(timeout=10)
+
+    def test_peer_failed_point_settles_once(self, tmp_path, monkeypatch):
+        """Two services share a root: the point one of them fails is
+        adopted by the other from the run's ledger, not settled again."""
+        from repro.service import engine as engine_mod
+
+        gate = threading.Event()
+        executed = []
+
+        def fake_execute(point, *args, **kwargs):
+            executed.append(point.label)
+            gate.wait(timeout=60)
+            if point.setup == "droplet":
+                return failed_result(point)
+            return fake_result(point)
+
+        monkeypatch.setattr(engine_mod, "execute_point", fake_execute)
+        first = make_service(tmp_path, lease_ttl=0.9)
+        second = make_service(tmp_path, lease_ttl=0.9)
+        first.leases.owner = "first:1"
+        second.leases.owner = "second:1"
+        first.start()
+        second.start()
+        run_id = first.submit(dict(SPEC, run_id="shared", retries=0))
+        deadline = time.time() + 30
+        while (
+            second.counters["journal_adoptions"] < 1 and time.time() < deadline
+        ):
+            time.sleep(0.02)
+        assert second.counters["journal_adoptions"] == 1
+        gate.set()
+        wait_finished(first, run_id)
+        wait_finished(second, run_id)
+        assert sorted(executed) == ["PR/kron/droplet", "PR/kron/none"]
+
+        root = tmp_path / "runs"
+        finals = [
+            r["attrs"]["index"]
+            for r in spans.read_sidecar(root / "shared.spans.jsonl")
+            if r.get("k") == "I" and r.get("name") == "point.final"
+        ]
+        assert sorted(finals) == [0, 1]
+        points, _ = parse_spec(SPEC)
+        assert ledger_point_keys(root, run_id) == sorted(
+            point_key(p) for p in points
+        )
+        status = load_run_status(run_id, root=root)
+        assert [p.state for p in status.points] == ["done", "failed"]
+        assert first.drain(timeout=10)
+        assert second.drain(timeout=10)

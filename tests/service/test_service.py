@@ -623,6 +623,39 @@ class TestResultsAndParetoService:
         # The stdlib client sees the identical payload.
         assert client.fetch_results(server.url, "explicit") == payload
 
+    def test_results_endpoint_ignores_failed_records(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.runtime.points import PointError, PointResult
+        from repro.service import engine as engine_mod
+
+        def fake_execute(point, *args, **kwargs):
+            if point.setup == "droplet":
+                error = PointError(kind="ValueError", message="bad setup")
+                return PointResult(point=point, error=error)
+            return PointResult(point=point, summary={"cycles": 1})
+
+        monkeypatch.setattr(engine_mod, "execute_point", fake_execute)
+        service = make_service(tmp_path, workers=1)
+        server = ServiceHTTPServer(
+            service, port=0, access_log=tmp_path / "access.jsonl"
+        ).start()
+        try:
+            post_json(server.url + "/sweeps", dict(SPEC, run_id="half"))
+            wait_finished(service, "half")
+            _, body = get(server.url + "/sweeps/half/results")
+        finally:
+            server.stop(drain_timeout=10)
+        points, _ = parse_spec(SPEC)
+        assert json.loads(body)["points"] == {
+            point_key(points[0]): {
+                "label": points[0].label, "summary": {"cycles": 1},
+            }
+        }
+        ledger = (tmp_path / "runs" / "half.jsonl").read_text().splitlines()
+        kinds = [json.loads(line)["kind"] for line in ledger]
+        assert kinds.count("point") == 2  # the failure is journaled too
+
     def test_results_for_unknown_run_is_404(self, live_server):
         server, _, _ = live_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
