@@ -17,6 +17,11 @@ from .record import NO_DEP, DataType, MemRef
 __all__ = ["Trace", "TraceBuffer", "TraceFull"]
 
 
+#: dtypes of the finalized ``addr``, ``kind``, ``is_load``, ``dep`` and
+#: ``gap`` arrays, in that order.
+_COLUMN_DTYPES = (np.int64, np.int8, np.bool_, np.int64, np.int32)
+
+
 class TraceFull(RuntimeError):
     """Raised by :meth:`TraceBuffer.append` when the capacity cap is hit.
 
@@ -140,8 +145,8 @@ class TraceBuffer:
     Parameters
     ----------
     capacity:
-        Maximum number of references to record; ``append`` raises
-        :class:`TraceFull` beyond it.  ``None`` means unbounded.
+        Maximum number of references to record; ``append`` and ``extend``
+        raise :class:`TraceFull` beyond it.  ``None`` means unbounded.
     skip:
         Number of leading references to *discard* before recording starts
         (warm-up skipping, like the paper's region-of-interest entry after
@@ -169,6 +174,15 @@ class TraceBuffer:
         self.name = name
         self.core = core
         self._appended = 0  # virtual index counter, includes skipped refs
+        # Recorded references live in column blocks (one array per
+        # finalized column) followed by per-reference lists that
+        # ``append`` grows; ``extend`` moves the lists into a block first,
+        # so recording order is kept.  ``_list_capacity`` is what the
+        # lists may still take (``capacity`` less the blocks), so the
+        # per-reference ``full`` check costs what it did without blocks.
+        self._blocks: list[tuple[np.ndarray, ...]] = []
+        self._in_blocks = 0
+        self._list_capacity = capacity
         self._addr: list[int] = []
         self._kind: list[int] = []
         self._is_load: list[bool] = []
@@ -177,12 +191,20 @@ class TraceBuffer:
         self._phases: list[tuple[int, str]] = []
 
     def __len__(self) -> int:
-        return len(self._addr)
+        return self._in_blocks + len(self._addr)
 
     @property
     def full(self) -> bool:
         """Whether the capacity cap has been reached."""
-        return self.capacity is not None and len(self._addr) >= self.capacity
+        return (
+            self._list_capacity is not None
+            and len(self._addr) >= self._list_capacity
+        )
+
+    @property
+    def next_index(self) -> int:
+        """Virtual index the next appended reference receives."""
+        return self._appended
 
     def append(
         self,
@@ -212,6 +234,77 @@ class TraceBuffer:
         self._gap.append(gap)
         return v
 
+    def extend(
+        self,
+        addr: np.ndarray,
+        kind: np.ndarray,
+        is_load: np.ndarray,
+        dep: np.ndarray,
+        gap: np.ndarray,
+    ) -> None:
+        """Record a block of references, exactly as ``append`` would one by one.
+
+        The parallel arrays give each reference's address, kind, load
+        flag, virtual dependency index and gap; the block's references
+        take the virtual indices ``next_index, next_index + 1, ...``.
+        The per-reference rules apply in order: a reference raises
+        :class:`TraceFull` when the buffer is full (at once when the
+        capacity is 0, even inside the skip window), then ``ValueError``
+        when its dependency does not point to an earlier reference;
+        references still inside the skip window are counted but not
+        recorded.  On either error the references before the offending
+        one stay recorded, as they would after single appends.
+        """
+        columns = tuple(
+            np.asarray(column, dtype=dtype)
+            for column, dtype in zip((addr, kind, is_load, dep, gap), _COLUMN_DTYPES)
+        )
+        count = len(columns[0])
+        if any(len(column) != count for column in columns):
+            raise ValueError("block arrays must be parallel")
+        first = self._appended
+        skipped = max(self.skip - first, 0)
+        stop, error = count, None
+        if self.capacity is not None:
+            room = self.capacity - len(self)
+            fits = skipped + room if room else 0
+            if fits < count:
+                stop, error = fits, TraceFull(self.name)
+        dep = columns[3]
+        bad = np.flatnonzero(
+            (dep != NO_DEP) & ((dep < 0) | (dep >= np.arange(first, first + count)))
+        )
+        if len(bad) and bad[0] < stop:
+            stop = int(bad[0])
+            error = ValueError(
+                "dep %d out of range for index %d" % (dep[stop], first + stop)
+            )
+        self._appended = first + stop
+        if skipped < stop:
+            if self._addr:
+                self._add_block(self._list_columns())
+                for values in self._lists():
+                    values.clear()
+            self._add_block(tuple(column[skipped:stop].copy() for column in columns))
+        if error is not None:
+            raise error
+
+    def _lists(self) -> tuple[list, ...]:
+        return (self._addr, self._kind, self._is_load, self._dep, self._gap)
+
+    def _list_columns(self) -> tuple[np.ndarray, ...]:
+        """The per-reference lists as finalized column arrays."""
+        return tuple(
+            np.array(values, dtype=dtype)
+            for values, dtype in zip(self._lists(), _COLUMN_DTYPES)
+        )
+
+    def _add_block(self, columns: tuple[np.ndarray, ...]) -> None:
+        self._blocks.append(columns)
+        self._in_blocks += len(columns[0])
+        if self._list_capacity is not None:
+            self._list_capacity -= len(columns[0])
+
     def load(self, addr: int, kind: DataType, dep: int = NO_DEP, gap: int = 0) -> int:
         """Shorthand for recording a load."""
         return self.append(addr, kind, is_load=True, dep=dep, gap=gap)
@@ -228,7 +321,7 @@ class TraceBuffer:
         same-index run, so the trace starts in the correct phase without
         a pile of zero-length warm-up phases.
         """
-        self._phases.append((len(self._addr), str(label)))
+        self._phases.append((len(self), str(label)))
 
     def finalize(self) -> Trace:
         """Freeze into an array-backed :class:`Trace`.
@@ -236,7 +329,13 @@ class TraceBuffer:
         Virtual dependency indices are rebased past the skip window;
         dependencies on skipped (unrecorded) references become NO_DEP.
         """
-        dep = np.array(self._dep, dtype=np.int64)
+        columns = self._list_columns()
+        if self._blocks:
+            columns = tuple(
+                np.concatenate([block[i] for block in self._blocks] + [column])
+                for i, column in enumerate(columns)
+            )
+        addr, kind, is_load, dep, gap = columns
         if self.skip:
             dep = np.where(dep >= self.skip, dep - self.skip, NO_DEP)
         phases: list[tuple[int, str]] = []
@@ -246,11 +345,11 @@ class TraceBuffer:
             else:
                 phases.append((index, label))
         return Trace(
-            addr=np.array(self._addr, dtype=np.int64),
-            kind=np.array(self._kind, dtype=np.int8),
-            is_load=np.array(self._is_load, dtype=bool),
+            addr=addr,
+            kind=kind,
+            is_load=is_load,
             dep=dep,
-            gap=np.array(self._gap, dtype=np.int32),
+            gap=gap,
             name=self.name,
             core=self.core,
             phases=phases,

@@ -36,6 +36,7 @@ GAP_OFFSET = 2
 GAP_STRUCTURE = 1
 GAP_PROPERTY = 2
 GAP_INTERMEDIATE = 2
+GAP_STACK = 1
 
 
 class WorkloadError(RuntimeError):
@@ -100,7 +101,9 @@ class Tracer:
         keeps the intermediate data-type mix realistic (Fig. 7).
         """
         addr = self.layout.stack.addr(slot % self.layout.stack.num_elements)
-        return self.tb.append(addr, DataType.INTERMEDIATE, is_load=is_load, gap=1)
+        return self.tb.append(
+            addr, DataType.INTERMEDIATE, is_load=is_load, gap=GAP_STACK
+        )
 
     def load_intermediate(self, region, index: int, dep: int = NO_DEP) -> int:
         """Load element ``index`` of an intermediate region."""

@@ -16,10 +16,32 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..trace.record import NO_DEP
-from .base import Tracer, Workload
+from ..memory.allocator import Region
+from ..trace.buffer import TraceBuffer
+from ..trace.record import NO_DEP, DataType
+from .base import (
+    GAP_OFFSET,
+    GAP_PROPERTY,
+    GAP_STACK,
+    GAP_STRUCTURE,
+    Tracer,
+    Workload,
+)
 
 __all__ = ["PageRank"]
+
+#: Vertices per emitted block.  It bounds the arrays one block builds (a
+#: gather block holds ``3 + 2 * degree`` references per vertex) while
+#: keeping Python-level work per block, not per reference.
+BLOCK_VERTICES = 4096
+
+# (kind, is_load, gap) of each reference PageRank emits, as the
+# ``Tracer`` helpers charge them.
+_STACK = (DataType.INTERMEDIATE, True, GAP_STACK)
+_LOAD_OFFSET = (DataType.INTERMEDIATE, True, GAP_OFFSET)
+_LOAD_STRUCTURE = (DataType.STRUCTURE, True, GAP_STRUCTURE)
+_LOAD_PROPERTY = (DataType.PROPERTY, True, GAP_PROPERTY)
+_STORE_PROPERTY = (DataType.PROPERTY, False, GAP_PROPERTY)
 
 
 class PageRank(Workload):
@@ -71,6 +93,18 @@ class PageRank(Workload):
     ) -> np.ndarray:
         """Traced PageRank mirroring :meth:`reference` access-for-access.
 
+        Per vertex ``u``, the contribution pass emits a stack access, a
+        ``score[u]`` load and a ``contrib[u]`` store.  Per vertex ``v``,
+        the gather pass emits a stack access, the ``offsets[v + 1]`` load,
+        then for each CSR edge a structure load and the ``contrib`` load
+        that depends on it (the first structure load depends on the
+        offset load), and a ``score[v]`` store.  The CSR arrays alone fix
+        this order, so each pass is built in NumPy over blocks of
+        :data:`BLOCK_VERTICES` vertices and recorded with
+        :meth:`~repro.trace.buffer.TraceBuffer.extend`.  Gathered sums
+        accumulate in CSR edge order and ``delta`` in vertex order, so
+        scores are the same floats a per-reference loop computes.
+
         ``vertex_range`` restricts both passes to ``[lo, hi)`` — the
         static vertex partitioning a parallel GAP run gives each thread.
         Scores outside the range are not updated (they belong to other
@@ -84,36 +118,116 @@ class PageRank(Workload):
         score = np.full(n, 1.0 / n)
         contrib = np.zeros(n)
         base = (1.0 - damping) / n
-        load_prop = tracer.load_property
-        store_prop = tracer.store_property
-        load_struct = tracer.load_structure
-        load_off = tracer.load_offset
+        layout = tracer.layout
+        stack = layout.stack
+        score_region = layout.properties["score"]
+        contrib_region = layout.properties["contrib"]
+        blocks = [
+            np.arange(lo, min(lo + BLOCK_VERTICES, v_hi))
+            for lo in range(v_lo, v_hi, BLOCK_VERTICES)
+        ]
         for it in range(iterations):
             tracer.phase("iteration:%d" % it)
             # Contribution pass: sequential property read-modify-write.
-            for u in range(v_lo, v_hi):
-                tracer.stack_access(u)
-                load_prop("score", u)
+            for u in blocks:
+                block = _Block(tracer.tb, 3 * len(u))
+                pos = 3 * np.arange(len(u))
+                block.put(pos, stack, u % stack.num_elements, _STACK)
+                block.put(pos + 1, score_region, u, _LOAD_PROPERTY)
+                block.put(pos + 2, contrib_region, u, _STORE_PROPERTY)
+                block.record()
                 contrib[u] = score[u] / degrees[u]
-                store_prop("contrib", u)
             # Gather pass: offsets → structure stream → property gather.
             delta = 0.0
-            for v in range(v_lo, v_hi):
-                tracer.stack_access(v)
-                off_dep = load_off(v + 1)
-                start, stop = int(offsets[v]), int(offsets[v + 1])
-                total = 0.0
-                dep = off_dep
-                for j in range(start, stop):
-                    s = load_struct(j, dep=dep)
-                    dep = NO_DEP  # only the first structure load chases the offset
-                    u = int(neighbors[j])
-                    load_prop("contrib", u, dep=s)
-                    total += contrib[u]
-                new_v = base + damping * total
-                delta += abs(new_v - score[v])
-                score[v] = new_v
-                store_prop("score", v)
+            for v in blocks:
+                first_edge, stop_edge = offsets[v[0]], offsets[v[-1] + 1]
+                edge_rank = np.arange(stop_edge - first_edge)
+                degree = offsets[v + 1] - offsets[v]
+                owner = np.repeat(np.arange(len(v)), degree)
+                # Vertex k's references start after 3 per earlier vertex
+                # and 2 per earlier edge.
+                vertex_pos = 3 * np.arange(len(v)) + 2 * (offsets[v] - first_edge)
+                struct_pos = 3 * owner + 2 * edge_rank + 2
+                block = _Block(tracer.tb, 3 * len(v) + 2 * len(edge_rank))
+                block.put(vertex_pos, stack, v % stack.num_elements, _STACK)
+                block.put(vertex_pos + 1, layout.offsets, v + 1, _LOAD_OFFSET)
+                block.put(
+                    struct_pos,
+                    layout.structure,
+                    first_edge + edge_rank,
+                    _LOAD_STRUCTURE,
+                )
+                u = neighbors[first_edge:stop_edge]
+                block.put(struct_pos + 1, contrib_region, u, _LOAD_PROPERTY)
+                block.put(vertex_pos + 2 + 2 * degree, score_region, v, _STORE_PROPERTY)
+                chased = vertex_pos[degree > 0]
+                block.dep[chased + 2] = block.first + chased + 1
+                block.dep[struct_pos + 1] = block.first + struct_pos
+                block.record()
+                # bincount adds each vertex's contributions in CSR order, and
+                # cumsum (unlike sum) adds the deltas one vertex at a time.
+                total = np.bincount(owner, weights=contrib[u], minlength=len(v))
+                new = base + damping * total
+                delta = np.cumsum(np.append(delta, np.abs(new - score[v])))[-1]
+                score[v] = new
             if tolerance and delta < tolerance:
                 break
         return score
+
+
+class _Block:
+    """One block of references laid out by position, recorded at once.
+
+    ``put`` fills the positions of one reference stream with the
+    addresses of region elements, bounds-checked as ``Region.addr``
+    checks them.  ``record`` extends the buffer with every reference
+    before the first out-of-range one and then raises the ``IndexError``
+    ``Region.addr`` raises for it, so a block fails where a loop of
+    single appends would.
+    """
+
+    def __init__(self, tb: TraceBuffer, length: int):
+        self.tb = tb
+        #: Virtual trace index of the block's first reference.
+        self.first = tb.next_index
+        self.addr = np.empty(length, dtype=np.int64)
+        self.kind = np.empty(length, dtype=np.int8)
+        self.is_load = np.empty(length, dtype=bool)
+        self.dep = np.full(length, NO_DEP, dtype=np.int64)
+        self.gap = np.empty(length, dtype=np.int32)
+        self._stop = length
+        self._fault: tuple[Region, int] | None = None
+
+    def put(
+        self,
+        pos: np.ndarray,
+        region: Region,
+        index: np.ndarray,
+        ref: tuple[DataType, bool, int],
+    ) -> None:
+        """Fill increasing positions ``pos`` with ``region[index]`` refs."""
+        index = index.astype(np.int64, copy=False)
+        outside = (index < 0) | (index >= region.num_elements)
+        if outside.any():
+            i = int(np.argmax(outside))
+            if pos[i] < self._stop:
+                self._stop, self._fault = int(pos[i]), (region, int(index[i]))
+        kind, is_load, gap = ref
+        self.addr[pos] = region.base + index * region.element_size
+        self.kind[pos] = kind
+        self.is_load[pos] = is_load
+        self.gap[pos] = gap
+
+    def record(self) -> None:
+        """Extend the buffer; raises ``TraceFull``, or ``IndexError``."""
+        stop = self._stop
+        self.tb.extend(
+            self.addr[:stop],
+            self.kind[:stop],
+            self.is_load[:stop],
+            self.dep[:stop],
+            self.gap[:stop],
+        )
+        if self._fault is not None:
+            region, index = self._fault
+            region.addr(index)

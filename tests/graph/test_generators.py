@@ -1,5 +1,7 @@
 """Unit tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,53 @@ class TestKronecker:
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             kronecker(scale=0)
+
+    # sha256 of the offsets, neighbors and weights arrays; a faster
+    # sampler must build these exact graphs from the same seeds.
+    @pytest.mark.parametrize(
+        "scale, weighted, seed, digests",
+        [
+            (
+                9,
+                False,
+                1234,
+                (
+                    "bcc848d1656d696801654f10050fe1a3d9d04a7932c417fc8dd47c59bd574881",
+                    "378ba74e817107b05d30fb814fcf81af684bc618d9dcc4889dacf297c8fbee56",
+                    None,
+                ),
+            ),
+            (
+                11,
+                True,
+                3,
+                (
+                    "3194143a070049c603042d165564e5d6889cbf58f1f4f7c50425c16132797f15",
+                    "d0396e35589261c43bc0f24d358b59fadddaa1e3c48f9dcfb176f9aea4da4bbd",
+                    "93ac0d22e096785a38fff9bdd959b04d41f82b84470aaf8be97d9ada9f747a99",
+                ),
+            ),
+            (
+                14,
+                True,
+                7,
+                (
+                    "8bf80c7758ca0a4efdc71c8dec11bfc257567427140a76a9c1c75e35a93c23c2",
+                    "4ec7d463abcf5ab55c0ac4f2bd8b8de3e03564061f3beac364c8f0d1d26c88ee",
+                    "3ab987d9bd5f38594d9957e8d879defbeca119f1709b6530f0076fb6696c76a8",
+                ),
+            ),
+        ],
+    )
+    def test_pinned_graphs(self, scale, weighted, seed, digests):
+        g = kronecker(scale=scale, weighted=weighted, seed=seed)
+        assert (g.offsets.dtype, g.neighbors.dtype) == (np.int64, np.int32)
+        arrays = (g.offsets, g.neighbors, g.weights)
+        got = tuple(
+            None if a is None else hashlib.sha256(a.tobytes()).hexdigest()
+            for a in arrays
+        )
+        assert got == digests
 
 
 class TestUniformRandom:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import NO_DEP, DataType, Trace, TraceBuffer, TraceFull
 
@@ -180,3 +182,117 @@ class TestTrace:
         s = t.slice(1, 3)
         assert len(s) == 2
         assert s.dep[0] == NO_DEP  # producer fell outside the slice
+
+
+def _fill(tb, refs, block):
+    """Record ``refs`` through ``extend`` (``block``) or one ``append`` each.
+
+    Returns the error that stopped recording, as ``(type, message)``.
+    """
+    try:
+        if block:
+            columns = [np.array(column) for column in zip(*refs)] if refs else [[]] * 5
+            tb.extend(*columns)
+        else:
+            for addr, kind, is_load, dep, gap in refs:
+                tb.append(addr, DataType(kind), is_load=is_load, dep=dep, gap=gap)
+    except (TraceFull, ValueError) as error:
+        return type(error), str(error)
+    return None
+
+
+@st.composite
+def _block_cases(draw):
+    """Single appends, then a block, then more single appends.
+
+    Dependencies mostly point back to an earlier reference (or none);
+    with ``invalid`` some point at the reference itself or later.
+    """
+    lead = draw(st.integers(0, 4))
+    size = draw(st.integers(0, 10))
+    tail = draw(st.integers(0, 3))
+    invalid = draw(st.booleans())
+    refs = []
+    for v in range(lead + size + tail):
+        upper = v + 2 if invalid else v - 1
+        dep = draw(st.integers(-1, upper)) if upper >= 0 else NO_DEP
+        refs.append((
+            draw(st.integers(0, 1 << 40)),
+            draw(st.sampled_from([int(kind) for kind in DataType])),
+            draw(st.booleans()),
+            dep,
+            draw(st.integers(0, 5)),
+        ))
+    capacity = draw(st.one_of(st.none(), st.integers(0, lead + size + tail + 1)))
+    skip = draw(st.integers(0, lead + size + tail + 2))
+    return refs[:lead], refs[lead : lead + size], refs[lead + size :], capacity, skip
+
+
+class TestExtend:
+    @given(_block_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_block_finalizes_like_single_appends(self, case):
+        lead, block, tail, capacity, skip = case
+        buffers = []
+        for as_block in (True, False):
+            tb = TraceBuffer(capacity=capacity, skip=skip, name="t")
+            tb.mark_phase("lead")
+            error = _fill(tb, lead, block=False)
+            if error is None:
+                tb.mark_phase("block")
+                error = _fill(tb, block, block=as_block)
+            if error is None:
+                tb.mark_phase("tail")
+                error = _fill(tb, tail, block=False)
+            buffers.append((tb, error))
+        (tb, error), (oracle, oracle_error) = buffers
+        assert error == oracle_error
+        assert (len(tb), tb.next_index, tb.full) == (
+            len(oracle),
+            oracle.next_index,
+            oracle.full,
+        )
+        got, want = tb.finalize(), oracle.finalize()
+        for name in ("addr", "kind", "is_load", "dep", "gap"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.phases == want.phases
+
+    @pytest.mark.parametrize("dep", [3, 4])  # the reference itself, then later
+    def test_forward_or_self_dependency_rejected(self, dep):
+        tb = TraceBuffer()
+        tb.load(0, DataType.STRUCTURE)
+        with pytest.raises(ValueError, match="dep %d out of range for index 3" % dep):
+            tb.extend(
+                np.array([4, 8, 12]),
+                np.full(3, int(DataType.PROPERTY)),
+                np.ones(3, dtype=bool),
+                np.array([0, NO_DEP, dep]),
+                np.zeros(3),
+            )
+        # The references before the offending one stay recorded.
+        assert len(tb) == 3 and tb.next_index == 3
+        assert list(tb.finalize().addr) == [0, 4, 8]
+
+    @pytest.mark.parametrize("skip", [0, 5])
+    def test_zero_capacity_raises_before_recording(self, skip):
+        tb = TraceBuffer(capacity=0, skip=skip)
+        with pytest.raises(TraceFull):
+            tb.extend(
+                np.array([0, 4]),
+                np.zeros(2),
+                np.ones(2, dtype=bool),
+                np.full(2, NO_DEP),
+                np.zeros(2),
+            )
+        assert len(tb) == 0 and tb.next_index == 0
+
+    def test_block_arrays_must_be_parallel(self):
+        with pytest.raises(ValueError, match="parallel"):
+            TraceBuffer().extend(
+                np.zeros(2),
+                np.zeros(2),
+                np.ones(1, dtype=bool),
+                np.zeros(2),
+                np.zeros(2),
+            )
