@@ -48,9 +48,13 @@ class CacheConfig:
         return self.size_bytes // self.line_size
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
-    """Metadata for one resident line."""
+    """Metadata for one resident line.
+
+    The hierarchy's fill core reuses an evicted line's record for the
+    line that replaces it, so a record is built only for a free way.
+    """
 
     dirty: bool = False
     prefetched: bool = False

@@ -39,6 +39,12 @@ class HierarchyEvent(NamedTuple):
     level: str
 
 
+#: Builds a :class:`HierarchyEvent` from a ``(kind, line, level)`` tuple
+#: without the generated ``__new__``'s Python frame (the fill core's
+#: per-eviction cost).
+_new_event = tuple.__new__
+
+
 @dataclass(frozen=True)
 class AccessOutcome:
     """Result of one demand access."""
@@ -94,7 +100,10 @@ class CacheHierarchy:
     # the refills of ``demand_access`` and of the batch-replay engine's
     # cascade, stream and MPP prefetch fills, and LLC→L2 copies.  They
     # work on each Cache's raw set dictionaries (``Cache.insert`` and
-    # ``Cache.invalidate`` inlined) and count as they go.
+    # ``Cache.invalidate`` inlined) and count as they go.  A fill into a
+    # full set reuses its LRU victim's record for the incoming line, so
+    # a new CacheLine is built only for a free way (a cold set, or one a
+    # back-invalidation opened); the victim's flags live on in locals.
 
     def _fill_l1(
         self, core: int, line: int, kind: int, dirty: bool, pf: bool,
@@ -110,13 +119,23 @@ class CacheHierarchy:
         l1 = self.l1s[core]
         s = l1._sets[line % l1._num_sets]
         meta = s.get(line)
+        vline = None
         if meta is not None:
             s.move_to_end(line)
             meta.dirty = meta.dirty or dirty
-            victim = None
         else:
-            victim = s.popitem(last=False) if len(s) >= l1._assoc else None
-            s[line] = CacheLine(dirty, pf, kind)
+            if len(s) >= l1._assoc:
+                vline, meta = s.popitem(last=False)
+                vdirty = meta.dirty
+                vpf = meta.prefetched
+                vused = meta.used
+                meta.dirty = dirty
+                meta.prefetched = pf
+                meta.kind = kind
+                meta.used = False
+                s[line] = meta
+            else:
+                s[line] = CacheLine(dirty, pf, kind)
             if pf:
                 l1.stats.prefetch_fills += 1
         pollution = self.pollution
@@ -129,18 +148,17 @@ class CacheHierarchy:
                 poison.add(line)
             else:
                 poison.discard(line)
-            if poison_victim and victim is not None:
-                poison.add(victim[0])
-        if victim is None:
+            if poison_victim and vline is not None:
+                poison.add(vline)
+        if vline is None:
             return
-        vline, vmeta = victim
         l1.stats.evictions += 1
-        if vmeta.prefetched and self.trace_evictions:
-            ev = "evict_pf" if vmeta.used else "evict_unused_pf"
-            self.events.append(HierarchyEvent(ev, vline, "L1"))
+        if vpf and self.trace_evictions:
+            ev = "evict_pf" if vused else "evict_unused_pf"
+            self.events.append(_new_event(HierarchyEvent, (ev, vline, "L1")))
         if pf and pollution is not None:
             pollution.on_prefetch_eviction("L1", vline, self._pf_issuer)
-        if vmeta.dirty:
+        if vdirty:
             # The dirtiness moves to the level that holds the line.
             if self.l2s is not None:
                 l2 = self.l2s[core]
@@ -156,65 +174,81 @@ class CacheHierarchy:
             return
         l2 = self.l2s[core]
         s = l2._sets[line % l2._num_sets]
+        vline = None
         if line in s:
             s.move_to_end(line)
-            victim = None
         else:
-            victim = s.popitem(last=False) if len(s) >= l2._assoc else None
-            s[line] = CacheLine(False, pf, kind)
+            if len(s) >= l2._assoc:
+                vline, meta = s.popitem(last=False)
+                vdirty = meta.dirty
+                vpf = meta.prefetched
+                vused = meta.used
+                meta.dirty = False
+                meta.prefetched = pf
+                meta.kind = kind
+                meta.used = False
+                s[line] = meta
+            else:
+                s[line] = CacheLine(False, pf, kind)
             if pf:
                 l2.stats.prefetch_fills += 1
         pollution = self.pollution
         if pollution is not None:
             pollution.on_fill("L2", line)
-        if victim is None:
+        if vline is None:
             return
-        vline, vmeta = victim
         l2.stats.evictions += 1
-        if vmeta.prefetched and self.trace_evictions:
-            ev = "evict_pf" if vmeta.used else "evict_unused_pf"
-            self.events.append(HierarchyEvent(ev, vline, "L2"))
+        if vpf and self.trace_evictions:
+            ev = "evict_pf" if vused else "evict_unused_pf"
+            self.events.append(_new_event(HierarchyEvent, (ev, vline, "L2")))
         if pf and pollution is not None:
             pollution.on_prefetch_eviction("L2", vline, self._pf_issuer)
         # Inclusion: the L1 above must drop the line too.
-        dirty = vmeta.dirty
         l1 = self.l1s[core]
         m1 = l1._sets[vline % l1._num_sets].pop(vline, None)
         if m1 is not None:
             l1.stats.back_invalidations += 1
             if self.l1_inval_logs is not None:
                 self.l1_inval_logs[core].add(vline)
-            dirty = dirty or m1.dirty
-        if dirty:
+            vdirty = vdirty or m1.dirty
+        if vdirty:
             self._merge_dirty_l3(vline)
 
     def _fill_l3(self, line: int, kind: int, pf: bool) -> None:
         """Install ``line`` in the shared L3; the victim leaves the chip."""
         l3 = self.l3
         s = l3._sets[line % l3._num_sets]
+        vline = None
         if line in s:
             s.move_to_end(line)
-            victim = None
         else:
-            victim = s.popitem(last=False) if len(s) >= l3._assoc else None
-            s[line] = CacheLine(False, pf, kind)
+            if len(s) >= l3._assoc:
+                vline, meta = s.popitem(last=False)
+                vdirty = meta.dirty
+                vpf = meta.prefetched
+                vused = meta.used
+                meta.dirty = False
+                meta.prefetched = pf
+                meta.kind = kind
+                meta.used = False
+                s[line] = meta
+            else:
+                s[line] = CacheLine(False, pf, kind)
             if pf:
                 l3.stats.prefetch_fills += 1
         pollution = self.pollution
         if pollution is not None:
             pollution.on_fill("L3", line)
-        if victim is None:
+        if vline is None:
             return
-        vline, vmeta = victim
         l3.stats.evictions += 1
         # The prefetch ledger claims unused prefetches evicted here.
-        if vmeta.prefetched and (self.trace_evictions or not vmeta.used):
-            ev = "evict_pf" if vmeta.used else "evict_unused_pf"
-            self.events.append(HierarchyEvent(ev, vline, "L3"))
+        if vpf and (self.trace_evictions or not vused):
+            ev = "evict_pf" if vused else "evict_unused_pf"
+            self.events.append(_new_event(HierarchyEvent, (ev, vline, "L3")))
         if pf and pollution is not None:
             pollution.on_prefetch_eviction("L3", vline, self._pf_issuer)
         # Inclusion: back-invalidate every private cache.
-        dirty = vmeta.dirty
         logs = self.l1_inval_logs
         for core, l1 in enumerate(self.l1s):
             m = l1._sets[vline % l1._num_sets].pop(vline, None)
@@ -222,15 +256,15 @@ class CacheHierarchy:
                 l1.stats.back_invalidations += 1
                 if logs is not None:
                     logs[core].add(vline)
-                dirty = dirty or m.dirty
+                vdirty = vdirty or m.dirty
             if self.l2s is not None:
                 l2 = self.l2s[core]
                 m = l2._sets[vline % l2._num_sets].pop(vline, None)
                 if m is not None:
                     l2.stats.back_invalidations += 1
-                    dirty = dirty or m.dirty
-        if dirty:
-            self.events.append(HierarchyEvent("writeback", vline, "L3"))
+                    vdirty = vdirty or m.dirty
+        if vdirty:
+            self.events.append(_new_event(HierarchyEvent, ("writeback", vline, "L3")))
 
     def _merge_dirty_l3(self, line: int) -> None:
         """Mark the L3 copy of ``line`` dirty, else write the line back."""
@@ -241,7 +275,7 @@ class CacheHierarchy:
         else:
             # Inclusion violated only transiently during a back-invalidate
             # cascade; treat as an immediate writeback.
-            self.events.append(HierarchyEvent("writeback", line, "L3"))
+            self.events.append(_new_event(HierarchyEvent, ("writeback", line, "L3")))
 
     @staticmethod
     def _touch(meta) -> bool:

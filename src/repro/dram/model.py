@@ -81,9 +81,13 @@ class DRAMModel:
         self.stats = DRAMStats()
         self._demand_free_at: list[int] = [0] * self.config.num_banks
         self._any_free_at: list[int] = [0] * self.config.num_banks
+        # Read on every access: plain attributes, not config lookups.
+        self._num_banks = self.config.num_banks
+        self._bank_busy = self.config.bank_busy
+        self._device_latency = self.config.device_latency
 
     def _bank_of(self, line: int) -> int:
-        return line % self.config.num_banks
+        return line % self._num_banks
 
     def access(self, line: int, now: int, is_prefetch: bool = False) -> int:
         """Issue a read for ``line`` at time ``now``; returns total latency.
@@ -94,21 +98,27 @@ class DRAMModel:
         """
         if now < 0:
             raise ValueError("now must be non-negative")
-        bank = self._bank_of(line)
-        busy = self.config.bank_busy
+        bank = line % self._num_banks
+        stats = self.stats
+        any_free_at = self._any_free_at
         if is_prefetch:
-            start = max(now, self._any_free_at[bank])
-            self._any_free_at[bank] = start + busy
-            self.stats.prefetch_reads += 1
+            start = any_free_at[bank]
+            if now >= start:
+                start = now
+            any_free_at[bank] = start + self._bank_busy
+            stats.prefetch_reads += 1
         else:
-            start = max(now, self._demand_free_at[bank])
-            self._demand_free_at[bank] = start + busy
-            if self._any_free_at[bank] < start + busy:
-                self._any_free_at[bank] = start + busy
-            self.stats.demand_reads += 1
+            start = self._demand_free_at[bank]
+            if now >= start:
+                start = now
+            end = start + self._bank_busy
+            self._demand_free_at[bank] = end
+            if any_free_at[bank] < end:
+                any_free_at[bank] = end
+            stats.demand_reads += 1
         queue_delay = start - now
-        self.stats.total_queue_delay += queue_delay
-        return queue_delay + self.config.device_latency
+        stats.total_queue_delay += queue_delay
+        return queue_delay + self._device_latency
 
     def register_telemetry(self, registry, prefix: str = "dram") -> None:
         """Register this channel's stats under ``prefix``."""

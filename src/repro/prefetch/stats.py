@@ -73,7 +73,7 @@ class PrefetchCounters:
         return useful / denom if denom else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _LedgerEntry:
     issuer: str
     kind: DataType

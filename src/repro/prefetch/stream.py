@@ -70,12 +70,25 @@ class StreamPrefetcher(Prefetcher):
         return page * self.page_lines - 1
 
     def _allocate(self, page: int, line: int) -> StreamTracker:
-        tracker = StreamTracker(page=page, last_line=line)
-        self._trackers[page] = tracker
+        """Start tracking ``page``, which has no tracker yet.
+
+        A full table evicts its LRU tracker and reuses the record for
+        the new page, so in steady state a miss allocates nothing.
+        """
+        trackers = self._trackers
         self.tracker_allocations += 1
-        if len(self._trackers) > self.num_streams:
-            self._trackers.popitem(last=False)
+        if len(trackers) >= self.num_streams:
+            tracker = trackers.popitem(last=False)[1]
             self.tracker_evictions += 1
+            tracker.page = page
+            tracker.last_line = line
+            tracker.direction = 0
+            tracker.confidence = 0
+            tracker.active = False
+            tracker.next_prefetch = 0
+        else:
+            tracker = StreamTracker(page, line)
+        trackers[page] = tracker
         return tracker
 
     def _advance(self, tracker: StreamTracker, line: int) -> list[int]:

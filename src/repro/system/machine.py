@@ -190,6 +190,8 @@ class Machine:
         if self.setup.imp_engine is not None and layout is None:
             raise ValueError("the IMP setup requires a GraphLayout (index values)")
         self._line_size = self.config.l3.line_size
+        # Read on every prefetch issue (a property chain on the config).
+        self._dram_path = self.config.dram_base_latency
         # Disabled/absent telemetry both normalize to None, so the run
         # loop guards on a plain ``is not None`` and a disabled session
         # costs exactly nothing.
@@ -283,7 +285,7 @@ class Machine:
             return False
         kind = self.classifier.classify(line * self._line_size)
         latency = self.dram.access(line, int(now), True)
-        ready = now + latency + self.config.dram_base_latency
+        ready = now + latency + self._dram_path
         issuer = issuer or self.setup.l2_prefetcher.name
         hierarchy.prefetch_fill(core, line, kind, self.setup.fill_into_l1, issuer)
         ledger.issue(line, _DATA_TYPES[kind], ready, issuer)

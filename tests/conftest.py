@@ -2,12 +2,57 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, build_csr, kronecker, road_mesh, uniform_random
+
+#: The code a cached trace depends on.  Must match the files CI's
+#: trace-cache key hashes (``.github/workflows/ci.yml``, "Restore trace
+#: cache"); a change to one list belongs in the other.
+TRACE_CODE = (
+    "src/repro/trace",
+    "src/repro/workloads",
+    "src/repro/graph",
+    "src/repro/memory",
+    "src/repro/runtime/points.py",
+    "src/repro/runtime/trace_cache.py",
+)
+
+
+def _trace_code_digest(repo: Path) -> str:
+    """sha256 over the relative paths and contents of ``TRACE_CODE``."""
+    digest = hashlib.sha256()
+    for entry in TRACE_CODE:
+        path = repo / entry
+        files = [path] if path.is_file() else sorted(
+            p for p in path.rglob("*")
+            if p.is_file() and "__pycache__" not in p.parts
+        )
+        for f in files:
+            digest.update(f.relative_to(repo).as_posix().encode() + b"\0")
+            digest.update(f.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def pytest_configure(config):
+    """Keep test runs off traces that other code wrote.
+
+    A trace key does not cover the code that emitted the trace, so
+    unless ``REPRO_TRACE_CACHE`` is set, tests read and write traces in
+    a subdirectory of the default cache named after the trace code.
+    """
+    if "REPRO_TRACE_CACHE" not in os.environ:
+        repo = Path(__file__).resolve().parent.parent
+        os.environ["REPRO_TRACE_CACHE"] = str(
+            Path.home() / ".cache" / "repro" / "traces"
+            / ("src-" + _trace_code_digest(repo))
+        )
 
 
 @pytest.fixture(autouse=True)

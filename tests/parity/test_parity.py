@@ -7,14 +7,14 @@ must produce *bit-identical* signatures: cycles, cycle stacks, per-level
 per-type counters, DRAM statistics, and complete cache contents
 including LRU orderings (see :mod:`tests.parity.signature`).
 
-Two scopes keep PR latency bounded (the ``parity-prefetch`` CI job):
+Two scopes:
 
 * the core {none, stream, droplet} matrix always runs over all six
   workloads;
 * the extended setups (ghb, vldp, streamMPP1, adaptive, imp,
-  monoDROPLETL1) run over a reduced workload set per PR, and over all
-  six workloads when ``REPRO_PARITY_FULL=1`` (nightly / `parity-full`
-  label).
+  monoDROPLETL1) run over a reduced workload set by default, and over
+  all six workloads when ``REPRO_PARITY_FULL=1``, which the
+  ``parity-prefetch`` CI job sets on every run.
 
 Every setup replays on the fast path under ``fast_path='on'``.
 monoDROPLETL1 and imp prefetch-fill the L1, which the guaranteed-hit
