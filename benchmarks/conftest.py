@@ -3,10 +3,14 @@
 The benchmark suite regenerates every table and figure of the paper at
 full reproduction scale.  Set ``REPRO_BENCH_QUICK=1`` to run the reduced
 matrix instead (useful for smoke-testing the harness), and
-``REPRO_BENCH_WORKERS=N`` to fan the Fig. 4/11 simulation matrices out
-over ``N`` worker processes (results are bit-identical to serial runs).
-Traces come from the shared on-disk cache (``REPRO_TRACE_CACHE``), so a
-second benchmark run skips trace generation entirely.
+``REPRO_BENCH_WORKERS=N`` to fan the figures' sweep out over ``N``
+worker processes (results are bit-identical to serial runs).
+
+Every figure's points simulate in one sweep per session, the first time
+a figure benchmark asks for them (:func:`figure_results`); each figure
+benchmark then times only its fold of that sweep's results.  Traces
+come from the shared on-disk cache (``REPRO_TRACE_CACHE``), so a second
+benchmark run skips trace generation entirely.
 
 Results print as text tables; compare them against the paper-vs-measured
 record in EXPERIMENTS.md.
@@ -16,7 +20,7 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import FIGURES, ExperimentConfig, figure_points, run_points
 from repro.runtime import SweepRunner
 
 
@@ -32,13 +36,22 @@ def bench_config() -> ExperimentConfig:
 def sweep_runner() -> SweepRunner | None:
     """Parallel sweep runner when REPRO_BENCH_WORKERS asks for one.
 
-    ``None`` keeps the serial in-process path (the default), so cached
-    figure matrices stay shared across benchmark modules.
+    ``None`` keeps the serial in-process path (the default).
     """
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or 0)
     if workers < 2:
         return None
     return SweepRunner(workers=workers)
+
+
+@pytest.fixture(scope="session")
+def figure_results(bench_config, sweep_runner):
+    """Every figure's points, simulated once per session in one sweep.
+
+    Points that several figures plot (the Figs. 11–15 matrix, the Fig. 4
+    LLC sweep, the no-prefetch baseline) simulate once for all of them.
+    """
+    return run_points(figure_points(FIGURES, bench_config), sweep_runner)
 
 
 @pytest.fixture

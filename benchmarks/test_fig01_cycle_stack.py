@@ -3,9 +3,13 @@
 from repro.experiments import run_fig01
 
 
-def test_fig01_cycle_stack(benchmark, bench_config, show):
+def test_fig01_cycle_stack(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
-        run_fig01, args=(bench_config,), rounds=1, iterations=1
+        run_fig01,
+        args=(bench_config,),
+        kwargs={"results": figure_results},
+        rounds=1,
+        iterations=1,
     )
     show(result)
     row = result.rows[0]

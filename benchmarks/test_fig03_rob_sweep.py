@@ -3,9 +3,13 @@
 from repro.experiments import run_fig03
 
 
-def test_fig03_rob_sweep(benchmark, bench_config, show, full_scale):
+def test_fig03_rob_sweep(benchmark, bench_config, show, full_scale, figure_results):
     result = benchmark.pedantic(
-        run_fig03, args=(bench_config,), rounds=1, iterations=1
+        run_fig03,
+        args=(bench_config,),
+        kwargs={"results": figure_results},
+        rounds=1,
+        iterations=1,
     )
     show(result)
     if full_scale:

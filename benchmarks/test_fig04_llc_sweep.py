@@ -3,11 +3,11 @@
 from repro.experiments import run_fig04a, run_fig04b, run_fig04c
 
 
-def test_fig04a_llc_capacity(benchmark, bench_config, show, sweep_runner):
+def test_fig04a_llc_capacity(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
         run_fig04a,
         args=(bench_config,),
-        kwargs={"runner": sweep_runner},
+        kwargs={"results": figure_results},
         rounds=1,
         iterations=1,
     )
@@ -18,11 +18,11 @@ def test_fig04a_llc_capacity(benchmark, bench_config, show, sweep_runner):
     assert mean["mpki_1x"] >= mean["mpki_2x"] >= mean["mpki_4x"] >= mean["mpki_8x"]
 
 
-def test_fig04b_l2_sweep(benchmark, bench_config, show, full_scale, sweep_runner):
+def test_fig04b_l2_sweep(benchmark, bench_config, show, full_scale, figure_results):
     result = benchmark.pedantic(
         run_fig04b,
         args=(bench_config,),
-        kwargs={"runner": sweep_runner},
+        kwargs={"results": figure_results},
         rounds=1,
         iterations=1,
     )
@@ -33,11 +33,11 @@ def test_fig04b_l2_sweep(benchmark, bench_config, show, full_scale, sweep_runner
             assert abs(row["speedup_no-L2"] - 1.0) < 0.15
 
 
-def test_fig04c_offchip_by_type(benchmark, bench_config, show, sweep_runner):
+def test_fig04c_offchip_by_type(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
         run_fig04c,
         args=(bench_config,),
-        kwargs={"runner": sweep_runner},
+        kwargs={"results": figure_results},
         rounds=1,
         iterations=1,
     )

@@ -3,9 +3,13 @@
 from repro.experiments import run_fig07
 
 
-def test_fig07_hierarchy_usage(benchmark, bench_config, show):
+def test_fig07_hierarchy_usage(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
-        run_fig07, args=(bench_config,), rounds=1, iterations=1
+        run_fig07,
+        args=(bench_config,),
+        kwargs={"results": figure_results},
+        rounds=1,
+        iterations=1,
     )
     show(result)
     struct_rows = [r for r in result.rows if r["type"] == "structure"]

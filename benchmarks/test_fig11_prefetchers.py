@@ -7,11 +7,11 @@ the per-workload geomeans (Fig. 11b) print on completion.
 from repro.experiments import geomean, run_fig11a, run_fig11b
 
 
-def test_fig11a_per_cell(benchmark, bench_config, show, sweep_runner):
+def test_fig11a_per_cell(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
         run_fig11a,
         args=(bench_config,),
-        kwargs={"runner": sweep_runner},
+        kwargs={"results": figure_results},
         rounds=1,
         iterations=1,
     )
@@ -21,11 +21,11 @@ def test_fig11a_per_cell(benchmark, bench_config, show, sweep_runner):
     )
 
 
-def test_fig11b_geomeans(bench_config, show, benchmark, full_scale, sweep_runner):
+def test_fig11b_geomeans(bench_config, show, benchmark, full_scale, figure_results):
     result = benchmark.pedantic(
         run_fig11b,
         args=(bench_config,),
-        kwargs={"runner": sweep_runner},
+        kwargs={"results": figure_results},
         rounds=1,
         iterations=1,
     )

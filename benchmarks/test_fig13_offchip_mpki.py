@@ -3,9 +3,13 @@
 from repro.experiments import run_fig13
 
 
-def test_fig13_offchip_mpki(benchmark, bench_config, show):
+def test_fig13_offchip_mpki(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
-        run_fig13, args=(bench_config,), rounds=1, iterations=1
+        run_fig13,
+        args=(bench_config,),
+        kwargs={"results": figure_results},
+        rounds=1,
+        iterations=1,
     )
     show(result)
     for row in result.rows:

@@ -3,9 +3,13 @@
 from repro.experiments import run_fig14
 
 
-def test_fig14_prefetch_accuracy(benchmark, bench_config, show):
+def test_fig14_prefetch_accuracy(benchmark, bench_config, show, figure_results):
     result = benchmark.pedantic(
-        run_fig14, args=(bench_config,), rounds=1, iterations=1
+        run_fig14,
+        args=(bench_config,),
+        kwargs={"results": figure_results},
+        rounds=1,
+        iterations=1,
     )
     show(result)
     # Paper: the sequential-order algorithms (CC, PR) have the highest

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from .droplet.composite import PREFETCH_CONFIG_NAMES
 from .graph.generators import DATASET_NAMES, PAPER_DATASET_NAMES
@@ -51,28 +50,10 @@ from .workloads.registry import PAPER_WORKLOAD_ORDER
 __all__ = ["main", "build_parser"]
 
 
-def _figure_runners() -> dict[str, Callable]:
-    from . import experiments as exp
-
-    return {
-        "fig01": exp.run_fig01,
-        "fig03": exp.run_fig03,
-        "fig04a": exp.run_fig04a,
-        "fig04b": exp.run_fig04b,
-        "fig04c": exp.run_fig04c,
-        "fig05": exp.run_fig05,
-        "fig07": exp.run_fig07,
-        "fig11a": exp.run_fig11a,
-        "fig11b": exp.run_fig11b,
-        "fig12": exp.run_fig12,
-        "fig13": exp.run_fig13,
-        "fig14": exp.run_fig14,
-        "fig15": exp.run_fig15,
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from .experiments import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HPCA'19 DROPLET reproduction: simulate, characterize, "
@@ -577,13 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
-    p_fig.add_argument("name", choices=sorted(_figure_runners()) + ["all"])
+    p_fig.add_argument("name", choices=sorted(FIGURES) + ["all"])
     p_fig.add_argument("--quick", action="store_true", help="reduced matrix")
     p_fig.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="worker processes for figures with parallel drivers (4/11)",
+        help="worker processes for the figures' sweep (default: serial)",
     )
 
     sub.add_parser("tables", help="print Tables I-V and overhead report")
@@ -895,26 +876,15 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
-#: Figure runners that accept a SweepRunner for parallel execution.
-_PARALLEL_FIGURES = {"fig04a", "fig04b", "fig04c", "fig11a", "fig11b"}
-
-
 def _cmd_figure(args) -> int:
-    from .experiments.common import ExperimentConfig
+    from .experiments import FIGURES, ExperimentConfig, run_figures
+    from .runtime import SweepRunner
 
     cfg = ExperimentConfig.quick() if args.quick else ExperimentConfig()
-    runner = None
-    if args.workers >= 2:
-        from .experiments.common import make_runner
-
-        runner = make_runner(args.workers)
-    runners = _figure_runners()
-    names = sorted(runners) if args.name == "all" else [args.name]
-    for name in names:
-        if runner is not None and name in _PARALLEL_FIGURES:
-            print(runners[name](cfg, runner=runner).to_text())
-        else:
-            print(runners[name](cfg).to_text())
+    names = sorted(FIGURES) if args.name == "all" else [args.name]
+    runner = SweepRunner(workers=args.workers)
+    for result in run_figures(names, cfg, runner).values():
+        print(result.to_text())
         print()
     return 0
 

@@ -1,32 +1,41 @@
-"""Shared experiment infrastructure: configs, caching, table rendering.
+"""Shared experiment infrastructure: configs, sweeps, table rendering.
 
 Every figure module consumes an :class:`ExperimentConfig` naming the
-(workload × dataset) matrix and trace budget, and produces an
-:class:`ExperimentResult` — a titled list of report rows that renders as
-an aligned text table (the same rows/series the paper's figure plots).
+(workload × dataset) matrix and trace budget, lists the
+:class:`~repro.runtime.points.SweepPoint` s it plots, and folds their
+simulated results into an :class:`ExperimentResult` — a titled list of
+report rows that renders as an aligned text table (the same
+rows/series the paper's figure plots).
 
-Graphs, traces and simulation results are cached per-process so that the
-benchmark suite does not regenerate the same trace for every figure.
-Graphs come from the runtime's process-wide graph memo
-(:meth:`repro.runtime.points.TraceSpec.graph`).
+:func:`run_points` simulates points in one
+:class:`~repro.runtime.sweep.SweepRunner` run; nothing here memoizes
+results between runs.  Figures that plot the same points share them by
+running together (:func:`repro.experiments.run_figures`).  Traces come
+from the runtime's on-disk trace cache, graphs from its process-wide
+graph memo (:meth:`repro.runtime.points.TraceSpec.graph`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..graph.csr import CSRGraph
 from ..graph.generators import PAPER_DATASET_NAMES
 from ..workloads.base import TraceRun
 from ..workloads.registry import PAPER_WORKLOAD_ORDER, get_workload
 
+if TYPE_CHECKING:
+    from ..runtime import SweepPoint, SweepRunner
+    from ..system.machine import SimResult
+
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
+    "run_points",
     "get_graph",
     "get_trace_run",
-    "make_runner",
     "geomean",
     "render_table",
     "clear_caches",
@@ -52,6 +61,29 @@ class ExperimentConfig:
             scale_shift=-3,
         )
 
+    def cells(self) -> list[tuple[str, str]]:
+        """Every ``(workload, dataset)`` pair, workload-major."""
+        return [(w, d) for w in self.workloads for d in self.datasets]
+
+    def point(
+        self, workload: str, dataset: str, setup: str = "none", **knobs
+    ) -> SweepPoint:
+        """One cell's sweep point at this config's trace budget.
+
+        ``knobs`` are the point's machine-side fields (``llc_multiplier``,
+        ``l2_config``, ``rob_entries``).
+        """
+        from ..runtime.points import SweepPoint
+
+        return SweepPoint(
+            workload,
+            dataset,
+            setup,
+            max_refs=self.max_refs,
+            scale_shift=self.scale_shift,
+            **knobs,
+        )
+
 
 @dataclass
 class ExperimentResult:
@@ -75,24 +107,22 @@ class ExperimentResult:
         return [row.get(name) for row in self.rows]
 
 
-# ----------------------------------------------------------------------
-# Caches
-# ----------------------------------------------------------------------
-# In-process memoization sits in front of the shared on-disk trace cache
-# (repro.runtime.trace_cache): first use in a process pays one disk load
-# (or one trace generation, stored for every later experiment and run).
-_TRACE_CACHE: dict[tuple, TraceRun] = {}
-_DISK_CACHE = None
+def run_points(
+    points, runner: SweepRunner | None = None
+) -> dict[SweepPoint, SimResult]:
+    """Simulate the distinct ``points`` in one sweep.
 
+    ``runner`` defaults to a serial :class:`SweepRunner` on the default
+    trace cache, and must keep full results (``return_full``, its
+    default).  Any failed point raises
+    :class:`~repro.runtime.sweep.SweepError`.  Returns every point's full
+    :class:`SimResult`, keyed by point.
+    """
+    from ..runtime import SweepRunner
 
-def _disk_cache():
-    """The process-wide on-disk trace cache (lazily constructed)."""
-    global _DISK_CACHE
-    if _DISK_CACHE is None:
-        from ..runtime.trace_cache import TraceCache
-
-        _DISK_CACHE = TraceCache()
-    return _DISK_CACHE
+    report = (runner or SweepRunner()).run(list(dict.fromkeys(points)))
+    report.raise_errors()
+    return {p.point: p.result for p in report.points}
 
 
 def get_graph(name: str, weighted: bool = False, scale_shift: int = 0) -> CSRGraph:
@@ -107,55 +137,30 @@ def get_graph(name: str, weighted: bool = False, scale_shift: int = 0) -> CSRGra
 def get_trace_run(
     workload: str, dataset: str, max_refs: int, scale_shift: int = 0
 ) -> TraceRun:
-    """Cached workload tracing with the workload's recommended warm-up skip.
+    """One workload's trace window, after its recommended warm-up skip.
 
-    Backed by the on-disk trace cache, so traces persist across processes
-    and runs; disable with ``REPRO_TRACE_CACHE=off`` (see
-    :mod:`repro.runtime.trace_cache` for the key/invalidation rules).
+    Read through the on-disk trace cache (traced and stored on a miss),
+    so traces persist across processes and runs; disable with
+    ``REPRO_TRACE_CACHE=off`` (see :mod:`repro.runtime.trace_cache` for
+    the key/invalidation rules).
     """
-    from ..runtime.points import TraceSpec
+    from ..runtime import TraceCache, TraceSpec
 
-    key = (workload, dataset, max_refs, scale_shift)
-    if key not in _TRACE_CACHE:
-        spec = TraceSpec(
-            workload=get_workload(workload).name,
-            dataset=dataset,
-            max_refs=max_refs,
-            scale_shift=scale_shift,
-        )
-        _TRACE_CACHE[key] = _disk_cache().get_or_trace(spec)[0]
-    return _TRACE_CACHE[key]
-
-
-def make_runner(
-    workers: int,
-    timeout: float | None = None,
-    retries: int | None = None,
-):
-    """A :class:`~repro.runtime.sweep.SweepRunner` for figure drivers.
-
-    Figures re-simulate the same points across driver invocations, so
-    the runner keeps the default shared on-disk trace cache and full
-    results.  ``timeout``/``retries`` tune the resilience policy; the
-    defaults retry transient failures (worker deaths, injected faults,
-    timeouts) and fail deterministic errors fast.
-    """
-    from ..runtime import RetryPolicy, SweepRunner
-
-    retry = RetryPolicy(
-        max_attempts=max(1, (retries if retries is not None else 2) + 1),
-        timeout=timeout,
+    spec = TraceSpec(
+        workload=get_workload(workload).name,
+        dataset=dataset,
+        max_refs=max_refs,
+        scale_shift=scale_shift,
     )
-    return SweepRunner(workers=workers, retry=retry)
+    return TraceCache().get_or_trace(spec)[0]
 
 
 def clear_caches() -> None:
-    """Drop in-process cached graphs and traces (tests use this for
+    """Drop the process's memoized graphs (tests use this for
     isolation); on-disk trace-cache entries are kept."""
     from ..runtime.points import GRAPH_MEMO
 
     GRAPH_MEMO.clear()
-    _TRACE_CACHE.clear()
 
 
 # ----------------------------------------------------------------------

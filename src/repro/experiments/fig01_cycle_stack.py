@@ -7,33 +7,38 @@ optionally the full matrix) on the no-prefetch baseline.
 
 from __future__ import annotations
 
-from ..system.config import SystemConfig
-from ..system.runner import simulate
-from .common import ExperimentConfig, ExperimentResult, get_trace_run
+from .common import ExperimentConfig, ExperimentResult, run_points
 
-__all__ = ["run_fig01"]
+__all__ = ["fig01_point", "run_fig01"]
+
+
+def fig01_point(cfg: ExperimentConfig, workload: str = "PR", dataset: str = "orkut"):
+    """The plotted cell, falling back to the config's first workload/dataset."""
+    if dataset not in cfg.datasets:
+        dataset = cfg.datasets[0]
+    if workload not in cfg.workloads:
+        workload = cfg.workloads[0]
+    return cfg.point(workload, dataset)
 
 
 def run_fig01(
     cfg: ExperimentConfig | None = None,
     workload: str = "PR",
     dataset: str = "orkut",
+    results=None,
 ) -> ExperimentResult:
     """Regenerate the Fig. 1 cycle stack."""
     cfg = cfg or ExperimentConfig()
-    if dataset not in cfg.datasets:
-        dataset = cfg.datasets[0]
-    if workload not in cfg.workloads:
-        workload = cfg.workloads[0]
-    run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-    result = simulate(run, config=SystemConfig.scaled_baseline(), setup="none")
+    point = fig01_point(cfg, workload, dataset)
+    result = (results or run_points([point]))[point]
     fractions = result.cycle_stack.fractions()
-    row = {"workload": workload, "dataset": dataset}
+    row = {"workload": point.workload, "dataset": point.dataset}
     row.update({k: round(v, 3) for k, v in fractions.items()})
     row["ipc"] = round(result.ipc, 3)
     out = ExperimentResult(
         experiment="fig01",
-        title="Cycle stack of %s on %s (no-prefetch baseline)" % (workload, dataset),
+        title="Cycle stack of %s on %s (no-prefetch baseline)"
+        % (point.workload, point.dataset),
         rows=[row],
     )
     out.notes.append(

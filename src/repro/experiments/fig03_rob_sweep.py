@@ -8,44 +8,55 @@ dependency chains, not window size, bound MLP.
 
 from __future__ import annotations
 
-from ..characterization.mlp import rob_sweep
-from .common import ExperimentConfig, ExperimentResult, get_trace_run
+from .common import ExperimentConfig, ExperimentResult, run_points
 
-__all__ = ["run_fig03"]
+__all__ = ["fig03_points", "run_fig03"]
+
+
+def fig03_points(cfg: ExperimentConfig, rob_sizes: tuple[int, int] = (128, 512)):
+    """Every cell at each ROB size (no prefetching)."""
+    return [
+        cfg.point(w, d, rob_entries=rob) for w, d in cfg.cells() for rob in rob_sizes
+    ]
 
 
 def run_fig03(
     cfg: ExperimentConfig | None = None,
     rob_sizes: tuple[int, int] = (128, 512),
+    results=None,
 ) -> ExperimentResult:
     """Regenerate the Fig. 3 ROB sweep."""
     cfg = cfg or ExperimentConfig()
+    results = results or run_points(fig03_points(cfg, rob_sizes))
     out = ExperimentResult(
         experiment="fig03",
         title="4x instruction window: bandwidth-utilization delta and speedup",
     )
     speedups: list[float] = []
     bw_deltas: list[float] = []
-    for workload in cfg.workloads:
-        for dataset in cfg.datasets:
-            run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-            base, big = rob_sweep(run, rob_sizes=rob_sizes)
-            speedup = big.speedup_vs(base)
-            bw_delta = big.bandwidth_utilization - base.bandwidth_utilization
-            speedups.append(speedup)
-            bw_deltas.append(bw_delta)
-            out.rows.append(
-                {
-                    "workload": workload,
-                    "dataset": dataset,
-                    "bw_util_%dROB" % rob_sizes[0]: round(base.bandwidth_utilization, 4),
-                    "bw_util_%dROB" % rob_sizes[1]: round(big.bandwidth_utilization, 4),
-                    "bw_delta_pp": round(100 * bw_delta, 2),
-                    "speedup": round(speedup, 4),
-                    "mlp_%dROB" % rob_sizes[0]: round(base.mlp, 2),
-                    "mlp_%dROB" % rob_sizes[1]: round(big.mlp, 2),
-                }
-            )
+    for workload, dataset in cfg.cells():
+        base, big = (
+            results[cfg.point(workload, dataset, rob_entries=rob)]
+            for rob in rob_sizes
+        )
+        base_bw = base.dram_bandwidth_utilization()
+        big_bw = big.dram_bandwidth_utilization()
+        speedup = big.speedup_vs(base)
+        bw_delta = big_bw - base_bw
+        speedups.append(speedup)
+        bw_deltas.append(bw_delta)
+        out.rows.append(
+            {
+                "workload": workload,
+                "dataset": dataset,
+                "bw_util_%dROB" % rob_sizes[0]: round(base_bw, 4),
+                "bw_util_%dROB" % rob_sizes[1]: round(big_bw, 4),
+                "bw_delta_pp": round(100 * bw_delta, 2),
+                "speedup": round(speedup, 4),
+                "mlp_%dROB" % rob_sizes[0]: round(base.mlp, 2),
+                "mlp_%dROB" % rob_sizes[1]: round(big.mlp, 2),
+            }
+        )
     avg_speedup = sum(speedups) / len(speedups) if speedups else float("nan")
     avg_bw = sum(bw_deltas) / len(bw_deltas) if bw_deltas else float("nan")
     out.notes.append(

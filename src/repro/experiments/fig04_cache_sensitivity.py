@@ -6,66 +6,31 @@
   sensitivity; hit rate ~10.6% at baseline).
 * Fig. 4c — off-chip access fraction per data type vs. LLC size (paper:
   property benefits most; structure and intermediate barely move).
+
+Fig. 4a and 4c fold the same LLC-sweep points.
 """
 
 from __future__ import annotations
 
-from ..characterization.cache_sensitivity import (
-    L2SweepPoint,
-    LLCSweepPoint,
-    l2_sweep,
-    llc_sweep,
-)
-from ..system.config import SystemConfig
 from ..trace.record import DataType
-from .common import ExperimentConfig, ExperimentResult, get_trace_run
+from .common import ExperimentConfig, ExperimentResult, run_points
 
-__all__ = ["run_fig04a", "run_fig04b", "run_fig04c"]
-
-# Fig. 4a and 4c read the same LLC sweep; cache it per (cfg, cell).
-_SWEEP_CACHE: dict[tuple, list] = {}
+__all__ = ["llc_points", "l2_points", "run_fig04a", "run_fig04b", "run_fig04c"]
 
 
-def _cached_llc_sweep(cfg, workload, dataset, multipliers, runner=None):
-    key = (cfg, workload, dataset, multipliers)
-    if key not in _SWEEP_CACHE:
-        if runner is not None:
-            _SWEEP_CACHE[key] = _llc_sweep_via_runner(
-                cfg, workload, dataset, multipliers, runner
-            )
-        else:
-            run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-            _SWEEP_CACHE[key] = llc_sweep(run, multipliers=multipliers)
-    return _SWEEP_CACHE[key]
-
-
-def _llc_sweep_via_runner(cfg, workload, dataset, multipliers, runner):
-    """Fig. 4a/4c sweep through the parallel runner (bit-matches serial)."""
-    from ..runtime.points import SweepPoint
-
-    base = SystemConfig.scaled_baseline()
-    points = [
-        SweepPoint(
-            workload=workload,
-            dataset=dataset,
-            setup="none",
-            max_refs=cfg.max_refs,
-            scale_shift=cfg.scale_shift,
-            llc_multiplier=mult,
-        )
-        for mult in multipliers
-    ]
-    report = runner.run(points, config=base)
-    report.raise_errors()
+def llc_points(cfg: ExperimentConfig, multipliers: tuple[int, ...] = (1, 2, 4, 8)):
+    """Every cell at every LLC capacity multiplier (no prefetching)."""
     return [
-        LLCSweepPoint(
-            multiplier=mult,
-            size_bytes=base.l3.size_bytes * mult,
-            cycles=p.result.cycles,
-            llc_mpki=p.result.llc_mpki(),
-            offchip_fraction={dt: p.result.offchip_fraction(dt) for dt in DataType},
-        )
-        for mult, p in zip(multipliers, report.points)
+        cfg.point(w, d, llc_multiplier=m) for w, d in cfg.cells() for m in multipliers
+    ]
+
+
+def _llc_sweeps(cfg: ExperimentConfig, multipliers, runner, results):
+    """Each cell's results at each multiplier, in order."""
+    results = results or run_points(llc_points(cfg, multipliers), runner)
+    return [
+        [results[cfg.point(w, d, llc_multiplier=m)] for m in multipliers]
+        for w, d in cfg.cells()
     ]
 
 
@@ -73,6 +38,7 @@ def run_fig04a(
     cfg: ExperimentConfig | None = None,
     multipliers: tuple[int, ...] = (1, 2, 4, 8),
     runner=None,
+    results=None,
 ) -> ExperimentResult:
     """Fig. 4a: LLC MPKI and speedup vs. capacity."""
     cfg = cfg or ExperimentConfig()
@@ -81,22 +47,18 @@ def run_fig04a(
     )
     mpki_sums = {m: 0.0 for m in multipliers}
     speedup_logs = {m: [] for m in multipliers}
-    count = 0
-    for workload in cfg.workloads:
-        for dataset in cfg.datasets:
-            points = _cached_llc_sweep(cfg, workload, dataset, multipliers, runner)
-            base = points[0]
-            row = {"workload": workload, "dataset": dataset}
-            for point in points:
-                row["mpki_%dx" % point.multiplier] = round(point.llc_mpki, 2)
-                row["speedup_%dx" % point.multiplier] = round(
-                    point.speedup_vs(base), 3
-                )
-                mpki_sums[point.multiplier] += point.llc_mpki
-                speedup_logs[point.multiplier].append(point.speedup_vs(base))
-            out.rows.append(row)
-            count += 1
-    if count:
+    sweeps = _llc_sweeps(cfg, multipliers, runner, results)
+    for (workload, dataset), sweep in zip(cfg.cells(), sweeps):
+        base = sweep[0]
+        row = {"workload": workload, "dataset": dataset}
+        for m, result in zip(multipliers, sweep):
+            row["mpki_%dx" % m] = round(result.llc_mpki(), 2)
+            row["speedup_%dx" % m] = round(result.speedup_vs(base), 3)
+            mpki_sums[m] += result.llc_mpki()
+            speedup_logs[m].append(result.speedup_vs(base))
+        out.rows.append(row)
+    if sweeps:
+        count = len(sweeps)
         mean_row = {"workload": "MEAN", "dataset": ""}
         for m in multipliers:
             mean_row["mpki_%dx" % m] = round(mpki_sums[m] / count, 2)
@@ -120,60 +82,35 @@ _L2_CONFIGURATIONS = (
 )
 
 
-def _l2_sweep_via_runner(cfg, workload, dataset, runner):
-    """Fig. 4b sweep through the parallel runner (bit-matches serial)."""
-    from ..runtime.points import SweepPoint
-
-    base = SystemConfig.scaled_baseline()
-    points = [
-        SweepPoint(
-            workload=workload,
-            dataset=dataset,
-            setup="none",
-            max_refs=cfg.max_refs,
-            scale_shift=cfg.scale_shift,
-            l2_config=(mult, assoc),
-        )
-        for _, mult, assoc in _L2_CONFIGURATIONS
-    ]
-    report = runner.run(points, config=base)
-    report.raise_errors()
+def l2_points(cfg: ExperimentConfig):
+    """Every cell under every Fig. 4b L2 configuration (no prefetching)."""
     return [
-        L2SweepPoint(
-            label=label,
-            size_bytes=None if mult is None else base.l2.size_bytes * mult,
-            associativity=assoc,
-            cycles=p.result.cycles,
-            l2_hit_rate=p.result.l2_hit_rate(),
-        )
-        for (label, mult, assoc), p in zip(_L2_CONFIGURATIONS, report.points)
+        cfg.point(w, d, l2_config=(mult, assoc))
+        for w, d in cfg.cells()
+        for _, mult, assoc in _L2_CONFIGURATIONS
     ]
 
 
 def run_fig04b(
-    cfg: ExperimentConfig | None = None, runner=None
+    cfg: ExperimentConfig | None = None, runner=None, results=None
 ) -> ExperimentResult:
     """Fig. 4b: private-L2 configuration sweep (including no L2)."""
     cfg = cfg or ExperimentConfig()
+    results = results or run_points(l2_points(cfg), runner)
     out = ExperimentResult(
         experiment="fig04b", title="Private L2 sweep: hit rate and speedup"
     )
-    for workload in cfg.workloads:
-        for dataset in cfg.datasets:
-            if runner is not None:
-                points = _l2_sweep_via_runner(cfg, workload, dataset, runner)
-            else:
-                run = get_trace_run(
-                    workload, dataset, cfg.max_refs, cfg.scale_shift
-                )
-                points = l2_sweep(run)
-            baseline = next(p for p in points if p.label == "1x")
-            row = {"workload": workload, "dataset": dataset}
-            for point in points:
-                row["speedup_" + point.label] = round(point.speedup_vs(baseline), 3)
-                if point.size_bytes is not None:
-                    row["hit_" + point.label] = round(point.l2_hit_rate, 3)
-            out.rows.append(row)
+    for workload, dataset in cfg.cells():
+        sweep = {
+            label: results[cfg.point(workload, dataset, l2_config=(mult, assoc))]
+            for label, mult, assoc in _L2_CONFIGURATIONS
+        }
+        row = {"workload": workload, "dataset": dataset}
+        for label, mult, _ in _L2_CONFIGURATIONS:
+            row["speedup_" + label] = round(sweep[label].speedup_vs(sweep["1x"]), 3)
+            if mult is not None:
+                row["hit_" + label] = round(sweep[label].l2_hit_rate(), 3)
+        out.rows.append(row)
     out.notes.append(
         "paper: baseline L2 hit rate ~10.6%; 2x capacity -> 15.3%, 4x assoc -> "
         "10.9%; performance flat, and no-L2 shows no slowdown"
@@ -185,6 +122,7 @@ def run_fig04c(
     cfg: ExperimentConfig | None = None,
     multipliers: tuple[int, ...] = (1, 2, 4, 8),
     runner=None,
+    results=None,
 ) -> ExperimentResult:
     """Fig. 4c: off-chip access fraction per data type vs. LLC size."""
     cfg = cfg or ExperimentConfig()
@@ -192,21 +130,17 @@ def run_fig04c(
         experiment="fig04c",
         title="Off-chip access fraction by data type vs. LLC capacity (mean)",
     )
-    sums = {
-        m: {dt: 0.0 for dt in DataType} for m in multipliers
-    }
-    count = 0
-    for workload in cfg.workloads:
-        for dataset in cfg.datasets:
-            for point in _cached_llc_sweep(cfg, workload, dataset, multipliers, runner):
-                for dt in DataType:
-                    sums[point.multiplier][dt] += point.offchip_fraction[dt]
-            count += 1
+    sums = {m: {dt: 0.0 for dt in DataType} for m in multipliers}
+    sweeps = _llc_sweeps(cfg, multipliers, runner, results)
+    for sweep in sweeps:
+        for m, result in zip(multipliers, sweep):
+            for dt in DataType:
+                sums[m][dt] += result.offchip_fraction(dt)
     for m in multipliers:
         row = {"llc": "%dx" % m}
         for dt in DataType:
             row[dt.short_name + "_offchip_%"] = round(
-                100 * sums[m][dt] / count if count else 0.0, 2
+                100 * sums[m][dt] / len(sweeps) if sweeps else 0.0, 2
             )
         out.rows.append(row)
     out.notes.append(

@@ -18,28 +18,22 @@ def run_fig11a(
     cfg: ExperimentConfig | None = None,
     setups: tuple[str, ...] = MATRIX_SETUPS,
     runner=None,
+    results=None,
 ) -> ExperimentResult:
-    """Fig. 11a: speedup per (workload, dataset) for each configuration.
-
-    ``runner`` (a :class:`~repro.runtime.sweep.SweepRunner`) parallelizes
-    the underlying simulation matrix.
-    """
+    """Fig. 11a: speedup per (workload, dataset) for each configuration."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg, setups, runner=runner)
+    matrix = get_prefetch_matrix(cfg, setups, runner, results)
     out = ExperimentResult(
         experiment="fig11a", title="Speedup over no-prefetch baseline"
     )
-    for workload in cfg.workloads:
-        for dataset in cfg.datasets:
-            base = matrix[(workload, dataset, "none")]
-            row = {"workload": workload, "dataset": dataset}
-            for setup in setups:
-                if setup == "none":
-                    continue
-                row[setup] = round(
-                    matrix[(workload, dataset, setup)].speedup_vs(base), 3
-                )
-            out.rows.append(row)
+    for workload, dataset in cfg.cells():
+        base = matrix[(workload, dataset, "none")]
+        row = {"workload": workload, "dataset": dataset}
+        for setup in setups:
+            if setup == "none":
+                continue
+            row[setup] = round(matrix[(workload, dataset, setup)].speedup_vs(base), 3)
+        out.rows.append(row)
     return out
 
 
@@ -47,10 +41,11 @@ def run_fig11b(
     cfg: ExperimentConfig | None = None,
     setups: tuple[str, ...] = MATRIX_SETUPS,
     runner=None,
+    results=None,
 ) -> ExperimentResult:
     """Fig. 11b: per-workload geomean speedups across datasets."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg, setups, runner=runner)
+    matrix = get_prefetch_matrix(cfg, setups, runner, results)
     out = ExperimentResult(
         experiment="fig11b", title="Geomean speedup per workload (Fig. 11b)"
     )

@@ -10,28 +10,28 @@ from __future__ import annotations
 from .common import ExperimentConfig, ExperimentResult
 from .prefetch_matrix import get_prefetch_matrix
 
-__all__ = ["run_fig12"]
+__all__ = ["FIG12_SETUPS", "run_fig12"]
 
-_FIG12_SETUPS = ("none", "stream", "streamMPP1", "droplet")
+FIG12_SETUPS = ("none", "stream", "streamMPP1", "droplet")
 
 
-def run_fig12(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig12(cfg: ExperimentConfig | None = None, results=None) -> ExperimentResult:
     """Regenerate the Fig. 12 L2 hit-rate comparison."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, FIG12_SETUPS, results=results)
     out = ExperimentResult(
         experiment="fig12", title="L2 demand hit rate by prefetch configuration"
     )
     for workload in cfg.workloads:
         for dataset in cfg.datasets:
             row = {"workload": workload, "dataset": dataset}
-            for setup in _FIG12_SETUPS:
+            for setup in FIG12_SETUPS:
                 row[setup] = round(
                     matrix[(workload, dataset, setup)].l2_hit_rate(), 3
                 )
             out.rows.append(row)
         mean_row = {"workload": workload, "dataset": "MEAN"}
-        for setup in _FIG12_SETUPS:
+        for setup in FIG12_SETUPS:
             values = [
                 matrix[(workload, d, setup)].l2_hit_rate() for d in cfg.datasets
             ]

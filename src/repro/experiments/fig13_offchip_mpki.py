@@ -11,22 +11,22 @@ from ..trace.record import DataType
 from .common import ExperimentConfig, ExperimentResult
 from .prefetch_matrix import get_prefetch_matrix
 
-__all__ = ["run_fig13"]
+__all__ = ["FIG13_SETUPS", "run_fig13"]
 
-_FIG13_SETUPS = ("none", "stream", "streamMPP1", "droplet")
+FIG13_SETUPS = ("none", "stream", "streamMPP1", "droplet")
 
 
-def run_fig13(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig13(cfg: ExperimentConfig | None = None, results=None) -> ExperimentResult:
     """Regenerate the Fig. 13 demand-MPKI breakdown."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, FIG13_SETUPS, results=results)
     out = ExperimentResult(
         experiment="fig13", title="LLC demand MPKI by data type and configuration"
     )
     for workload in cfg.workloads:
         for dataset in cfg.datasets:
             row = {"workload": workload, "dataset": dataset}
-            for setup in _FIG13_SETUPS:
+            for setup in FIG13_SETUPS:
                 result = matrix[(workload, dataset, setup)]
                 row[setup + "_struct"] = round(
                     result.llc_mpki(DataType.STRUCTURE), 2

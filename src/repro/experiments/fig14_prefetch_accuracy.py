@@ -13,22 +13,22 @@ from ..trace.record import DataType
 from .common import ExperimentConfig, ExperimentResult
 from .prefetch_matrix import get_prefetch_matrix
 
-__all__ = ["run_fig14"]
+__all__ = ["FIG14_SETUPS", "run_fig14"]
 
-_FIG14_SETUPS = ("stream", "streamMPP1", "droplet")
+FIG14_SETUPS = ("stream", "streamMPP1", "droplet")
 
 
-def run_fig14(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig14(cfg: ExperimentConfig | None = None, results=None) -> ExperimentResult:
     """Regenerate the Fig. 14 prefetch-accuracy comparison."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, FIG14_SETUPS, results=results)
     out = ExperimentResult(
         experiment="fig14", title="Prefetch accuracy (%) by data type"
     )
     for workload in cfg.workloads:
         for dataset in cfg.datasets:
             row = {"workload": workload, "dataset": dataset}
-            for setup in _FIG14_SETUPS:
+            for setup in FIG14_SETUPS:
                 result = matrix[(workload, dataset, setup)]
                 row[setup + "_struct"] = round(
                     100 * result.prefetch_accuracy(DataType.STRUCTURE), 1

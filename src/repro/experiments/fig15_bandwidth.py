@@ -10,15 +10,15 @@ from __future__ import annotations
 from .common import ExperimentConfig, ExperimentResult
 from .prefetch_matrix import get_prefetch_matrix
 
-__all__ = ["run_fig15"]
+__all__ = ["FIG15_SETUPS", "run_fig15"]
 
-_FIG15_SETUPS = ("none", "stream", "streamMPP1", "droplet")
+FIG15_SETUPS = ("none", "stream", "streamMPP1", "droplet")
 
 
-def run_fig15(cfg: ExperimentConfig | None = None) -> ExperimentResult:
+def run_fig15(cfg: ExperimentConfig | None = None, results=None) -> ExperimentResult:
     """Regenerate the Fig. 15 bandwidth-overhead comparison."""
     cfg = cfg or ExperimentConfig()
-    matrix = get_prefetch_matrix(cfg)
+    matrix = get_prefetch_matrix(cfg, FIG15_SETUPS, results=results)
     out = ExperimentResult(
         experiment="fig15", title="DRAM bus accesses per kilo-instruction (BPKI)"
     )
@@ -26,7 +26,7 @@ def run_fig15(cfg: ExperimentConfig | None = None) -> ExperimentResult:
         for dataset in cfg.datasets:
             base = matrix[(workload, dataset, "none")].bpki()
             row = {"workload": workload, "dataset": dataset}
-            for setup in _FIG15_SETUPS:
+            for setup in FIG15_SETUPS:
                 row[setup] = round(matrix[(workload, dataset, setup)].bpki(), 2)
             droplet = matrix[(workload, dataset, "droplet")].bpki()
             row["droplet_extra_%"] = round(

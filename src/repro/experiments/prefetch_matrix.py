@@ -1,86 +1,44 @@
 """The shared (workload × dataset × prefetcher) simulation matrix.
 
 Figures 11–15 all read from the same set of simulations: every workload
-on every dataset under every prefetcher configuration.  This module runs
-and caches that matrix once per process so each figure module only
-formats its own view of it.
+on every dataset under every prefetcher configuration.  This module
+names those points and reads a sweep's results back as the matrix, so
+each figure module only formats its own view of it; run together
+(:func:`repro.experiments.run_figures`), the figures simulate each
+matrix point once.
 """
 
 from __future__ import annotations
 
 from ..droplet.composite import PREFETCH_CONFIG_NAMES
-from ..system.config import SystemConfig
 from ..system.machine import SimResult
-from ..system.runner import simulate
-from .common import ExperimentConfig, get_trace_run
+from .common import ExperimentConfig, run_points
 
-__all__ = [
-    "get_prefetch_matrix",
-    "matrix_points",
-    "MATRIX_SETUPS",
-    "clear_matrix_cache",
-]
+__all__ = ["get_prefetch_matrix", "matrix_points", "MATRIX_SETUPS"]
 
 #: All prefetcher configurations of Fig. 11, in plot order.
 MATRIX_SETUPS = PREFETCH_CONFIG_NAMES
-
-_MATRIX_CACHE: dict[tuple, dict[tuple[str, str, str], SimResult]] = {}
 
 
 def matrix_points(
     cfg: ExperimentConfig, setups: tuple[str, ...] = MATRIX_SETUPS
 ):
     """The matrix as :class:`~repro.runtime.points.SweepPoint` objects."""
-    from ..runtime.points import SweepPoint
-
-    return [
-        SweepPoint(
-            workload=workload,
-            dataset=dataset,
-            setup=setup,
-            max_refs=cfg.max_refs,
-            scale_shift=cfg.scale_shift,
-        )
-        for workload in cfg.workloads
-        for dataset in cfg.datasets
-        for setup in setups
-    ]
+    return [cfg.point(w, d, s) for w, d in cfg.cells() for s in setups]
 
 
 def get_prefetch_matrix(
     cfg: ExperimentConfig,
     setups: tuple[str, ...] = MATRIX_SETUPS,
-    system: SystemConfig | None = None,
     runner=None,
+    results=None,
 ) -> dict[tuple[str, str, str], SimResult]:
-    """Simulate (and cache) the full comparison matrix.
+    """The comparison matrix as ``{(workload, dataset, setup): SimResult}``.
 
-    With a :class:`~repro.runtime.sweep.SweepRunner`, the matrix points
-    fan out across its workers (results are bit-identical to the serial
-    path); serially, traces come from the shared per-process cache.
-
-    Returns ``{(workload, dataset, setup): SimResult}``.
+    Read out of ``results`` (a :func:`~.common.run_points` mapping that
+    holds the matrix points), or simulated in one sweep over ``runner``
+    (serial by default; a parallel runner's results are bit-identical).
     """
-    key = (cfg, tuple(setups), system)
-    if key in _MATRIX_CACHE:
-        return _MATRIX_CACHE[key]
-    if runner is not None:
-        report = runner.run(matrix_points(cfg, setups), config=system)
-        matrix = report.results_by_key()
-    else:
-        system = system or SystemConfig.scaled_baseline()
-        matrix = {}
-        for workload in cfg.workloads:
-            for dataset in cfg.datasets:
-                run = get_trace_run(workload, dataset, cfg.max_refs, cfg.scale_shift)
-                for setup in setups:
-                    matrix[(workload, dataset, setup)] = simulate(
-                        run, config=system, setup=setup
-                    )
-    _MATRIX_CACHE[key] = matrix
-    return matrix
-
-
-def clear_matrix_cache() -> None:
-    """Drop all cached matrices (tests use this for isolation)."""
-    _MATRIX_CACHE.clear()
+    points = matrix_points(cfg, setups)
+    results = results or run_points(points, runner)
+    return {p.key: results[p] for p in points}

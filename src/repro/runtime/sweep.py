@@ -648,48 +648,3 @@ class SweepRunner:
         self.counters["restored_points"] += metrics.restored
         self.counters["points_completed"] += metrics.total_points - metrics.errors
         self.counters["points_failed"] += metrics.errors
-
-    # ------------------------------------------------------------------
-    def compare(self, run, setups, config=None, multi_property: bool = False):
-        """Parallel :func:`~repro.system.runner.compare_setups` backend.
-
-        ``run`` is an already-materialized :class:`TraceRun`; each setup
-        simulates in its own worker (the trace ships with the task).
-        Falls back to serial execution for serial runners.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..system.config import SystemConfig
-        from ..system.runner import simulate
-
-        config = config or SystemConfig.scaled_baseline()
-        setups = list(setups)
-        if not self.parallel or len(setups) <= 1:
-            return {
-                _setup_name(s): simulate(
-                    run, config=config, setup=s, multi_property=multi_property
-                )
-                for s in setups
-            }
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(setups))
-        ) as pool:
-            futures = [
-                pool.submit(_compare_job, run, s, config, multi_property)
-                for s in setups
-            ]
-            return {
-                _setup_name(s): f.result() for s, f in zip(setups, futures)
-            }
-
-
-def _setup_name(setup) -> str:
-    """Name of a setup given either as a string or a PrefetchSetup."""
-    return setup if isinstance(setup, str) else setup.name
-
-
-def _compare_job(run, setup, config, multi_property):
-    """Worker task for :meth:`SweepRunner.compare` (module-level to pickle)."""
-    from ..system.runner import simulate
-
-    return simulate(run, config=config, setup=setup, multi_property=multi_property)

@@ -4,8 +4,7 @@
 ``compare_setups`` runs the same trace across prefetcher configurations
 (the Fig. 11 experiment shape) and returns results keyed by setup name.
 Multi-point parameter sweeps belong to :mod:`repro.runtime`, whose
-``SweepRunner`` fans points out across worker processes; ``compare_setups``
-accepts a ``workers`` argument that delegates to it.
+``SweepRunner`` fans points out across worker processes.
 """
 
 from __future__ import annotations
@@ -94,16 +93,15 @@ def compare_setups(
     ),
     config: SystemConfig | None = None,
     multi_property: bool = False,
-    workers: int | None = None,
 ) -> dict[str, SimResult]:
-    """Simulate ``run`` under several prefetcher setups.
+    """Simulate ``run`` under several prefetcher setups, in process.
 
     ``setups`` entries are configuration names or ready-made
     :class:`PrefetchSetup` objects (mixing both is fine).  The base
     config and the chased-property resolution are computed once for the
-    whole comparison, not per setup.  ``workers >= 2`` fans the setups
-    out across processes via :class:`repro.runtime.SweepRunner` — results
-    are bit-identical to the serial path.
+    whole comparison, not per setup.  To fan setups out across
+    processes, sweep :class:`~repro.runtime.points.SweepPoint` s with a
+    :class:`repro.runtime.SweepRunner` instead.
 
     Returns ``{setup_name: SimResult}``; speedups are available via
     ``results[name].speedup_vs(results["none"])``.
@@ -113,13 +111,6 @@ def compare_setups(
         s if isinstance(s, PrefetchSetup) else make_prefetch_setup(s)
         for s in setups
     ]
-    if workers is not None and workers >= 2 and len(resolved) > 1:
-        from ..runtime.sweep import SweepRunner
-
-        runner = SweepRunner(workers=workers, trace_cache=False)
-        return runner.compare(
-            run, resolved, config=config, multi_property=multi_property
-        )
     chased = _chased_properties(run, multi_property)
     return {
         setup.name: _simulate_resolved(run, config, setup, chased)

@@ -5,14 +5,18 @@ import math
 import pytest
 
 from repro.experiments import (
+    FIGURES,
     ExperimentConfig,
     ExperimentResult,
     clear_caches,
+    figure_points,
     geomean,
     get_graph,
     get_trace_run,
     render_table,
+    run_points,
 )
+from repro.runtime import PointResult, SweepReport
 
 
 class TestExperimentConfig:
@@ -41,14 +45,33 @@ class TestCaches:
         clear_caches()
         a = get_trace_run("PR", "kron", max_refs=2_000, scale_shift=-5)
         b = get_trace_run("PR", "kron", max_refs=2_000, scale_shift=-5)
-        assert a is b
+        assert a.trace.name == b.trace.name
+        assert (a.trace.addr == b.trace.addr).all()
         c = get_trace_run("PR", "kron", max_refs=3_000, scale_shift=-5)
-        assert c is not a
+        assert len(c.trace) > len(a.trace)
 
     def test_weighted_graph_for_sssp(self):
         clear_caches()
         run = get_trace_run("SSSP", "urand", max_refs=2_000, scale_shift=-5)
         assert run.weighted
+
+
+class TestRunPoints:
+    def test_one_sweep_of_the_distinct_points(self):
+        points = figure_points(FIGURES, ExperimentConfig.quick())
+        sweeps = []
+
+        class Recorder:
+            def run(self, todo):
+                sweeps.append(todo)
+                return SweepReport(
+                    points=[PointResult(p, summary={}, result=p.label) for p in todo]
+                )
+
+        results = run_points(points, Recorder())
+        assert len(sweeps) == 1
+        assert len(points) > len(sweeps[0]) == len(set(points))
+        assert results == {p: p.label for p in points}
 
 
 class TestGeomean:

@@ -1,15 +1,10 @@
 """Tests for the shared prefetch simulation matrix."""
 
-from repro.experiments import (
-    ExperimentConfig,
-    clear_matrix_cache,
-    get_prefetch_matrix,
-)
+from repro.experiments import ExperimentConfig, get_prefetch_matrix
 
 
 class TestMatrix:
     def test_full_key_coverage(self):
-        clear_matrix_cache()
         cfg = ExperimentConfig.quick()
         matrix = get_prefetch_matrix(cfg, setups=("none", "droplet"))
         expected = {
@@ -20,15 +15,7 @@ class TestMatrix:
         }
         assert set(matrix) == expected
 
-    def test_cached_across_calls(self):
-        clear_matrix_cache()
-        cfg = ExperimentConfig.quick()
-        a = get_prefetch_matrix(cfg, setups=("none",))
-        b = get_prefetch_matrix(cfg, setups=("none",))
-        assert a is b
-
     def test_distinct_configs_distinct_matrices(self):
-        clear_matrix_cache()
         a = get_prefetch_matrix(ExperimentConfig.quick(), setups=("none",))
         smaller = ExperimentConfig(
             workloads=("PR",), datasets=("kron",), max_refs=5_000, scale_shift=-3
@@ -37,7 +24,6 @@ class TestMatrix:
         assert a is not b
 
     def test_results_carry_setup_names(self):
-        clear_matrix_cache()
         cfg = ExperimentConfig(
             workloads=("PR",), datasets=("kron",), max_refs=5_000, scale_shift=-3
         )

@@ -278,17 +278,3 @@ class TestCompareSetups:
         results = compare_setups(trace_run, setups=setups)
         assert set(results) == {"none", "droplet"}
         assert results["droplet"].setup_name == "droplet"
-
-    def test_parallel_backend_matches_serial(self, trace_run):
-        setups = ("none", "stream", "droplet")
-        serial = compare_setups(trace_run, setups=setups)
-        parallel = compare_setups(trace_run, setups=setups, workers=2)
-        assert set(parallel) == set(serial)
-        for name in setups:
-            assert parallel[name].cycles == serial[name].cycles
-            assert parallel[name].llc_mpki() == serial[name].llc_mpki()
-
-    def test_runner_compare_serial_fallback(self, trace_run, tmp_path):
-        runner = serial_runner(tmp_path)
-        results = runner.compare(trace_run, ("none", "droplet"))
-        assert set(results) == {"none", "droplet"}
