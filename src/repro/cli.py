@@ -616,39 +616,42 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_spec(args) -> dict:
+    """The sweep spec a command's flags spell (``parse_spec``'s input)."""
+    names = (
+        "workloads",
+        "datasets",
+        "setups",
+        "max_refs",
+        "scale_shift",
+        "fast_path",
+        "timeout",
+        "retries",
+        "backoff",
+        "deadline",
+        "run_id",
+    )
+    values = {name: getattr(args, name, None) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _cmd_sweep(args) -> int:
     from .experiments.common import render_table
     from .reporting import save_results_payload, summarize_sweep, sweep_table_rows
-    from .runtime import (
-        FaultPlan,
-        RetryPolicy,
-        RunLedger,
-        SweepPoint,
-        SweepRunner,
-        new_run_id,
-    )
+    from .runtime import FaultPlan, RunLedger, SweepRunner, new_run_id
+    from .service.engine import parse_spec
     from .telemetry import dropped_events_note, spans
 
-    points = [
-        SweepPoint(
-            workload=workload,
-            dataset=dataset,
-            setup=setup,
-            max_refs=args.max_refs,
-            scale_shift=args.scale_shift,
-            fast_path=args.fast_path,
-        )
-        for workload in args.workloads
-        for dataset in args.datasets
-        for setup in dict.fromkeys(["none", *args.setups])
-    ]
-    retry = RetryPolicy(
-        max_attempts=max(1, args.retries + 1),
-        timeout=args.timeout,
-        backoff=args.backoff,
-    )
+    spec = _sweep_spec(args)
+    if args.resume:
+        spec["run_id"] = args.resume
+    try:
+        points, options = parse_spec(spec)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     ledger = None
-    run_id = args.resume or args.run_id
+    run_id = options["run_id"]
     if not args.no_ledger:
         run_id = run_id or new_run_id()
         ledger = RunLedger(run_id, root=args.ledger_root)
@@ -674,7 +677,7 @@ def _cmd_sweep(args) -> int:
         return_full=False,
         telemetry=args.telemetry,
         telemetry_interval=args.telemetry_interval,
-        retry=retry,
+        retry=options["retry"],
         faults=faults,
         ledger=ledger,
         tracer=tracer,
@@ -1180,26 +1183,10 @@ def _cmd_submit(args) -> int:
 
     from .service import SubmitError, submit_sweep, wait_for_run
 
-    spec: dict = {}
-    for field, value in (
-        ("workloads", args.workloads),
-        ("datasets", args.datasets),
-        ("setups", args.setups),
-        ("max_refs", args.max_refs),
-        ("scale_shift", args.scale_shift),
-        ("fast_path", args.fast_path),
-        ("timeout", args.timeout),
-        ("retries", args.retries),
-        ("backoff", args.backoff),
-        ("deadline", args.deadline),
-        ("run_id", args.run_id),
-    ):
-        if value is not None:
-            spec[field] = value
     try:
         accepted = submit_sweep(
             args.url,
-            spec,
+            _sweep_spec(args),
             max_attempts=args.submit_retries,
             backoff=args.submit_backoff,
             log=lambda message: print(message, file=sys.stderr),

@@ -15,25 +15,31 @@ The experiment layer describes *what* to simulate; this package owns
   out over a :class:`~concurrent.futures.ProcessPoolExecutor` (or runs
   them serially) with deterministic result ordering, per-point error
   capture, watchdog timeouts, bounded retry (:class:`RetryPolicy`),
-  worker-pool recovery and wall-time/cache/utilization metrics.  The
-  execution seams live beside it: :mod:`repro.runtime.executor` (how
-  one point runs, worker-process plumbing) and
-  :mod:`repro.runtime.scheduler` (the supervised pool).
+  worker-pool recovery and wall-time/cache/utilization metrics.  Its
+  attempt loop (``run_attempts``) also runs the ``repro serve``
+  daemon's points.  The execution seams live beside it:
+  :mod:`repro.runtime.executor` (how one point runs, the watchdog,
+  worker-process plumbing) and :mod:`repro.runtime.scheduler` (the
+  supervised pool).
 * :mod:`repro.runtime.status` — :func:`load_run_status` reconstructs a
   live or finished sweep's per-point state from its ledger + span
   sidecar, backing ``repro status``.
 * :mod:`repro.runtime.ledger` — append-only :class:`RunLedger` journals
-  that checkpoint completed points, enabling ``repro sweep --resume``.
+  that checkpoint completed points, enabling ``repro sweep --resume``,
+  and the ``RunJournal`` that writes a run's records and tallies its
+  :class:`SweepMetrics` for both ``repro sweep`` and ``repro serve``.
 * :mod:`repro.runtime.faults` — deterministic :class:`FaultPlan` fault
   injection (crashes, hangs, transient errors, cache corruption) used by
   the resilience tests and the CI smoke job.
 """
 
+from .executor import PointTimeout
 from .faults import FaultError, FaultPlan, WorkerCrash
 from .ledger import (
     LEDGER_FORMAT,
     LedgerError,
     RunLedger,
+    SweepMetrics,
     default_ledger_root,
     new_run_id,
     point_key,
@@ -48,14 +54,7 @@ from .status import (
     status_table_rows,
     watch,
 )
-from .sweep import (
-    PointTimeout,
-    RetryPolicy,
-    SweepError,
-    SweepMetrics,
-    SweepReport,
-    SweepRunner,
-)
+from .sweep import RetryPolicy, SweepError, SweepReport, SweepRunner
 from .trace_cache import (
     CACHE_FORMAT_VERSION,
     TraceCache,

@@ -1,12 +1,16 @@
-"""Point execution: the seam shared by serial sweeps and pool workers.
+"""Point execution: the seam shared by serial sweeps, pool workers and
+the sweep service.
 
-Carved out of ``runtime/sweep.py`` (ROADMAP item 1's scheduler /
-executor / store split): this module owns *how one point runs* —
-config resolution, trace fetch, the soft watchdog, structured error
-capture — and the module-level worker-process plumbing the
-:class:`~repro.runtime.scheduler.PoolScheduler` pickles across the pool
-boundary.  :mod:`repro.runtime.sweep` re-exports the public names, so
-existing imports keep working.
+This module owns *how one point runs* — config resolution, trace fetch,
+the watchdog, structured error capture — and the module-level
+worker-process plumbing the :class:`~repro.runtime.scheduler.PoolScheduler`
+pickles across the pool boundary.  The attempt loop around it lives in
+:mod:`repro.runtime.sweep` (:func:`~repro.runtime.sweep.run_attempts`).
+
+The watchdog is a timer thread that raises :class:`PointTimeout` in the
+point's own thread, so a ``timeout`` works wherever the point runs: on
+the main thread of a serial sweep, in a pool worker and on a ``repro
+serve`` worker thread alike.
 
 Every execution of a point is wrapped in a ``point`` span (see
 :mod:`repro.telemetry.spans`) when tracing is active: begin records land
@@ -18,7 +22,7 @@ timeline.  With tracing off the span layer costs one global read.
 
 from __future__ import annotations
 
-import signal
+import ctypes
 import threading
 import time
 from contextlib import contextmanager
@@ -42,12 +46,14 @@ POINT_TIMEOUT_KIND = "PointTimeout"
 WORKER_CRASH_KIND = "WorkerCrash"
 
 
-class PointTimeout(Exception):
+class PointTimeout(BaseException):
     """Raised inside a point when it exceeds the watchdog timeout.
 
-    The class name doubles as the structured ``PointError.kind``
-    (:data:`POINT_TIMEOUT_KIND`), in both the in-process and the
-    worker-pool execution paths.
+    A ``BaseException``, so the ``except Exception`` fallbacks inside the
+    point (a trace-cache load that drops an unreadable entry, say) let
+    it through instead of swallowing it; :func:`execute_point` catches
+    it by name.  The class name doubles as the structured
+    ``PointError.kind`` (:data:`POINT_TIMEOUT_KIND`).
     """
 
 
@@ -69,51 +75,65 @@ def resolve_point_config(point: SweepPoint, base):
     return config
 
 
+#: ``PyThreadState_SetAsyncExc(thread_id, exc)``: schedules the exception
+#: class ``exc`` in a thread; a NULL ``ctypes.py_object()`` clears it.
+_set_async_exc = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_ulong, ctypes.py_object)(
+    ("PyThreadState_SetAsyncExc", ctypes.pythonapi)
+)
+
+
 @contextmanager
 def _watchdog(seconds: float | None):
-    """SIGALRM-based per-point timeout (main thread, POSIX only).
+    """Raise :class:`PointTimeout` in this thread after ``seconds``.
 
-    Arms a one-shot interval timer that raises :class:`PointTimeout`
-    inside the running point; yields whether the watchdog is actually
-    armed.  Where unsupported (non-main thread, platforms without
-    ``setitimer``) the point runs unguarded — the parallel supervisor's
-    hard deadline still covers it.
+    A timer thread schedules the exception through
+    ``PyThreadState_SetAsyncExc``; the interpreter raises it at the
+    guarded thread's next bytecode boundary, whichever thread that is.
+    It cannot interrupt a blocking system call or a long C routine:
+    those see it only when they return, and the pool's hard deadline
+    backs them.  With no positive timeout no thread starts.  On exit
+    the timer is disarmed under a lock and an undelivered exception is
+    cleared, so code after the block never sees a late timeout.
     """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield False
+    if seconds is None or seconds <= 0:
+        yield
         return
+    target = threading.get_ident()
+    lock = threading.Lock()
+    armed, fired = True, False
 
-    def _alarm(signum, frame):
-        raise PointTimeout("point exceeded the %.1fs watchdog" % seconds)
+    def fire() -> None:
+        nonlocal fired
+        with lock:
+            if armed:
+                fired = True
+                _set_async_exc(target, PointTimeout)
 
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    timer = threading.Timer(seconds, fire)
+    timer.daemon = True
+    timer.start()
     try:
-        yield True
+        yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        with lock:
+            armed = False
+        timer.cancel()
+        if fired:
+            _set_async_exc(target, ctypes.py_object())
 
 
 def _fetch_trace(spec: TraceSpec, cache: TraceCache, memo: dict):
     """Cached trace lookup: in-memory memo first, then disk, then trace.
 
-    Returns ``(run, hit, generated)`` where ``hit`` covers both memo and
-    disk hits and ``generated`` flags an actual (re-)trace.
+    Returns ``(run, hit)`` where ``hit`` covers both memo and disk hits.
     """
     key = trace_key(spec)
     run = memo.get(key)
     if run is not None:
-        return run, True, False
+        return run, True
     run, hit = cache.get_or_trace(spec)
     memo[key] = run
-    return run, hit, not hit
+    return run, hit
 
 
 def execute_point(
@@ -136,10 +156,11 @@ def execute_point(
     which survives the pickle boundary back from worker processes.
 
     ``index``/``faults`` inject the point's scheduled faults (testing);
-    ``timeout`` arms the soft watchdog; ``attempt`` is carried onto the
-    result for retry accounting.  A :class:`PointTimeout` raised by the
-    watchdog is captured like any other failure, so both execution modes
-    report timeouts as structured ``PointError(kind="PointTimeout")``.
+    ``timeout`` arms the watchdog on the calling thread; ``attempt`` is
+    carried onto the result for retry accounting.  A
+    :class:`PointTimeout` raised by the watchdog is captured like any
+    other failure, so every execution path reports timeouts as
+    structured ``PointError(kind="PointTimeout")``.
     """
     trc = _spans.current()
     if trc is None:
@@ -199,7 +220,7 @@ def _execute_point(
                     spec=point.trace_spec,
                     in_worker=_IN_WORKER,
                 )
-            run, hit, _generated = _fetch_trace(point.trace_spec, cache, memo)
+            run, hit = _fetch_trace(point.trace_spec, cache, memo)
             telemetry = None
             if telemetry_interval is not None:
                 from ..telemetry import Telemetry
@@ -233,7 +254,9 @@ def _execute_point(
             cache_quarantined=_quarantined(),
             replay_tier=(result.fast_path or "scalar"),
         )
-    except Exception as exc:
+    except (Exception, PointTimeout) as exc:
+        if isinstance(exc, PointTimeout) and not exc.args:
+            exc.args = ("point exceeded the %.1fs watchdog" % timeout,)
         return PointResult(
             point=point,
             error=PointError.from_exception(exc),
@@ -277,7 +300,7 @@ def _worker_warm(spec: TraceSpec) -> tuple[bool, float, int]:
     """
     start = time.perf_counter()
     quarantined_before = _WORKER_CACHE.quarantined
-    run, hit, _generated = _fetch_trace(spec, _WORKER_CACHE, _WORKER_MEMO)
+    run, hit = _fetch_trace(spec, _WORKER_CACHE, _WORKER_MEMO)
     del run
     return (
         hit,

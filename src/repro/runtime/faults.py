@@ -27,8 +27,9 @@ Fault kinds
     process would take the whole sweep down), so serial and parallel
     sweeps take identical retry decisions.
 ``hang``
-    Sleeps ``hang_seconds`` — the watchdog timeout is expected to
-    interrupt it.
+    Sleeps ``hang_seconds`` in slices of at most 50 ms — the watchdog
+    timeout is expected to interrupt it.  The watchdog cannot interrupt
+    a blocking ``sleep``, so its exception lands between two slices.
 ``error``
     Raises :class:`FaultError`, a transient failure.
 ``corrupt``
@@ -206,7 +207,9 @@ class FaultPlan:
                 os._exit(CRASH_EXIT_CODE)
             raise WorkerCrash("injected worker crash at point %d" % index)
         if self._arm("hang", index):
-            time.sleep(self.hang_seconds)
+            end = time.monotonic() + self.hang_seconds
+            while (left := end - time.monotonic()) > 0:
+                time.sleep(min(left, 0.05))
 
     @staticmethod
     def _corrupt_entry(cache, spec) -> None:

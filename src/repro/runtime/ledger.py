@@ -7,6 +7,11 @@ SIGKILL, OOM, power loss — re-running it against the same ledger
 (``repro sweep --resume <run-id>``) restores the successful points and
 executes only the remainder.
 
+A :class:`RunJournal` is the one writer of a run's records: ``repro
+sweep`` (:class:`~repro.runtime.sweep.SweepRunner`) and ``repro serve``
+(:class:`~repro.service.engine.RunHandle`) both journal through it, and
+it tallies the run's :class:`SweepMetrics` from the points it settles.
+
 After the ``header``, a ``run`` record lists one run's point keys and
 labels, ``workers`` and ``mode`` (one per ``SweepRunner.run()`` call,
 one per service run); a ``point`` record journals each settled point,
@@ -41,14 +46,18 @@ import json
 import os
 import secrets
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..telemetry import spans as _spans
 from ..telemetry.tail import read_jsonl
+from .executor import POINT_TIMEOUT_KIND
 from .points import PointError, PointResult, SweepPoint
 
 __all__ = [
     "RunLedger",
+    "RunJournal",
+    "SweepMetrics",
     "LedgerError",
     "point_key",
     "new_run_id",
@@ -140,12 +149,138 @@ def result_from_record(point: SweepPoint, record: dict) -> PointResult:
     )
 
 
+@dataclass
+class SweepMetrics:
+    """Aggregate execution metrics of one sweep.
+
+    ``workers`` is the number of processes that *actually executed*
+    points: a runner built with ``workers=1`` (or 0/None) falls back to
+    the serial in-process path, and its metrics must say ``workers=1``,
+    ``mode="serial"`` — utilization is normalized by the executing
+    worker count, never by the requested pool size.
+
+    The resilience counters record recovery work: ``retries`` (extra
+    attempts scheduled), ``timeouts`` (watchdog expiries observed),
+    ``recovered_workers`` (pool respawn events after crashes or hard
+    timeouts), ``quarantined_entries`` (corrupt trace-cache entries
+    quarantined and regenerated) and ``restored`` (points restored from
+    a run ledger instead of executed).
+
+    ``events_emitted``/``events_dropped`` aggregate the per-point
+    telemetry ring-buffer accounting of a ``--telemetry`` sweep, so
+    reports (and the CLI's dropped-events warning) can surface ring
+    overflow without digging through every point payload.
+    """
+
+    workers: int = 1
+    mode: str = "serial"  # "serial" | "parallel" | "service"
+    total_points: int = 0
+    errors: int = 0
+    elapsed: float = 0.0
+    point_time: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    traces_generated: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    recovered_workers: int = 0
+    quarantined_entries: int = 0
+    restored: int = 0
+    events_emitted: int = 0
+    events_dropped: int = 0
+
+    def add_fetch(self, hit: bool | None, seconds: float, quarantined: int) -> None:
+        """Count one trace fetch: its time, cache outcome and quarantines."""
+        self.point_time += seconds
+        self.quarantined_entries += quarantined
+        if hit is True:
+            self.cache_hits += 1
+        elif hit is False:
+            self.cache_misses += 1
+            self.traces_generated += 1
+
+    @property
+    def utilization(self) -> float:
+        """Busy fraction of the worker pool: Σ point time / (elapsed × workers).
+
+        0.0 for degenerate sweeps (no elapsed time yet), and capped at
+        1.0 — timer granularity can make Σ point time marginally exceed
+        wall time on the serial path, and a ">100% busy" pool is
+        meaningless.
+        """
+        denominator = self.elapsed * max(self.workers, 1)
+        if denominator <= 0:
+            return 0.0
+        return min(1.0, self.point_time / denominator)
+
+    def as_dict(self) -> dict:
+        """JSON-safe form."""
+        return {
+            "workers": self.workers,
+            "mode": self.mode,
+            "total_points": self.total_points,
+            "errors": self.errors,
+            "elapsed_s": self.elapsed,
+            "point_time_s": self.point_time,
+            "utilization": self.utilization,
+            "trace_cache_hits": self.cache_hits,
+            "trace_cache_misses": self.cache_misses,
+            "traces_generated": self.traces_generated,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "recovered_workers": self.recovered_workers,
+            "quarantined_entries": self.quarantined_entries,
+            "restored_points": self.restored,
+            "events_emitted": self.events_emitted,
+            "events_dropped": self.events_dropped,
+        }
+
+    def to_text(self) -> str:
+        """One-line human-readable summary."""
+        text = (
+            "%d points (%d errors) in %.2fs wall / %.2fs cpu, "
+            "%d %s worker(s) at %.0f%% utilization, "
+            "trace cache %d hits / %d misses"
+            % (
+                self.total_points,
+                self.errors,
+                self.elapsed,
+                self.point_time,
+                self.workers,
+                self.mode,
+                100.0 * self.utilization,
+                self.cache_hits,
+                self.cache_misses,
+            )
+        )
+        if (
+            self.retries
+            or self.timeouts
+            or self.recovered_workers
+            or self.quarantined_entries
+            or self.restored
+        ):
+            text += (
+                "; resilience: %d retries, %d timeouts, %d pool "
+                "recoveries, %d quarantined, %d restored"
+                % (
+                    self.retries,
+                    self.timeouts,
+                    self.recovered_workers,
+                    self.quarantined_entries,
+                    self.restored,
+                )
+            )
+        return text
+
+
 class RunLedger:
     """One sweep's on-disk journal: ``<root>/<run_id>.jsonl``.
 
     Usage: construct, :meth:`open` with the sweep's settings (loads any
     existing records, writes the header on first use), :meth:`restore`
-    per point before execution, then :meth:`start_run`, :meth:`record`
+    per point before execution, then journal the run through a
+    :class:`RunJournal`, which calls :meth:`start_run`, :meth:`record`
     per settled point and :meth:`finish_run`.
     """
 
@@ -344,3 +479,115 @@ class RunLedger:
             str(self.path),
             len(self._completed),
         )
+
+
+class RunJournal:
+    """One run's journal and metrics tally.
+
+    Writes a run's records, each to whichever sink is present: the
+    ledger's ``run`` / ``point`` / ``finish`` records and the span
+    sidecar's ``sweep.run`` meta, ``point.timeout`` / ``point.retry`` /
+    ``point.final`` instants and ``sweep.finish`` record.  Figure runs
+    journal with neither.  Every settled point joins :attr:`metrics`;
+    the owner adds only what is its own (a pool's warm phase and
+    respawns) before :meth:`finish`.
+    """
+
+    def __init__(self, points, workers: int, mode: str, ledger=None, tracer=None):
+        self.points = list(points)
+        self.ledger = ledger
+        self.tracer = tracer
+        self.metrics = SweepMetrics(
+            workers=workers, mode=mode, total_points=len(self.points)
+        )
+        #: Settled results, by point index.
+        self.settled: dict[int, PointResult] = {}
+        #: Watchdog expiries per point index, for its ``point`` record.
+        self.timeouts: dict[int, int] = {}
+        self.started = time.perf_counter()
+
+    def start(self, telemetry: bool = False) -> None:
+        """Journal the ``run`` record and the ``sweep.run`` meta."""
+        if self.ledger is not None:
+            self.ledger.start_run(
+                self.points, self.metrics.workers, self.metrics.mode
+            )
+        if self.tracer is not None:
+            self.tracer.meta(
+                "sweep.run",
+                run_id=getattr(self.ledger, "run_id", None),
+                total=len(self.points),
+                labels=[p.label for p in self.points],
+                workers=self.metrics.workers,
+                mode=self.metrics.mode,
+                telemetry=telemetry,
+            )
+
+    def attempt_failed(
+        self, index: int, result: PointResult, attempt: int, retrying: bool
+    ) -> None:
+        """Count a failed attempt's timeout; journal its instants."""
+        timed_out = result.error.kind == POINT_TIMEOUT_KIND
+        if timed_out:
+            self.timeouts[index] = self.timeouts.get(index, 0) + 1
+        if self.tracer is None:
+            return
+        attrs = dict(index=index, label=result.point.label, attempt=attempt)
+        if timed_out:
+            self.tracer.event("point.timeout", **attrs)
+        if retrying:
+            self.tracer.event("point.retry", **attrs, error_kind=result.error.kind)
+
+    def settle(
+        self, index: int, point: SweepPoint, result: PointResult, restored=False
+    ) -> None:
+        """Journal one settled point (ledger first, then the timeline)."""
+        timeouts = self.timeouts.get(index, 0)
+        if self.ledger is not None:
+            self.ledger.record(point, result, timeouts=timeouts, restored=restored)
+        if self.tracer is not None:
+            attrs = dict(
+                index=index,
+                label=point.label,
+                ok=result.ok,
+                attempts=result.attempts,
+                cache_hit=result.trace_cache_hit,
+                tier=result.replay_tier,
+                wall_time=result.wall_time,
+                quarantined=result.cache_quarantined,
+                restored=restored,
+            )
+            if not result.ok:
+                attrs["error_kind"] = result.error.kind
+            self.tracer.event("point.final", **attrs)
+        self.adopt(index, result, restored, timeouts)
+
+    def adopt(
+        self, index: int, result: PointResult, restored: bool, timeouts: int = 0
+    ) -> None:
+        """Settle a point whose record is already on disk, without writing.
+
+        A restored point was executed, and counted, by the run that
+        journaled it: it adds to ``restored`` (and ``errors``) only.
+        """
+        self.settled[index] = result
+        metrics = self.metrics
+        if not result.ok:
+            metrics.errors += 1
+        if restored:
+            metrics.restored += 1
+            return
+        metrics.retries += max(0, result.attempts - 1)
+        metrics.timeouts += timeouts
+        metrics.add_fetch(
+            result.trace_cache_hit, result.wall_time or 0.0, result.cache_quarantined
+        )
+
+    def finish(self) -> None:
+        """Close the tally and journal the ``finish`` record."""
+        self.metrics.elapsed = time.perf_counter() - self.started
+        metrics = self.metrics.as_dict()
+        if self.ledger is not None:
+            self.ledger.finish_run(metrics)
+        if self.tracer is not None:
+            self.tracer.meta("sweep.finish", kind="F", metrics=metrics)

@@ -1,13 +1,13 @@
 """Pool scheduling: the supervised parallel execution seam of a sweep.
 
-Carved out of ``runtime/sweep.py`` (ROADMAP item 1's scheduler /
-executor / store split).  :class:`PoolScheduler` owns everything that
-touches the :class:`~concurrent.futures.ProcessPoolExecutor`: cache
-warming, backoff-aware submission, hard-deadline enforcement, pool
+:class:`PoolScheduler` owns everything that touches the
+:class:`~concurrent.futures.ProcessPoolExecutor`: cache warming,
+backoff-aware submission, hard-deadline enforcement, pool
 respawn/halving and the final degradation to serial execution.  Retry
-*decisions* stay on the :class:`~repro.runtime.sweep.SweepRunner`
-(``_should_retry`` is one shared policy for both execution modes); the
-scheduler only decides *where and when* points run.
+*decisions* are :meth:`~repro.runtime.sweep.RetryPolicy.should_retry`,
+the one decision every execution path takes; the scheduler only
+decides *where and when* points run, and settles them through the
+run's :class:`~repro.runtime.ledger.RunJournal`.
 
 When a span recorder is active (:func:`repro.telemetry.spans.current`)
 the scheduler journals the operational events a live ``repro status``
@@ -28,6 +28,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from functools import partial
 
 from ..telemetry import spans as _spans
 from .executor import (
@@ -86,10 +87,11 @@ class PoolScheduler:
         pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
-    def run(self, todo, config, interval, metrics, on_final):
+    def run(self, todo, config, interval, journal):
         """Execute ``todo`` over the pool; returns the warm-phase stats."""
         runner = self.runner
         policy = runner.retry
+        metrics = journal.metrics
         workers = runner.workers
         root = (
             str(runner.trace_cache.root) if runner.trace_cache.enabled else None
@@ -131,7 +133,9 @@ class PoolScheduler:
         respawns = 0
 
         def finish_or_requeue(idx, point, attempt, result):
-            if runner._should_retry(result, attempt, metrics, index=idx):
+            if policy.should_retry(
+                result, attempt, partial(journal.attempt_failed, idx)
+            ):
                 pending.append(
                     [
                         idx,
@@ -141,7 +145,7 @@ class PoolScheduler:
                     ]
                 )
             else:
-                on_final(idx, point, result)
+                journal.settle(idx, point, result)
 
         def crash_result(point, attempt, message):
             return PointResult(
@@ -196,8 +200,7 @@ class PoolScheduler:
                         [(idx, p) for idx, p, _att, _nb in remaining],
                         config,
                         interval,
-                        metrics,
-                        on_final,
+                        journal,
                         first_attempts={
                             idx: att for idx, _p, att, _nb in remaining
                         },

@@ -14,15 +14,19 @@ descriptions either serially in-process or fanned out over a
   :class:`~repro.runtime.points.PointResult`; the rest of the sweep
   completes.
 * **Resilience** — a :class:`RetryPolicy` gives every point a watchdog
-  timeout and bounded retries with exponential backoff.  Deterministic
-  failures (bad arguments, simulation bugs) fail fast; transient ones
-  (injected faults, worker deaths, timeouts, OOM kills) retry.  A broken
-  process pool is respawned — repeatedly-broken pools degrade to fewer
-  workers and ultimately to in-process serial execution — and completed
-  results are never lost.  With a :class:`~repro.runtime.ledger.RunLedger`
+  timeout and bounded retries with exponential backoff, applied by
+  :func:`run_attempts`, the one attempt loop (``repro serve`` settles
+  its points there too).  Deterministic failures (bad arguments,
+  simulation bugs) fail fast; transient ones (injected faults, worker
+  deaths, timeouts, OOM kills) retry.  A broken process pool is
+  respawned — repeatedly-broken pools degrade to fewer workers and
+  ultimately to in-process serial execution — and completed results
+  are never lost.  With a :class:`~repro.runtime.ledger.RunLedger`
   attached, the run, each settled point and the final metrics journal
-  to disk as they happen, so a killed sweep resumes from where it died
-  and ``repro status`` reads the ledger alone.
+  to disk as they happen (through the
+  :class:`~repro.runtime.ledger.RunJournal` the service also uses), so
+  a killed sweep resumes from where it died and ``repro status`` reads
+  the ledger alone.
 * **Metrics** — per-point wall time, trace-cache hit/miss counts, trace
   generation counts, aggregate worker utilization, and the resilience
   counters (retries, timeouts, pool recoveries, quarantined cache
@@ -36,34 +40,24 @@ descriptions either serially in-process or fanned out over a
   substrate behind the Chrome-trace export and the live state of
   unsettled points in ``repro status``.
 
-The execution machinery itself lives in the sibling modules this one
-re-exports from: :mod:`~repro.runtime.executor` (how one point runs,
-worker plumbing) and :mod:`~repro.runtime.scheduler` (the supervised
-pool).  On a cold cache the runner first warms the trace cache over the
-sweep's *unique* trace specs (in parallel), so the simulation phase
-never traces the same workload twice across workers.
+The execution machinery itself lives in the sibling modules:
+:mod:`~repro.runtime.executor` (how one point runs, worker plumbing)
+and :mod:`~repro.runtime.scheduler` (the supervised pool).  On a cold
+cache the runner first warms the trace cache over the sweep's *unique*
+trace specs (in parallel), so the simulation phase never traces the
+same workload twice across workers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..telemetry import spans as _spans
-from .executor import (  # noqa: F401 — re-exported; pre-split import paths
-    POINT_TIMEOUT_KIND,
-    WORKER_CRASH_KIND,
-    PointTimeout,
-    _execute_point,
-    _fetch_trace,
-    _watchdog,
-    _worker_execute,
-    _worker_init,
-    _worker_warm,
-    execute_point,
-    resolve_point_config,
-)
-from .points import PointError, PointResult, SweepPoint
+from .executor import POINT_TIMEOUT_KIND, WORKER_CRASH_KIND, execute_point
+from .ledger import RunJournal, SweepMetrics
+from .points import PointError, PointResult
 from .trace_cache import TraceCache
 
 __all__ = [
@@ -72,7 +66,7 @@ __all__ = [
     "SweepMetrics",
     "SweepError",
     "RetryPolicy",
-    "PointTimeout",
+    "run_attempts",
 ]
 
 
@@ -92,12 +86,13 @@ class RetryPolicy:
     is deterministic: retrying cannot help, so the point fails fast with
     its structured error and the sweep moves on.
 
-    ``timeout`` is enforced twice in parallel mode: a soft in-worker
-    ``SIGALRM`` watchdog that interrupts the point cleanly at
-    ``timeout`` seconds, and a supervisor-side hard deadline at
-    ``2 × timeout + 5`` that kills and respawns the pool if a worker is
-    wedged beyond signals.  Serial sweeps use the soft watchdog only
-    (when the platform supports ``setitimer`` on the main thread).
+    ``timeout`` arms the watchdog, which raises ``PointTimeout`` in the
+    point's own thread at ``timeout`` seconds: on the main thread of a
+    serial sweep, in a pool worker and on a ``repro serve`` worker
+    thread alike.  It cannot interrupt a blocking system call or a long
+    C routine, so in parallel mode a supervisor-side hard deadline at
+    ``2 × timeout + 5`` kills and respawns the pool if a worker is
+    wedged there.
     """
 
     max_attempts: int = 3
@@ -123,6 +118,19 @@ class RetryPolicy:
         """Whether ``error`` is worth retrying."""
         return error is not None and error.kind in self.transient_kinds
 
+    def should_retry(self, result: PointResult, attempt: int, on_failure) -> bool:
+        """The one retry decision: whether ``result``'s point runs again.
+
+        Every failed attempt goes to ``on_failure(result, attempt,
+        retrying)``, which counts it and journals its ``point.timeout``
+        and ``point.retry`` instants.
+        """
+        if result.ok:
+            return False
+        retrying = attempt < self.max_attempts and self.is_transient(result.error)
+        on_failure(result, attempt, retrying)
+        return retrying
+
     def delay(self, failed_attempts: int) -> float:
         """Backoff before the next attempt, after ``failed_attempts``."""
         if self.backoff <= 0:
@@ -134,121 +142,6 @@ class RetryPolicy:
     def hard_timeout(self) -> float | None:
         """Supervisor-side kill deadline backing the soft watchdog."""
         return None if self.timeout is None else self.timeout * 2.0 + 5.0
-
-
-@dataclass
-class SweepMetrics:
-    """Aggregate execution metrics of one sweep.
-
-    ``workers`` is the number of processes that *actually executed*
-    points: a runner built with ``workers=1`` (or 0/None) falls back to
-    the serial in-process path, and its metrics must say ``workers=1``,
-    ``mode="serial"`` — utilization is normalized by the executing
-    worker count, never by the requested pool size.
-
-    The resilience counters record recovery work: ``retries`` (extra
-    attempts scheduled), ``timeouts`` (watchdog expiries observed),
-    ``recovered_workers`` (pool respawn events after crashes or hard
-    timeouts), ``quarantined_entries`` (corrupt trace-cache entries
-    quarantined and regenerated) and ``restored`` (points restored from
-    a run ledger instead of executed).
-
-    ``events_emitted``/``events_dropped`` aggregate the per-point
-    telemetry ring-buffer accounting of a ``--telemetry`` sweep, so
-    reports (and the CLI's dropped-events warning) can surface ring
-    overflow without digging through every point payload.
-    """
-
-    workers: int = 1
-    mode: str = "serial"  # "serial" | "parallel"
-    total_points: int = 0
-    errors: int = 0
-    elapsed: float = 0.0
-    point_time: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    traces_generated: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    recovered_workers: int = 0
-    quarantined_entries: int = 0
-    restored: int = 0
-    events_emitted: int = 0
-    events_dropped: int = 0
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of the worker pool: Σ point time / (elapsed × workers).
-
-        0.0 for degenerate sweeps (no elapsed time yet), and capped at
-        1.0 — timer granularity can make Σ point time marginally exceed
-        wall time on the serial path, and a ">100% busy" pool is
-        meaningless.
-        """
-        denominator = self.elapsed * max(self.workers, 1)
-        if denominator <= 0:
-            return 0.0
-        return min(1.0, self.point_time / denominator)
-
-    def as_dict(self) -> dict:
-        """JSON-safe form."""
-        return {
-            "workers": self.workers,
-            "mode": self.mode,
-            "total_points": self.total_points,
-            "errors": self.errors,
-            "elapsed_s": self.elapsed,
-            "point_time_s": self.point_time,
-            "utilization": self.utilization,
-            "trace_cache_hits": self.cache_hits,
-            "trace_cache_misses": self.cache_misses,
-            "traces_generated": self.traces_generated,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "recovered_workers": self.recovered_workers,
-            "quarantined_entries": self.quarantined_entries,
-            "restored_points": self.restored,
-            "events_emitted": self.events_emitted,
-            "events_dropped": self.events_dropped,
-        }
-
-    def to_text(self) -> str:
-        """One-line human-readable summary."""
-        text = (
-            "%d points (%d errors) in %.2fs wall / %.2fs cpu, "
-            "%d %s worker(s) at %.0f%% utilization, "
-            "trace cache %d hits / %d misses"
-            % (
-                self.total_points,
-                self.errors,
-                self.elapsed,
-                self.point_time,
-                self.workers,
-                self.mode,
-                100.0 * self.utilization,
-                self.cache_hits,
-                self.cache_misses,
-            )
-        )
-        if (
-            self.retries
-            or self.timeouts
-            or self.recovered_workers
-            or self.quarantined_entries
-            or self.restored
-        ):
-            text += (
-                "; resilience: %d retries, %d timeouts, %d pool "
-                "recoveries, %d quarantined, %d restored"
-                % (
-                    self.retries,
-                    self.timeouts,
-                    self.recovered_workers,
-                    self.quarantined_entries,
-                    self.restored,
-                )
-            )
-        return text
 
 
 @dataclass
@@ -327,6 +220,28 @@ class SweepReport:
         return out
 
 
+def run_attempts(
+    execute, policy: RetryPolicy, on_failure, attempt: int = 1
+) -> PointResult:
+    """The one attempt loop: run a point until it settles.
+
+    ``execute(attempt=n)`` runs one attempt; a failed one goes to
+    ``on_failure`` and runs again after the policy's backoff while
+    :meth:`RetryPolicy.should_retry` says so.  Serial sweeps, the pool's
+    serial fallback and the sweep service's worker threads settle
+    points here; the pool takes the same decision but requeues instead
+    of sleeping.
+    """
+    while True:
+        result = execute(attempt=attempt)
+        if not policy.should_retry(result, attempt, on_failure):
+            return result
+        delay = policy.delay(attempt)
+        if delay > 0:
+            time.sleep(delay)
+        attempt += 1
+
+
 # ----------------------------------------------------------------------
 class SweepRunner:
     """Executes sweeps of simulation points, serially or across processes.
@@ -395,8 +310,6 @@ class SweepRunner:
         self.ledger = ledger
         self.tracer = tracer
         self._memo: dict = {}
-        #: Watchdog timeouts per point index of the current run.
-        self._timeouts: dict[int, int] = {}
         #: Lifetime resilience tallies (across runs) backing the
         #: telemetry gauges registered by :meth:`register_telemetry`.
         self.counters: dict[str, int] = {
@@ -450,14 +363,14 @@ class SweepRunner:
 
         points = list(points)
         config = config or SystemConfig.scaled_baseline()
-        start = time.perf_counter()
         interval = self.telemetry_interval if self.telemetry else None
-        metrics = SweepMetrics(
+        journal = RunJournal(
+            points,
             workers=self.workers if self.parallel else 1,
             mode="parallel" if self.parallel else "serial",
+            ledger=self.ledger,
+            tracer=tracer,
         )
-
-        slots: dict[int, PointResult] = {}
         if self.ledger is not None:
             self.ledger.open(
                 telemetry=self.telemetry,
@@ -466,178 +379,67 @@ class SweepRunner:
             for idx, point in enumerate(points):
                 restored = self.ledger.restore(point)
                 if restored is not None:
-                    slots[idx] = restored
-            self.ledger.start_run(points, metrics.workers, metrics.mode)
-        todo = [(i, p) for i, p in enumerate(points) if i not in slots]
-        self._timeouts = {}
-
-        if tracer is not None:
-            tracer.meta(
-                "sweep.run",
-                run_id=getattr(self.ledger, "run_id", None),
-                total=len(points),
-                labels=[p.label for p in points],
-                workers=metrics.workers,
-                mode=metrics.mode,
-                telemetry=self.telemetry,
-            )
-
-        def on_final(idx: int, point: SweepPoint, result: PointResult) -> None:
-            slots[idx] = result
-            if self.ledger is not None:
-                self.ledger.record(
-                    point, result, timeouts=self._timeouts.get(idx, 0)
-                )
-            if tracer is not None:
-                attrs = dict(
-                    index=idx,
-                    label=point.label,
-                    ok=result.ok,
-                    attempts=result.attempts,
-                    cache_hit=result.trace_cache_hit,
-                    tier=result.replay_tier,
-                    wall_time=result.wall_time,
-                    quarantined=result.cache_quarantined,
-                    restored=False,
-                )
-                if not result.ok:
-                    attrs["error_kind"] = result.error.kind
-                tracer.event("point.final", **attrs)
+                    journal.adopt(idx, restored, restored=True)
+        journal.start(telemetry=self.telemetry)
+        todo = [(i, p) for i, p in enumerate(points) if i not in journal.settled]
 
         warm_stats: list[tuple[bool, float, int]] = []
         if self.parallel and todo:
-            warm_stats = self._run_parallel(
-                todo, config, interval, metrics, on_final
-            )
+            warm_stats = self._run_parallel(todo, config, interval, journal)
         else:
-            self._run_serial(todo, config, interval, metrics, on_final)
+            self._run_serial(todo, config, interval, journal)
 
-        results = [slots[i] for i in range(len(points))]
-        self._finalize_metrics(
-            metrics, results, warm_stats, time.perf_counter() - start
-        )
-        self._accumulate(metrics)
-        if self.ledger is not None:
-            self.ledger.finish_run(metrics.as_dict())
-        if tracer is not None:
-            tracer.meta("sweep.finish", kind="F", metrics=metrics.as_dict())
-        return SweepReport(points=results, metrics=metrics)
-
-    # ------------------------------------------------------------------
-    def _should_retry(
-        self,
-        result: PointResult,
-        attempt: int,
-        metrics: SweepMetrics,
-        index: int | None = None,
-    ) -> bool:
-        """One retry decision shared by the serial and parallel paths.
-
-        Every metric increment here has a 1:1 span-sidecar instant
-        (``point.timeout`` / ``point.retry``), so a live ``repro status``
-        can derive the resilience counters exactly from the timeline.
-        """
-        if result.ok:
-            return False
-        trc = _spans.current()
-        if result.error.kind == POINT_TIMEOUT_KIND:
-            metrics.timeouts += 1
-            self._timeouts[index] = self._timeouts.get(index, 0) + 1
-            if trc is not None:
-                trc.event(
-                    "point.timeout",
-                    index=index,
-                    label=result.point.label,
-                    attempt=attempt,
-                )
-        if attempt < self.retry.max_attempts and self.retry.is_transient(
-            result.error
-        ):
-            metrics.retries += 1
-            if trc is not None:
-                trc.event(
-                    "point.retry",
-                    index=index,
-                    label=result.point.label,
-                    attempt=attempt,
-                    error_kind=result.error.kind,
-                )
-            return True
-        return False
-
-    def _run_serial(
-        self,
-        todo,
-        config,
-        interval,
-        metrics: SweepMetrics,
-        on_final,
-        first_attempts: dict[int, int] | None = None,
-    ) -> None:
-        """In-process execution with the same retry/timeout decisions."""
-        for idx, point in todo:
-            attempt = (first_attempts or {}).get(idx, 1)
-            while True:
-                result = execute_point(
-                    point,
-                    config,
-                    self.trace_cache,
-                    self._memo,
-                    self.return_full,
-                    telemetry_interval=interval,
-                    index=idx,
-                    faults=self.faults,
-                    timeout=self.retry.timeout,
-                    attempt=attempt,
-                )
-                if not self._should_retry(result, attempt, metrics, index=idx):
-                    on_final(idx, point, result)
-                    break
-                delay = self.retry.delay(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-
-    def _run_parallel(
-        self, todo, config, interval, metrics: SweepMetrics, on_final
-    ) -> list[tuple[bool, float, int]]:
-        """Fan ``todo`` out over the supervised pool scheduler."""
-        from .scheduler import PoolScheduler
-
-        return PoolScheduler(self).run(todo, config, interval, metrics, on_final)
-
-    # ------------------------------------------------------------------
-    def _finalize_metrics(
-        self, metrics: SweepMetrics, results, warm_stats, elapsed
-    ) -> None:
-        metrics.total_points = len(results)
-        metrics.errors = sum(1 for r in results if not r.ok)
-        metrics.elapsed = elapsed
+        results = [journal.settled[i] for i in range(len(points))]
+        metrics = journal.metrics
         for hit, seconds, quarantined in warm_stats:
-            metrics.point_time += seconds
-            metrics.quarantined_entries += quarantined
-            if hit:
-                metrics.cache_hits += 1
-            else:
-                metrics.cache_misses += 1
-                metrics.traces_generated += 1
+            metrics.add_fetch(hit, seconds, quarantined)
         for r in results:
             if r.telemetry:
                 events = r.telemetry.get("events") or {}
                 metrics.events_emitted += int(events.get("emitted", 0))
                 metrics.events_dropped += int(events.get("dropped", 0))
-            if r.restored:
-                # Restored points were executed (and accounted) by the
-                # run that journaled them; only count them as restored.
-                metrics.restored += 1
-                continue
-            metrics.point_time += r.wall_time
-            metrics.quarantined_entries += r.cache_quarantined
-            if r.trace_cache_hit is True:
-                metrics.cache_hits += 1
-            elif r.trace_cache_hit is False:
-                metrics.cache_misses += 1
-                metrics.traces_generated += 1
+        journal.finish()
+        self._accumulate(metrics)
+        return SweepReport(points=results, metrics=metrics)
+
+    # ------------------------------------------------------------------
+    def _run_serial(
+        self,
+        todo,
+        config,
+        interval,
+        journal: RunJournal,
+        first_attempts: dict[int, int] | None = None,
+    ) -> None:
+        """In-process execution through the shared attempt loop."""
+        for idx, point in todo:
+            execute = partial(
+                execute_point,
+                point,
+                config,
+                self.trace_cache,
+                self._memo,
+                self.return_full,
+                telemetry_interval=interval,
+                index=idx,
+                faults=self.faults,
+                timeout=self.retry.timeout,
+            )
+            result = run_attempts(
+                execute,
+                self.retry,
+                partial(journal.attempt_failed, idx),
+                attempt=(first_attempts or {}).get(idx, 1),
+            )
+            journal.settle(idx, point, result)
+
+    def _run_parallel(
+        self, todo, config, interval, journal: RunJournal
+    ) -> list[tuple[bool, float, int]]:
+        """Fan ``todo`` out over the supervised pool scheduler."""
+        from .scheduler import PoolScheduler
+
+        return PoolScheduler(self).run(todo, config, interval, journal)
 
     def _accumulate(self, metrics: SweepMetrics) -> None:
         """Fold one run's metrics into the lifetime telemetry counters."""

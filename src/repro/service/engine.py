@@ -55,11 +55,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from ..runtime.executor import POINT_TIMEOUT_KIND, execute_point
 from ..runtime.faults import ServiceFaultPlan
 from ..runtime.ledger import (
+    RunJournal,
     RunLedger,
     default_ledger_root,
     new_run_id,
@@ -67,8 +69,9 @@ from ..runtime.ledger import (
     result_from_record,
 )
 from ..runtime.points import PointError, PointResult, SweepPoint
-from ..runtime.sweep import RetryPolicy, SweepMetrics
+from ..runtime.sweep import RetryPolicy, run_attempts
 from ..runtime.trace_cache import TraceCache
+from ..system.config import SystemConfig
 from ..telemetry import spans as _spans
 from ..telemetry.registry import MetricRegistry
 from ..telemetry.tail import JsonlTailer
@@ -120,14 +123,14 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
     The spec mirrors ``repro sweep``'s flags field-for-field (the CLI's
     ``--workloads`` list is the spec's ``workloads`` key, and so on),
     with the same defaults, so a sweep can move between the CLI and the
-    service by serializing its arguments.  Raises :class:`ValueError`
-    with an operator-readable message on any unknown field or value —
-    the HTTP layer maps that to a 400.
+    service by serializing its arguments; ``repro sweep`` builds its
+    points and :class:`~repro.runtime.sweep.RetryPolicy` here too.
+    Raises :class:`ValueError` with an operator-readable message on any
+    unknown field or value — the HTTP layer maps that to a 400, the CLI
+    to exit status 2.
 
-    ``timeout`` is accepted but has no effect in the service: the
-    ``SIGALRM`` watchdog arms only on the main thread, and service
-    workers are threads, so a point runs to completion however long it
-    takes.
+    ``timeout`` arms each point's watchdog, which fires on the service's
+    worker threads as it does in a CLI sweep.
     """
     from ..droplet.composite import PREFETCH_CONFIG_NAMES
     from ..graph.generators import PAPER_DATASET_NAMES
@@ -188,8 +191,11 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         ) from None
     if max_refs <= 0:
         raise ValueError("max_refs must be positive")
-    if deadline is not None and deadline <= 0:
-        raise ValueError("deadline must be a positive number of seconds")
+    if retries < 0:
+        raise ValueError("retries must not be negative")
+    for name, seconds in (("timeout", timeout), ("deadline", deadline)):
+        if seconds is not None and seconds <= 0:
+            raise ValueError("%s must be a positive number of seconds" % name)
     run_id = spec.get("run_id")
     if run_id is not None and (
         not isinstance(run_id, str) or not run_id or any(c in run_id for c in "/\\")
@@ -336,21 +342,16 @@ class Job:
     taken over mid-execution — its result is discarded, never written.
     """
 
-    __slots__ = ("key", "point", "retry", "timeout", "state", "result",
-                 "subscribers", "attempt", "timeouts", "not_before",
-                 "lease", "stolen")
+    __slots__ = ("key", "point", "retry", "state", "subscribers", "attempt",
+                 "not_before", "lease", "stolen")
 
-    def __init__(self, key: str, point: SweepPoint, retry: RetryPolicy,
-                 timeout: float | None):
+    def __init__(self, key: str, point: SweepPoint, retry: RetryPolicy):
         self.key = key
         self.point = point
         self.retry = retry
-        self.timeout = timeout
         self.state = QUEUED
-        self.result: PointResult | None = None
         self.subscribers: list[dict] = []
         self.attempt = 1
-        self.timeouts = 0
         self.not_before = 0.0
         self.lease = None
         self.stolen = False
@@ -359,13 +360,12 @@ class Job:
 class RunHandle:
     """One submission's artifacts: ledger, span sidecar, settle tracking.
 
-    Journals exactly what a CLI sweep with a ledger journals — a ``run``
-    ledger record and ``sweep.run`` meta on submit (``mode="service"``),
-    one ledger record and ``point.final`` instant per settled point, and
-    a ``finish`` ledger record and ``sweep.finish`` meta carrying a
-    :class:`~repro.runtime.sweep.SweepMetrics` dict — so ``repro
-    status`` (and the HTTP status endpoint, which *is* ``repro status``)
-    reconstructs the run with no service-specific code path.
+    Journals through the same :class:`~repro.runtime.ledger.RunJournal`
+    a CLI sweep uses (``mode="service"``), so ``repro status`` (and the
+    HTTP status endpoint, which *is* ``repro status``) reconstructs the
+    run with no service-specific code path.  The handle adds only what
+    is the daemon's: the single-writer election, crash-recovery
+    adoption, the deadline and ``on_finish``.
 
     With ``resume=True`` (journal replay after a crash, or adopting a
     peer's submission) the handle first folds its ledger: every point
@@ -392,7 +392,6 @@ class RunHandle:
     ):
         self.run_id = run_id
         self.points = points
-        self.workers = workers
         self.leases = leases
         self.spec_digest = spec_digest
         self.deadline_at = deadline_at
@@ -402,30 +401,14 @@ class RunHandle:
         self.tracer = _spans.SpanRecorder(
             sidecar=_spans.sidecar_path(self.ledger.path)
         )
-        self.settled: dict[int, PointResult] = {}
+        self.journal = RunJournal(
+            points, workers, "service", ledger=self.ledger, tracer=self.tracer
+        )
+        #: Settled results by point index (the journal's own map).
+        self.settled = self.journal.settled
         self.finished = False
-        self.started = time.perf_counter()
-        self.tallies = {
-            "retries": 0,
-            "timeouts": 0,
-            "restored": 0,
-            "errors": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "quarantined": 0,
-            "point_time": 0.0,
-        }
         if self._once("meta"):
-            self.ledger.start_run(points, workers, "service")
-            self.tracer.meta(
-                "sweep.run",
-                run_id=run_id,
-                total=len(points),
-                labels=[p.label for p in points],
-                workers=workers,
-                mode="service",
-                telemetry=False,
-            )
+            self.journal.start()
         if resume:
             self._rebuild()
 
@@ -435,22 +418,6 @@ class RunHandle:
         if self.leases is None:
             return True
         return self.leases.once("%s-%s" % (what, self.run_id))
-
-    def _tally(self, result: PointResult, restored: bool,
-               timeouts: int) -> None:
-        if not result.ok:
-            self.tallies["errors"] += 1
-        if restored:
-            self.tallies["restored"] += 1
-            return
-        self.tallies["point_time"] += result.wall_time or 0.0
-        self.tallies["retries"] += max(0, result.attempts - 1)
-        self.tallies["timeouts"] += timeouts
-        if result.trace_cache_hit is True:
-            self.tallies["cache_hits"] += 1
-        elif result.trace_cache_hit is False:
-            self.tallies["cache_misses"] += 1
-        self.tallies["quarantined"] += result.cache_quarantined
 
     def _rebuild(self) -> None:
         """Adopt what this run's ledger already holds (crash recovery).
@@ -467,29 +434,12 @@ class RunHandle:
 
     # ------------------------------------------------------------------
     def settle(self, index: int, point: SweepPoint, result: PointResult,
-               restored: bool, timeouts: int = 0) -> None:
+               restored: bool) -> None:
         """Record one settled point: ledger first, then the timeline."""
         if index in self.settled:
             return  # already adopted/settled (recovery or deadline race)
-        self.ledger.record(point, result, timeouts=timeouts, restored=restored)
-        attrs = dict(
-            index=index,
-            label=point.label,
-            ok=result.ok,
-            attempts=result.attempts,
-            cache_hit=result.trace_cache_hit,
-            tier=result.replay_tier,
-            wall_time=result.wall_time,
-            restored=restored,
-            quarantined=result.cache_quarantined,
-        )
-        if not result.ok:
-            attrs["error_kind"] = result.error.kind
-        self._tally(result, restored, timeouts)
-        self.tracer.event("point.final", **attrs)
-        self.settled[index] = result
-        if len(self.settled) == len(self.points):
-            self._finish()
+        self.journal.settle(index, point, result, restored=restored)
+        self._finish_if_settled()
 
     def adopt(self, index: int, point: SweepPoint, record: dict) -> None:
         """Settle a point from a record already in this run's ledger.
@@ -502,32 +452,20 @@ class RunHandle:
         if index in self.settled:
             return
         data = record.get("data", {})
-        result = result_from_record(point, record)
-        self._tally(result, restored=bool(data.get("restored")),
-                    timeouts=int(data.get("timeouts") or 0))
-        self.settled[index] = result
-        if len(self.settled) == len(self.points):
-            self._finish()
+        self.journal.adopt(
+            index,
+            result_from_record(point, record),
+            restored=bool(data.get("restored")),
+            timeouts=int(data.get("timeouts") or 0),
+        )
+        self._finish_if_settled()
 
-    def _finish(self) -> None:
+    def _finish_if_settled(self) -> None:
+        if len(self.settled) < len(self.points):
+            return
         self.finished = True
         if self._once("finish"):
-            metrics = SweepMetrics(
-                workers=self.workers,
-                mode="service",
-                total_points=len(self.points),
-                errors=self.tallies["errors"],
-                elapsed=time.perf_counter() - self.started,
-                point_time=self.tallies["point_time"],
-                cache_hits=self.tallies["cache_hits"],
-                cache_misses=self.tallies["cache_misses"],
-                retries=self.tallies["retries"],
-                timeouts=self.tallies["timeouts"],
-                quarantined_entries=self.tallies["quarantined"],
-                restored=self.tallies["restored"],
-            ).as_dict()
-            self.ledger.finish_run(metrics)
-            self.tracer.meta("sweep.finish", kind="F", metrics=metrics)
+            self.journal.finish()
         if self.on_finish is not None:
             self.on_finish(self)
 
@@ -564,7 +502,7 @@ class SweepService:
         self.leases = LeaseManager(self.root, ttl=lease_ttl)
         self._journal_tail = JsonlTailer(self.journal.path)
         self._memo: dict = {}
-        self._config = None
+        self._config = SystemConfig.scaled_baseline()
         self._cv = threading.Condition()
         self._queue: deque[Job] = deque()
         self._jobs: dict[str, Job] = {}  # in-flight, by point key
@@ -813,7 +751,7 @@ class SweepService:
                 )
             job.subscribers.append(entry)
             return
-        job = Job(key, point, retry=options["retry"], timeout=options["timeout"])
+        job = Job(key, point, retry=options["retry"])
         job.subscribers.append({"handle": handle, "index": index, "span": None})
         self._jobs[key] = job
         self._queue.append(job)
@@ -995,51 +933,35 @@ class SweepService:
 
     # ------------------------------------------------------------------
     def _execute(self, job: Job) -> PointResult:
-        """Run one job with the service-side retry loop."""
-        if self._config is None:
-            from ..system.config import SystemConfig
+        """Run one job through the shared attempt loop."""
+        return run_attempts(
+            partial(self._attempt, job), job.retry,
+            partial(self._attempt_failed, job),
+        )
 
-            self._config = SystemConfig.scaled_baseline()
-        attempt = 1
-        job.timeouts = 0
-        while True:
-            job.attempt = attempt
-            result = execute_point(
-                job.point, self._config, self.cache, self._memo,
-                return_full=False, timeout=job.timeout, attempt=attempt,
-            )
-            if result.ok:
-                return result
-            with self._cv:
-                if result.error.kind == POINT_TIMEOUT_KIND:
-                    self.counters["timeouts"] += 1
-                    job.timeouts += 1
-                    for entry in job.subscribers:
-                        entry["handle"].tracer.event(
-                            "point.timeout", index=entry["index"],
-                            label=job.point.label, attempt=attempt,
-                        )
-                retrying = (
-                    attempt < job.retry.max_attempts
-                    and job.retry.is_transient(result.error)
+    def _attempt(self, job: Job, attempt: int) -> PointResult:
+        job.attempt = attempt
+        return execute_point(
+            job.point, self._config, self.cache, self._memo,
+            return_full=False, timeout=job.retry.timeout, attempt=attempt,
+        )
+
+    def _attempt_failed(self, job: Job, result: PointResult, attempt: int,
+                        retrying: bool) -> None:
+        """Count a failed attempt and journal it in every subscribed run."""
+        with self._cv:
+            if result.error.kind == POINT_TIMEOUT_KIND:
+                self.counters["timeouts"] += 1
+            if retrying:
+                self.counters["retries"] += 1
+            for entry in job.subscribers:
+                entry["handle"].journal.attempt_failed(
+                    entry["index"], result, attempt, retrying
                 )
-                if retrying:
-                    self.counters["retries"] += 1
-                    for entry in job.subscribers:
-                        entry["handle"].tracer.event(
-                            "point.retry", index=entry["index"],
-                            label=job.point.label, attempt=attempt,
-                            error_kind=result.error.kind,
-                        )
-            if not retrying:
-                return result
-            time.sleep(job.retry.delay(attempt))
-            attempt += 1
 
     def _settle_job(self, job: Job, result: PointResult) -> None:
         """Deliver one finished execution to every subscribed run."""
         job.state = DONE
-        job.result = result
         self._jobs.pop(job.key, None)
         self.counters["points_executed"] += 1
         self._exec_time += result.wall_time
@@ -1065,8 +987,7 @@ class SweepService:
                 if not result.ok:
                     span.set(error_kind=result.error.kind)
                 handle.tracer.finish(span)
-            handle.settle(entry["index"], job.point, result, restored=False,
-                          timeouts=job.timeouts)
+            handle.settle(entry["index"], job.point, result, restored=False)
 
     # ------------------------------------------------------------------
     def _housekeeper(self) -> None:

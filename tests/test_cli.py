@@ -431,6 +431,34 @@ class TestSweepResilience:
         assert "repro status broken" in err
 
 
+class TestSweepSpecGrammar:
+    """``repro sweep`` validates its flags with the service's spec parser."""
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--max-refs", "0", {"max_refs": 0}),
+            ("--timeout", "0", {"timeout": 0}),
+            ("--retries", "-1", {"retries": -1}),
+        ],
+    )
+    def test_bad_value_exits_2_with_the_spec_message(
+        self, capsys, tmp_path, monkeypatch, flag, value, field
+    ):
+        from repro.service import parse_spec
+
+        monkeypatch.setenv("REPRO_RUN_LEDGER", str(tmp_path / "runs"))
+        code = main(
+            ["sweep", "--workloads", "PR", "--datasets", "kron",
+             flag, value, "--no-trace-cache"]
+        )
+        assert code == 2
+        with pytest.raises(ValueError) as spec_error:
+            parse_spec(field)
+        assert str(spec_error.value) in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
 class TestStatusAndTrend:
     """Tentpole CLI verbs: live/post-hoc run status and cross-run trends."""
 
