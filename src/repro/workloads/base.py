@@ -22,8 +22,10 @@ import abc
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..graph.csr import CSRGraph
-from ..memory.allocator import GraphLayout
+from ..memory.allocator import GraphLayout, Region
 from ..trace.buffer import Trace, TraceBuffer, TraceFull
 from ..trace.record import NO_DEP, DataType
 
@@ -37,6 +39,22 @@ GAP_STRUCTURE = 1
 GAP_PROPERTY = 2
 GAP_INTERMEDIATE = 2
 GAP_STACK = 1
+
+#: Vertices per emitted block.  It bounds the arrays one block builds
+#: (a block holds a few references per vertex and per edge of its
+#: vertices) while keeping Python-level work per block, not per
+#: reference.
+BLOCK_VERTICES = 4096
+
+# (kind, is_load, gap) of each reference a block emitter puts, as the
+# ``Tracer`` helpers charge them.
+STACK_ACCESS = (DataType.INTERMEDIATE, True, GAP_STACK)
+LOAD_OFFSET = (DataType.INTERMEDIATE, True, GAP_OFFSET)
+LOAD_STRUCTURE = (DataType.STRUCTURE, True, GAP_STRUCTURE)
+LOAD_PROPERTY = (DataType.PROPERTY, True, GAP_PROPERTY)
+STORE_PROPERTY = (DataType.PROPERTY, False, GAP_PROPERTY)
+LOAD_INTERMEDIATE = (DataType.INTERMEDIATE, True, GAP_INTERMEDIATE)
+STORE_INTERMEDIATE = (DataType.INTERMEDIATE, False, GAP_INTERMEDIATE)
 
 
 class WorkloadError(RuntimeError):
@@ -116,6 +134,157 @@ class Tracer:
         return self.tb.store(
             region.addr(index), DataType.INTERMEDIATE, dep=dep, gap=GAP_INTERMEDIATE
         )
+
+
+class Block:
+    """One block of references laid out by position, recorded at once.
+
+    ``put`` fills the positions of one reference stream with the
+    addresses of region elements, bounds-checked as ``Region.addr``
+    checks them.  ``record`` extends the buffer with every reference
+    before the first out-of-range one and then raises the ``IndexError``
+    ``Region.addr`` raises for it, so a block fails where a loop of
+    single appends would.
+    """
+
+    def __init__(self, tb: TraceBuffer, length: int):
+        self.tb = tb
+        #: Virtual trace index of the block's first reference.
+        self.first = tb.next_index
+        self.addr = np.empty(length, dtype=np.int64)
+        self.kind = np.empty(length, dtype=np.int8)
+        self.is_load = np.empty(length, dtype=bool)
+        self.dep = np.full(length, NO_DEP, dtype=np.int64)
+        self.gap = np.empty(length, dtype=np.int32)
+        self._stop = length
+        self._fault: tuple[Region, int] | None = None
+
+    def put(
+        self,
+        pos: np.ndarray,
+        region: Region,
+        index: np.ndarray,
+        ref: tuple[DataType, bool, int],
+        dep: np.ndarray | None = None,
+    ) -> None:
+        """Fill increasing positions ``pos`` with ``region[index]`` refs.
+
+        ``dep``, when given, holds the block positions of the loads the
+        references depend on.
+        """
+        index = index.astype(np.int64, copy=False)
+        outside = (index < 0) | (index >= region.num_elements)
+        if outside.any():
+            i = int(np.argmax(outside))
+            if pos[i] < self._stop:
+                self._stop, self._fault = int(pos[i]), (region, int(index[i]))
+        kind, is_load, gap = ref
+        self.addr[pos] = region.base + index * region.element_size
+        self.kind[pos] = kind
+        self.is_load[pos] = is_load
+        self.gap[pos] = gap
+        if dep is not None:
+            self.dep[pos] = self.first + dep
+
+    def record(self) -> None:
+        """Extend the buffer; raises ``TraceFull``, or ``IndexError``."""
+        stop = self._stop
+        self.tb.extend(
+            self.addr[:stop],
+            self.kind[:stop],
+            self.is_load[:stop],
+            self.dep[:stop],
+            self.gap[:stop],
+        )
+        if self._fault is not None:
+            region, index = self._fault
+            region.addr(index)
+
+
+def adjacency(
+    offsets: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR edges of ``vertices``, in visiting order.
+
+    Returns each vertex's degree, and for each edge its owner (an index
+    into ``vertices``) and its CSR position.
+    """
+    start = offsets[vertices]
+    degree = offsets[vertices + 1] - start
+    owner = np.repeat(np.arange(len(vertices)), degree)
+    edges = np.arange(len(owner)) + (start - (np.cumsum(degree) - degree))[owner]
+    return degree, owner, edges
+
+
+def first_claims(targets: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+    """The first of the ``eligible`` edges to each distinct target.
+
+    Returns edge indices in edge order: the edges that claim a target a
+    traversal finds unvisited.
+    """
+    candidates = np.flatnonzero(eligible)
+    first = np.unique(targets[candidates], return_index=True)[1]
+    return np.sort(candidates[first])
+
+
+class VisitBlock(Block):
+    """A block over worklist vertices that each walk their CSR edges.
+
+    Vertex ``k`` emits three references, then ``edge_refs[e]`` for each
+    of its edges ``e`` in order, then ``tail[k]``.  The first three are
+    the ones every worklist visit makes and :meth:`put_visits` puts: a
+    stack access, the worklist load and the ``offsets[u + 1]`` load
+    that depends on it.  Each edge starts with two more: the structure
+    load, which for a vertex's first edge depends on the offset load,
+    and the dependent load of the neighbor's gathered property.
+    ``vertex_pos``, ``edge_pos`` and ``tail_pos`` are where each
+    vertex, edge and tail starts.
+    """
+
+    def __init__(
+        self,
+        tb: TraceBuffer,
+        degree: np.ndarray,
+        edge_refs: np.ndarray,
+        tail: np.ndarray | int = 0,
+    ):
+        edge_bounds = np.concatenate(([0], np.cumsum(degree)))
+        done = np.concatenate(([0], np.cumsum(edge_refs)))
+        refs = 3 + done[edge_bounds[1:]] - done[edge_bounds[:-1]] + tail
+        self.vertex_pos = np.cumsum(refs) - refs
+        self.tail_pos = self.vertex_pos + refs - tail
+        owner = np.repeat(np.arange(len(degree)), degree)
+        self.edge_pos = done[:-1] + (self.vertex_pos + 3 - done[edge_bounds[:-1]])[owner]
+        self._has_edges = degree > 0
+        self._first_edge = edge_bounds[:-1][self._has_edges]
+        super().__init__(tb, int(refs.sum()))
+
+    def put_visits(
+        self,
+        layout: GraphLayout,
+        slot: np.ndarray,
+        worklist: Region,
+        item: np.ndarray,
+        vertices: np.ndarray,
+        edges: np.ndarray,
+        gathered: Region,
+        targets: np.ndarray,
+    ) -> None:
+        """Put each vertex's first three references and each edge's first two.
+
+        Vertex ``k`` touches stack slot ``slot[k]``, loads worklist
+        element ``item[k]`` and then ``offsets[vertices[k] + 1]``; edge
+        ``e`` loads structure element ``edges[e]`` and then
+        ``gathered[targets[e]]``.
+        """
+        vertex, edge = self.vertex_pos, self.edge_pos
+        stack = layout.stack
+        self.put(vertex, stack, slot % stack.num_elements, STACK_ACCESS)
+        self.put(vertex + 1, worklist, item, LOAD_INTERMEDIATE)
+        self.put(vertex + 2, layout.offsets, vertices + 1, LOAD_OFFSET, dep=vertex + 1)
+        self.put(edge, layout.structure, edges, LOAD_STRUCTURE)
+        self.dep[edge[self._first_edge]] = self.first + vertex[self._has_edges] + 2
+        self.put(edge + 1, gathered, targets, LOAD_PROPERTY, dep=edge)
 
 
 @dataclass

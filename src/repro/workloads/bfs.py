@@ -16,6 +16,17 @@ turn BFS into an all-active sequential sweep (streaming structure).  The
 ``front`` array holds, per vertex, the BFS level at which it joined the
 frontier — a generation-tagged frontier bitmap, vertex-indexed and
 therefore *property* data in the paper's terminology.
+
+Top-down levels are traced in NumPy blocks, one per chunk of at most
+``BLOCK_VERTICES`` frontier vertices.  Which references a chunk emits
+depends only on ``parent`` at the chunk's start and on the first
+occurrence of each neighbor in edge order, so the chunk's references
+are laid out in NumPy and recorded with one ``TraceBuffer.extend``;
+the chunk's claims are applied before the next chunk is built.  The
+trace is the one a per-reference loop records
+(``tests/workloads/bfs_oracle.py``).  Bottom-up sweeps stay
+per-reference: their early exit makes each vertex's references depend
+on the order its neighbors are found in.
 """
 
 from __future__ import annotations
@@ -23,8 +34,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..memory.allocator import Region
 from ..trace.record import NO_DEP
-from .base import Tracer, Workload
+from .base import (
+    BLOCK_VERTICES,
+    STORE_INTERMEDIATE,
+    STORE_PROPERTY,
+    Tracer,
+    VisitBlock,
+    Workload,
+    adjacency,
+    first_claims,
+)
 
 __all__ = ["BFS", "default_source"]
 
@@ -112,8 +133,7 @@ class BFS(Workload):
         # The frontier queue is a FIFO ring over an intermediate region:
         # pushes advance ``push_ptr``, pops advance ``pop_ptr``.
         worklist = tracer.layout.add_intermediate("bfs_frontier", max(2 * n, 4))
-        cap = worklist.num_elements
-        queue = [source]
+        queue = np.array([source], dtype=np.int64)
         push_ptr = 1
         pop_ptr = 0
         tracer.store_intermediate(worklist, 0)
@@ -121,16 +141,14 @@ class BFS(Workload):
         store_prop = tracer.store_property
         load_struct = tracer.load_structure
         load_off = tracer.load_offset
-        load_im = tracer.load_intermediate
-        store_im = tracer.store_intermediate
         level = 0
         switch_at = max(n // alpha, 1)
-        while queue:
+        while len(queue):
             bottom_up = direction_optimizing and len(queue) > switch_at
             tracer.phase("%s:%d" % ("bottomup" if bottom_up else "level", level))
             if bottom_up:
                 # Tag the current frontier (sequential-ish property stores).
-                for u in queue:
+                for u in queue.tolist():
                     front[u] = level
                     store_prop("front", u)
                 # All-active sweep: every unvisited vertex scans its
@@ -153,25 +171,60 @@ class BFS(Workload):
                             store_prop("parent", u)
                             nxt.append(u)
                             break  # early exit, as in GAP's bottom-up step
+                queue = np.array(nxt, dtype=np.int64)
             else:
-                nxt = []
-                for u in queue:
-                    tracer.stack_access(u)
-                    u_dep = load_im(worklist, pop_ptr % cap)
-                    pop_ptr += 1
-                    off_dep = load_off(u + 1, dep=u_dep)
-                    dep = off_dep
-                    for j in range(int(offsets[u]), int(offsets[u + 1])):
-                        s = load_struct(j, dep=dep)
-                        dep = NO_DEP
-                        v = int(neighbors[j])
-                        load_prop("parent", v, dep=s)
-                        if parent[v] == -1:
-                            parent[v] = u
-                            store_prop("parent", v, dep=s)
-                            store_im(worklist, push_ptr % cap)
-                            push_ptr += 1
-                            nxt.append(v)
-            queue = nxt
+                nxt_chunks = []
+                for lo in range(0, len(queue), BLOCK_VERTICES):
+                    claimed = _trace_top_down(
+                        graph, tracer, worklist, queue[lo : lo + BLOCK_VERTICES],
+                        parent, pop_ptr + lo, push_ptr,
+                    )
+                    push_ptr += len(claimed)
+                    nxt_chunks.append(claimed)
+                pop_ptr += len(queue)
+                queue = np.concatenate(nxt_chunks)
             level += 1
         return parent
+
+
+def _trace_top_down(
+    graph: CSRGraph,
+    tracer: Tracer,
+    worklist: Region,
+    queue: np.ndarray,
+    parent: np.ndarray,
+    pop_ptr: int,
+    push_ptr: int,
+) -> np.ndarray:
+    """Trace a top-down visit of ``queue``; returns the vertices it claims.
+
+    Vertex ``u`` makes a stack access, pops itself from the worklist
+    (element ``pop_ptr`` on) and loads ``offsets[u + 1]``.  Each edge
+    loads its structure entry and the neighbor's ``parent`` entry.  The
+    first edge to reach a neighbor whose ``parent`` is -1 also stores
+    the parent and pushes the neighbor (element ``push_ptr`` on).  Only
+    ``parent`` as the chunk found it and the first occurrence of each
+    neighbor decide which edges do, so the chunk is built as one block;
+    its claims are applied before the next chunk looks at ``parent``.
+    """
+    layout = tracer.layout
+    parent_region = layout.properties["parent"]
+    degree, owner, edges = adjacency(graph.offsets, queue)
+    v = graph.neighbors[edges]
+    claimed = first_claims(v, parent[v] == -1)
+    edge_refs = np.full(len(v), 2)
+    edge_refs[claimed] = 4
+    block = VisitBlock(tracer.tb, degree, edge_refs)
+    cap = worklist.num_elements
+    pops = (pop_ptr + np.arange(len(queue))) % cap
+    block.put_visits(
+        layout, queue, worklist, pops, queue, edges, parent_region, v
+    )
+    pos = block.edge_pos[claimed]
+    fresh = v[claimed]
+    block.put(pos + 2, parent_region, fresh, STORE_PROPERTY, dep=pos)
+    pushes = (push_ptr + np.arange(len(claimed))) % cap
+    block.put(pos + 3, worklist, pushes, STORE_INTERMEDIATE)
+    block.record()
+    parent[fresh] = queue[owner[claimed]]
+    return fresh.astype(np.int64)

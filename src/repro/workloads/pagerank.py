@@ -16,32 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..memory.allocator import Region
 from ..trace.buffer import TraceBuffer
-from ..trace.record import NO_DEP, DataType
 from .base import (
-    GAP_OFFSET,
-    GAP_PROPERTY,
-    GAP_STACK,
-    GAP_STRUCTURE,
+    BLOCK_VERTICES,
+    LOAD_OFFSET,
+    LOAD_PROPERTY,
+    LOAD_STRUCTURE,
+    STACK_ACCESS,
+    STORE_PROPERTY,
+    Block,
     Tracer,
     Workload,
 )
 
-__all__ = ["PageRank"]
-
-#: Vertices per emitted block.  It bounds the arrays one block builds (a
-#: gather block holds ``3 + 2 * degree`` references per vertex) while
-#: keeping Python-level work per block, not per reference.
-BLOCK_VERTICES = 4096
-
-# (kind, is_load, gap) of each reference PageRank emits, as the
-# ``Tracer`` helpers charge them.
-_STACK = (DataType.INTERMEDIATE, True, GAP_STACK)
-_LOAD_OFFSET = (DataType.INTERMEDIATE, True, GAP_OFFSET)
-_LOAD_STRUCTURE = (DataType.STRUCTURE, True, GAP_STRUCTURE)
-_LOAD_PROPERTY = (DataType.PROPERTY, True, GAP_PROPERTY)
-_STORE_PROPERTY = (DataType.PROPERTY, False, GAP_PROPERTY)
+__all__ = ["PageRank", "trace_contributions"]
 
 
 class PageRank(Workload):
@@ -128,15 +116,7 @@ class PageRank(Workload):
         ]
         for it in range(iterations):
             tracer.phase("iteration:%d" % it)
-            # Contribution pass: sequential property read-modify-write.
-            for u in blocks:
-                block = _Block(tracer.tb, 3 * len(u))
-                pos = 3 * np.arange(len(u))
-                block.put(pos, stack, u % stack.num_elements, _STACK)
-                block.put(pos + 1, score_region, u, _LOAD_PROPERTY)
-                block.put(pos + 2, contrib_region, u, _STORE_PROPERTY)
-                block.record()
-                contrib[u] = score[u] / degrees[u]
+            trace_contributions(tracer.tb, layout, blocks, score, contrib, degrees)
             # Gather pass: offsets → structure stream → property gather.
             delta = 0.0
             for v in blocks:
@@ -148,21 +128,22 @@ class PageRank(Workload):
                 # and 2 per earlier edge.
                 vertex_pos = 3 * np.arange(len(v)) + 2 * (offsets[v] - first_edge)
                 struct_pos = 3 * owner + 2 * edge_rank + 2
-                block = _Block(tracer.tb, 3 * len(v) + 2 * len(edge_rank))
-                block.put(vertex_pos, stack, v % stack.num_elements, _STACK)
-                block.put(vertex_pos + 1, layout.offsets, v + 1, _LOAD_OFFSET)
+                block = Block(tracer.tb, 3 * len(v) + 2 * len(edge_rank))
+                block.put(vertex_pos, stack, v % stack.num_elements, STACK_ACCESS)
+                block.put(vertex_pos + 1, layout.offsets, v + 1, LOAD_OFFSET)
                 block.put(
                     struct_pos,
                     layout.structure,
                     first_edge + edge_rank,
-                    _LOAD_STRUCTURE,
+                    LOAD_STRUCTURE,
                 )
-                u = neighbors[first_edge:stop_edge]
-                block.put(struct_pos + 1, contrib_region, u, _LOAD_PROPERTY)
-                block.put(vertex_pos + 2 + 2 * degree, score_region, v, _STORE_PROPERTY)
                 chased = vertex_pos[degree > 0]
                 block.dep[chased + 2] = block.first + chased + 1
-                block.dep[struct_pos + 1] = block.first + struct_pos
+                u = neighbors[first_edge:stop_edge]
+                block.put(
+                    struct_pos + 1, contrib_region, u, LOAD_PROPERTY, dep=struct_pos
+                )
+                block.put(vertex_pos + 2 + 2 * degree, score_region, v, STORE_PROPERTY)
                 block.record()
                 # bincount adds each vertex's contributions in CSR order, and
                 # cumsum (unlike sum) adds the deltas one vertex at a time.
@@ -175,59 +156,29 @@ class PageRank(Workload):
         return score
 
 
-class _Block:
-    """One block of references laid out by position, recorded at once.
+def trace_contributions(
+    tb: TraceBuffer,
+    layout,
+    blocks: list[np.ndarray],
+    score: np.ndarray,
+    contrib: np.ndarray,
+    degrees: np.ndarray,
+) -> None:
+    """The contribution pass: ``contrib[u] = score[u] / degrees[u]``.
 
-    ``put`` fills the positions of one reference stream with the
-    addresses of region elements, bounds-checked as ``Region.addr``
-    checks them.  ``record`` extends the buffer with every reference
-    before the first out-of-range one and then raises the ``IndexError``
-    ``Region.addr`` raises for it, so a block fails where a loop of
-    single appends would.
+    Per vertex ``u`` of each block in turn: a stack access, a
+    ``score[u]`` load and a ``contrib[u]`` store.  ``layout`` is a
+    ``GraphLayout`` or an ``EdgeListLayout``; both PageRank kernels run
+    this pass.
     """
-
-    def __init__(self, tb: TraceBuffer, length: int):
-        self.tb = tb
-        #: Virtual trace index of the block's first reference.
-        self.first = tb.next_index
-        self.addr = np.empty(length, dtype=np.int64)
-        self.kind = np.empty(length, dtype=np.int8)
-        self.is_load = np.empty(length, dtype=bool)
-        self.dep = np.full(length, NO_DEP, dtype=np.int64)
-        self.gap = np.empty(length, dtype=np.int32)
-        self._stop = length
-        self._fault: tuple[Region, int] | None = None
-
-    def put(
-        self,
-        pos: np.ndarray,
-        region: Region,
-        index: np.ndarray,
-        ref: tuple[DataType, bool, int],
-    ) -> None:
-        """Fill increasing positions ``pos`` with ``region[index]`` refs."""
-        index = index.astype(np.int64, copy=False)
-        outside = (index < 0) | (index >= region.num_elements)
-        if outside.any():
-            i = int(np.argmax(outside))
-            if pos[i] < self._stop:
-                self._stop, self._fault = int(pos[i]), (region, int(index[i]))
-        kind, is_load, gap = ref
-        self.addr[pos] = region.base + index * region.element_size
-        self.kind[pos] = kind
-        self.is_load[pos] = is_load
-        self.gap[pos] = gap
-
-    def record(self) -> None:
-        """Extend the buffer; raises ``TraceFull``, or ``IndexError``."""
-        stop = self._stop
-        self.tb.extend(
-            self.addr[:stop],
-            self.kind[:stop],
-            self.is_load[:stop],
-            self.dep[:stop],
-            self.gap[:stop],
-        )
-        if self._fault is not None:
-            region, index = self._fault
-            region.addr(index)
+    stack = layout.stack
+    score_region = layout.properties["score"]
+    contrib_region = layout.properties["contrib"]
+    for u in blocks:
+        block = Block(tb, 3 * len(u))
+        pos = 3 * np.arange(len(u))
+        block.put(pos, stack, u % stack.num_elements, STACK_ACCESS)
+        block.put(pos + 1, score_region, u, LOAD_PROPERTY)
+        block.put(pos + 2, contrib_region, u, STORE_PROPERTY)
+        block.record()
+        contrib[u] = score[u] / degrees[u]

@@ -10,6 +10,12 @@ accumulation is sequential because of the sort.
 This workload demonstrates the paper's claim that DROPLET "can prefetch
 these edge streams and use them to trigger a MPP ... to prefetch
 property data" without any change to the prefetcher.
+
+Both passes are traced in NumPy blocks, as CSR PageRank's are: the
+graph alone fixes the reference order.  The contribution pass is CSR
+PageRank's own; the edge sweep is built per chunk of destination rows.
+Trace and scores are the ones a per-reference loop produces
+(``tests/workloads/pagerank_edge_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,17 @@ from ..graph.csr import CSRGraph
 from ..memory.edgelayout import EdgeListLayout
 from ..trace.buffer import TraceBuffer, TraceFull
 from ..trace.record import DataType
-from .base import GAP_PROPERTY, GAP_STRUCTURE, TraceRun, Workload
+from .base import (
+    BLOCK_VERTICES,
+    GAP_PROPERTY,
+    LOAD_PROPERTY,
+    LOAD_STRUCTURE,
+    STORE_PROPERTY,
+    Block,
+    TraceRun,
+    Workload,
+)
+from .pagerank import PageRank, trace_contributions
 
 __all__ = ["EdgeCentricPageRank"]
 
@@ -48,8 +64,6 @@ class EdgeCentricPageRank(Workload):
     ) -> np.ndarray:
         """Same fixed point as CSR pull PageRank (the layout is an
         implementation detail, not an algorithm change)."""
-        from .pagerank import PageRank
-
         return PageRank().reference(graph, damping=damping, iterations=iterations)
 
     def trace_into(self, graph, tracer, **kwargs):
@@ -101,48 +115,57 @@ class EdgeCentricPageRank(Workload):
         damping: float,
         iterations: int,
     ) -> np.ndarray:
+        """Trace each iteration's two passes in blocks.
+
+        The contribution pass is CSR PageRank's.  The edge sweep visits
+        the destination rows of ``layout`` in chunks of
+        :data:`BLOCK_VERTICES`: each edge loads its entry and then,
+        chasing it, ``contrib[src]``; the edge where the destination
+        changes is followed by the previous destination's ``score``
+        store, and a final store closes the pass.  ``gathered`` is a
+        bincount in edge order, which adds as the loop does.
+        """
         n = graph.num_vertices
         degrees = np.maximum(graph.out_degrees(), 1).astype(np.float64)
         score = np.full(n, 1.0 / n)
         contrib = np.zeros(n)
-        gathered = np.zeros(n)
         base = (1.0 - damping) / n
         edge_src = layout.edge_src
         edge_dst = layout.edge_dst
-        m = layout.num_edges
-        stack = layout.stack
         score_region = layout.properties["score"]
         contrib_region = layout.properties["contrib"]
+        blocks = [
+            np.arange(lo, min(lo + BLOCK_VERTICES, n))
+            for lo in range(0, n, BLOCK_VERTICES)
+        ]
+        # The edges of each chunk of destination rows; empty ones dropped.
+        rows = layout.graph.offsets
+        bounds = np.unique(np.append(rows[::BLOCK_VERTICES], rows[-1]))
         for it in range(iterations):
             tb.mark_phase("iteration:%d" % it)
-            # Contribution pass: sequential property read-modify-write.
-            for u in range(n):
-                tb.load(stack.addr(u % stack.num_elements), DataType.INTERMEDIATE, gap=1)
-                tb.load(score_region.addr(u), DataType.PROPERTY, gap=GAP_PROPERTY)
-                contrib[u] = score[u] / degrees[u]
-                tb.store(contrib_region.addr(u), DataType.PROPERTY, gap=GAP_PROPERTY)
-            # Edge-streaming gather pass.
-            gathered[:] = 0.0
+            trace_contributions(tb, layout, blocks, score, contrib, degrees)
             last_dst = -1
-            for j in range(m):
-                e = tb.load(layout.edge_addr(j), DataType.STRUCTURE, gap=GAP_STRUCTURE)
-                u = int(edge_src[j])
-                v = int(edge_dst[j])
-                # The source-rank read: random gather, address produced by
-                # the edge load — the chain DROPLET's MPP breaks.
-                tb.load(contrib_region.addr(u), DataType.PROPERTY, dep=e, gap=GAP_PROPERTY)
-                gathered[v] += contrib[u]
-                if v != last_dst:
-                    # Destination accumulator spill: sequential thanks to
-                    # the dst sort (one store per destination change).
-                    if last_dst >= 0:
-                        tb.store(
-                            score_region.addr(last_dst),
-                            DataType.PROPERTY,
-                            gap=GAP_PROPERTY,
-                        )
-                    last_dst = v
+            for first, stop in zip(bounds[:-1], bounds[1:]):
+                dst = edge_dst[first:stop]
+                prev = np.concatenate(([last_dst], dst[:-1]))
+                spill = (dst != prev) & (prev >= 0)
+                edge_pos = 2 * np.arange(stop - first) + np.cumsum(spill) - spill
+                block = Block(tb, 2 * (stop - first) + int(spill.sum()))
+                block.put(
+                    edge_pos, layout.structure, np.arange(first, stop), LOAD_STRUCTURE
+                )
+                block.put(
+                    edge_pos + 1,
+                    contrib_region,
+                    edge_src[first:stop],
+                    LOAD_PROPERTY,
+                    dep=edge_pos,
+                )
+                block.put(edge_pos[spill] + 2, score_region, prev[spill], STORE_PROPERTY)
+                block.record()
+                last_dst = int(dst[-1])
             if last_dst >= 0:
                 tb.store(score_region.addr(last_dst), DataType.PROPERTY, gap=GAP_PROPERTY)
+            gathered = np.bincount(edge_dst, weights=contrib[edge_src], minlength=n)
             score = base + damping * gathered
         return score
