@@ -90,7 +90,7 @@ def test_replay_speed(benchmark, bench_runs, workload, setup):
     scalar_s = min(scalar_times)
 
     def fresh():
-        return (_machine(run, setup, "on"),), {}
+        return (_machine(run, setup, "auto"),), {}
 
     fast_result = benchmark.pedantic(
         lambda m: m.run(trace), setup=fresh, rounds=FAST_ROUNDS
@@ -98,7 +98,7 @@ def test_replay_speed(benchmark, bench_runs, workload, setup):
     fast_s = benchmark.stats.stats.min
 
     # The benchmark is only meaningful if both paths agree.
-    assert fast_result.fast_path
+    assert fast_result.fast_path == "vector"
     assert fast_result.cycles == scalar_result.cycles
     assert fast_result.instructions == scalar_result.instructions
 

@@ -29,7 +29,7 @@ Commands
     JSON, a terminal table, and a side-by-side HTML report.
 ``status``
     Point-level progress of a live or finished sweep run — state,
-    retries, cache hits, replay tiers, ETA — reconstructed from its run
+    retries, cache hits, wall times, ETA — reconstructed from its run
     ledger, with the span sidecar supplying points still in flight
     (``--watch`` polls; ``--chrome`` exports the Chrome-trace timeline).
 ``trend``
@@ -178,14 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the span sidecar + Chrome-trace timeline (written next "
         "to the run ledger by default)",
     )
-    p_sweep.add_argument(
-        "--fast-path",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="batch-replay engine: auto/on take it for every prefetch "
-        "setup, off forces the scalar reference loop (results are "
-        "bit-identical either way)",
-    )
 
     p_par = sub.add_parser(
         "pareto",
@@ -266,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument(
         "--no-spans", action="store_true",
         help="skip the span sidecar (no pareto.* timeline)",
-    )
-    p_par.add_argument(
-        "--fast-path", choices=["auto", "on", "off"], default="auto",
-        help="batch-replay engine selector (results are bit-identical "
-        "either way; see docs/performance.md)",
     )
     p_par.add_argument(
         "--out", metavar="PATH",
@@ -505,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--setups", nargs="+", metavar="S")
     p_submit.add_argument("--max-refs", type=int, metavar="N")
     p_submit.add_argument("--scale-shift", type=int, metavar="K")
-    p_submit.add_argument(
-        "--fast-path", choices=["auto", "on", "off"]
-    )
     p_submit.add_argument("--timeout", type=float, metavar="SECONDS")
     p_submit.add_argument("--retries", type=int, metavar="N")
     p_submit.add_argument("--backoff", type=float, metavar="SECONDS")
@@ -624,7 +608,6 @@ def _sweep_spec(args) -> dict:
         "setups",
         "max_refs",
         "scale_shift",
-        "fast_path",
         "timeout",
         "retries",
         "backoff",
@@ -636,6 +619,8 @@ def _sweep_spec(args) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    from dataclasses import replace
+
     from .experiments.common import render_table
     from .reporting import save_results_payload, summarize_sweep, sweep_table_rows
     from .runtime import FaultPlan, RunLedger, SweepRunner, new_run_id
@@ -647,6 +632,7 @@ def _cmd_sweep(args) -> int:
         spec["run_id"] = args.resume
     try:
         points, options = parse_spec(spec)
+        faults = FaultPlan.from_spec(args.faults) if args.faults else None
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -662,12 +648,8 @@ def _cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    faults = None
-    if args.faults:
-        trip_dir = None
-        if ledger is not None:
-            trip_dir = str(ledger.root / (ledger.run_id + ".faults"))
-        faults = FaultPlan.from_spec(args.faults, trip_dir=trip_dir)
+        if faults is not None:
+            faults = replace(faults, trip_dir=str(ledger.root / (run_id + ".faults")))
     tracer = None
     if ledger is not None and not args.no_spans:
         tracer = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger.path))
@@ -729,10 +711,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_pareto(args) -> int:
     import json
     from contextlib import nullcontext
+    from dataclasses import replace
 
     from .experiments.common import render_table
     from .reporting import save_results_payload
-    from .runtime import FaultPlan, RetryPolicy, RunLedger, SweepRunner
+    from .runtime import FaultPlan, RunLedger, SweepRunner
     from .search import (
         HalvingSchedule,
         ParetoSearch,
@@ -741,9 +724,13 @@ def _cmd_pareto(args) -> int:
     )
     from .search.frontier import parse_objectives
     from .search.space import parse_space
+    from .service.engine import parse_retry
     from .telemetry import spans
 
     try:
+        # The retry flags get `repro sweep`'s checks; nothing is written yet.
+        options = parse_retry(_sweep_spec(args))
+        faults = FaultPlan.from_spec(args.faults) if args.faults else None
         candidates = parse_space(args.space)
         objectives = parse_objectives(args.objectives)
         schedule = HalvingSchedule(
@@ -760,7 +747,6 @@ def _cmd_pareto(args) -> int:
             schedule=schedule,
             scale_shift=args.scale_shift,
             seed=args.seed,
-            fast_path=args.fast_path,
             service=args.service,
             retries=args.retries,
             timeout=args.timeout,
@@ -814,20 +800,13 @@ def _cmd_pareto(args) -> int:
         tracer = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger.path))
     runner = None
     if args.service is None:
-        faults = None
-        if args.faults:
-            faults = FaultPlan.from_spec(
-                args.faults, trip_dir=str(ledger.root / (run_id + ".faults"))
-            )
+        if faults is not None:
+            faults = replace(faults, trip_dir=str(ledger.root / (run_id + ".faults")))
         runner = SweepRunner(
             workers=args.workers,
             trace_cache=False if args.no_trace_cache else None,
             return_full=False,
-            retry=RetryPolicy(
-                max_attempts=max(1, args.retries + 1),
-                timeout=args.timeout,
-                backoff=args.backoff,
-            ),
+            retry=options["retry"],
             faults=faults,
             ledger=ledger,
             tracer=tracer,

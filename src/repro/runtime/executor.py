@@ -180,7 +180,6 @@ def execute_point(
     span.set(
         status="ok" if result.ok else "error",
         cache_hit=result.trace_cache_hit,
-        tier=result.replay_tier,
     )
     if not result.ok:
         span.set(error_kind=result.error.kind)
@@ -232,7 +231,6 @@ def _execute_point(
                 setup=point.setup,
                 multi_property=point.multi_property,
                 telemetry=telemetry,
-                fast_path=getattr(point, "fast_path", "auto"),
             )
             payload = None
             if telemetry is not None:
@@ -252,7 +250,6 @@ def _execute_point(
             telemetry=payload,
             attempts=attempt,
             cache_quarantined=_quarantined(),
-            replay_tier=(result.fast_path or "scalar"),
         )
     except (Exception, PointTimeout) as exc:
         if isinstance(exc, PointTimeout) and not exc.args:

@@ -145,7 +145,6 @@ def result_from_record(point: SweepPoint, record: dict) -> PointResult:
         attempts=int(data.get("attempts", 1)),
         restored=True,
         cache_quarantined=int(data.get("quarantined", 0)),
-        replay_tier=data.get("replay_tier"),
     )
 
 
@@ -408,7 +407,6 @@ class RunLedger:
             "trace_cache_hit": result.trace_cache_hit,
             "telemetry": result.telemetry,
             "attempts": result.attempts,
-            "replay_tier": result.replay_tier,
             "timeouts": timeouts,
             "quarantined": result.cache_quarantined,
         }
@@ -552,7 +550,6 @@ class RunJournal:
                 ok=result.ok,
                 attempts=result.attempts,
                 cache_hit=result.trace_cache_hit,
-                tier=result.replay_tier,
                 wall_time=result.wall_time,
                 quarantined=result.cache_quarantined,
                 restored=restored,

@@ -181,7 +181,9 @@ class SweepPoint:
     variants relative to the sweep's base config: ``llc_multiplier``
     scales the shared LLC with CACTI latencies, ``l2_config`` is a
     ``(size multiplier | None, associativity)`` pair where ``None``
-    removes the private L2 entirely.
+    removes the private L2 entirely.  Which replay path runs is not a
+    knob: :class:`~repro.system.machine.Machine` decides it, and both
+    paths give bit-identical results (``tests/parity``).
     """
 
     workload: str
@@ -199,11 +201,6 @@ class SweepPoint:
     #: Memory-request-buffer capacity override (§V-C1 / `repro pareto`);
     #: ``None`` keeps the sweep's base config.
     mrb_entries: int | None = None
-    #: Batch-replay selector (``"auto" | "on" | "off"``).  Deliberately
-    #: excluded from :func:`~repro.runtime.ledger.point_key`: both replay
-    #: paths produce bit-identical results (``tests/parity``), so points
-    #: differing only here are interchangeable.
-    fast_path: str = "auto"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", self.workload.upper())
@@ -297,9 +294,6 @@ class PointResult:
     #: Trace-cache entries quarantined as corrupt while executing this
     #: point (the cache regenerated them instead of crashing).
     cache_quarantined: int = 0
-    #: Replay tier that produced this result: ``"vector"`` (batch
-    #: replay), ``"scalar"``, or ``None`` for failed points.
-    replay_tier: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -335,7 +329,6 @@ class PointResult:
             "trace_cache_hit": self.trace_cache_hit,
             "attempts": self.attempts,
             "restored": self.restored,
-            "replay_tier": self.replay_tier,
         }
         if self.summary is not None:
             out["summary"] = self.summary

@@ -67,7 +67,6 @@ class PointState:
     state: str = "pending"  # one of POINT_STATES
     attempts: int = 0
     cache_hit: bool | None = None
-    tier: str | None = None
     wall_time: float | None = None
     error_kind: str | None = None
 
@@ -78,7 +77,6 @@ class PointState:
             "state": self.state,
             "attempts": self.attempts,
             "cache_hit": self.cache_hit,
-            "tier": self.tier,
             "wall_time": self.wall_time,
             "error_kind": self.error_kind,
         }
@@ -298,7 +296,6 @@ class RunStatusBuilder:
                     point.state = "done"
                 point.attempts = int(data.get("attempts") or 1)
                 point.cache_hit = data.get("trace_cache_hit")
-                point.tier = data.get("replay_tier")
                 point.wall_time = data.get("duration_s", data.get("wall_time"))
                 if point.state != "restored":
                     counters["retries"] += point.attempts - 1
@@ -374,7 +371,6 @@ def status_table_rows(status: RunStatus) -> list[dict]:
                     if point.cache_hit is None
                     else ("hit" if point.cache_hit else "miss")
                 ),
-                "tier": point.tier,
                 "wall_s": point.wall_time,
                 "error": point.error_kind,
             }

@@ -78,7 +78,6 @@ class Candidate:
         max_refs: int,
         scale_shift: int = 0,
         seed: int | None = None,
-        fast_path: str = "auto",
     ) -> SweepPoint:
         """Bind this configuration to a trace window as a sweep point."""
         return SweepPoint(
@@ -92,7 +91,6 @@ class Candidate:
             l2_config=self.l2_config,
             rob_entries=self.rob_entries,
             mrb_entries=self.mrb_entries,
-            fast_path=fast_path,
         )
 
 

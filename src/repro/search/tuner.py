@@ -98,7 +98,6 @@ class ParetoSearch:
     schedule: HalvingSchedule
     scale_shift: int = 0
     seed: int | None = None
-    fast_path: str = "auto"
     #: Base URL of a running ``repro serve`` daemon; ``None`` executes
     #: locally through the runner passed to :meth:`run`.
     service: str | None = None
@@ -125,7 +124,6 @@ class ParetoSearch:
             "dataset": self.dataset,
             "scale_shift": self.scale_shift,
             "seed": self.seed,
-            "fast_path": self.fast_path,
             "objectives": [o.as_dict() for o in self.objectives],
             "space": [c.knobs() for c in self.candidates],
             "windows": self.schedule.windows(),
@@ -267,7 +265,6 @@ class ParetoSearch:
                 max_refs,
                 scale_shift=self.scale_shift,
                 seed=self.seed,
-                fast_path=self.fast_path,
             )
             for c in active
         ]
@@ -333,7 +330,6 @@ class ParetoSearch:
                 }
                 for p in points
             ],
-            "fast_path": self.fast_path,
             "retries": self.retries,
             "timeout": self.timeout,
             "run_id": run_id,

@@ -84,6 +84,7 @@ __all__ = [
     "RunHandle",
     "SweepService",
     "parse_spec",
+    "parse_retry",
     "DEADLINE_KIND",
 ]
 
@@ -130,7 +131,8 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
     to exit status 2.
 
     ``timeout`` arms each point's watchdog, which fires on the service's
-    worker threads as it does in a CLI sweep.
+    worker threads as it does in a CLI sweep.  The spec selects no
+    replay path: :class:`~repro.system.machine.Machine` decides that.
     """
     from ..droplet.composite import PREFETCH_CONFIG_NAMES
     from ..graph.generators import PAPER_DATASET_NAMES
@@ -140,8 +142,7 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         raise ValueError("sweep spec must be a JSON object")
     known = {
         "workloads", "datasets", "setups", "max_refs", "scale_shift",
-        "fast_path", "timeout", "retries", "backoff", "run_id", "deadline",
-        "points",
+        "timeout", "retries", "backoff", "run_id", "deadline", "points",
     }
     unknown = sorted(set(spec) - known)
     if unknown:
@@ -172,30 +173,14 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         ["none", "stream", "streamMPP1", "droplet"],
         PREFETCH_CONFIG_NAMES,
     )
-    fast_path = str(spec.get("fast_path", "auto"))
-    if fast_path not in ("auto", "on", "off"):
-        raise ValueError("fast_path must be auto|on|off")
     try:
         max_refs = int(spec.get("max_refs", 150_000))
         scale_shift = int(spec.get("scale_shift", 0))
-        retries = int(spec.get("retries", 2))
-        backoff = float(spec.get("backoff", 0.25))
-        timeout = spec.get("timeout")
-        timeout = None if timeout is None else float(timeout)
-        deadline = spec.get("deadline")
-        deadline = None if deadline is None else float(deadline)
     except (TypeError, ValueError):
-        raise ValueError(
-            "max_refs/scale_shift/retries must be integers; "
-            "timeout/backoff/deadline must be numbers"
-        ) from None
+        raise ValueError("max_refs/scale_shift must be integers") from None
     if max_refs <= 0:
         raise ValueError("max_refs must be positive")
-    if retries < 0:
-        raise ValueError("retries must not be negative")
-    for name, seconds in (("timeout", timeout), ("deadline", deadline)):
-        if seconds is not None and seconds <= 0:
-            raise ValueError("%s must be a positive number of seconds" % name)
+    options = parse_retry(spec)
     run_id = spec.get("run_id")
     if run_id is not None and (
         not isinstance(run_id, str) or not run_id or any(c in run_id for c in "/\\")
@@ -216,7 +201,7 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         if not isinstance(entries, list) or not entries:
             raise ValueError("'points' must be a non-empty list of objects")
         points = [
-            _point_from_dict(i, entry, max_refs, scale_shift, fast_path)
+            _point_from_dict(i, entry, max_refs, scale_shift)
             for i, entry in enumerate(entries)
         ]
     else:
@@ -227,7 +212,6 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
                 setup=setup,
                 max_refs=max_refs,
                 scale_shift=scale_shift,
-                fast_path=fast_path,
             )
             for workload in workloads
             for dataset in datasets
@@ -236,25 +220,48 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
     for point in points:
         if point.max_refs <= 0:
             raise ValueError("point max_refs must be positive")
-    options = {
-        "run_id": run_id,
+    return points, dict(options, run_id=run_id)
+
+
+def parse_retry(spec: dict) -> dict:
+    """Validate a spec's ``retries``/``timeout``/``backoff``/``deadline``.
+
+    Returns the ``retry`` (:class:`~repro.runtime.sweep.RetryPolicy`),
+    ``timeout`` and ``deadline`` options of :func:`parse_spec`, which
+    calls it; ``repro pareto`` checks its retry flags here too.  Raises
+    :class:`ValueError` on a non-number, negative ``retries`` or a
+    ``timeout``/``deadline`` that is not positive.
+    """
+    try:
+        retries = int(spec.get("retries", 2))
+        backoff = float(spec.get("backoff", 0.25))
+        timeout = spec.get("timeout")
+        timeout = None if timeout is None else float(timeout)
+        deadline = spec.get("deadline")
+        deadline = None if deadline is None else float(deadline)
+    except (TypeError, ValueError):
+        raise ValueError(
+            "retries must be an integer; timeout/backoff/deadline must be numbers"
+        ) from None
+    if retries < 0:
+        raise ValueError("retries must not be negative")
+    for name, seconds in (("timeout", timeout), ("deadline", deadline)):
+        if seconds is not None and seconds <= 0:
+            raise ValueError("%s must be a positive number of seconds" % name)
+    return {
         "retry": RetryPolicy(
-            max_attempts=max(1, retries + 1), timeout=timeout, backoff=backoff
+            max_attempts=retries + 1, timeout=timeout, backoff=backoff
         ),
         "timeout": timeout,
         "deadline": deadline,
     }
-    return points, options
 
 
-def _point_from_dict(
-    index: int, entry, max_refs: int, scale_shift: int, fast_path: str
-) -> SweepPoint:
+def _point_from_dict(index: int, entry, max_refs: int, scale_shift: int) -> SweepPoint:
     """Validate one explicit ``points`` entry into a :class:`SweepPoint`.
 
-    Spec-level ``max_refs``/``scale_shift``/``fast_path`` are the
-    per-entry defaults, so shards that vary only machine knobs stay
-    terse.  Raises :class:`ValueError` with the entry index on any
+    Spec-level ``max_refs``/``scale_shift`` are the per-entry defaults,
+    so shards that vary only machine knobs stay terse.  Raises :class:`ValueError` with the entry index on any
     malformed field (the HTTP layer maps it to a 400).
     """
     from ..droplet.composite import EXTENDED_CONFIG_NAMES
@@ -325,7 +332,6 @@ def _point_from_dict(
         l2_config=l2_config,
         rob_entries=rob,
         mrb_entries=mrb,
-        fast_path=fast_path,
     )
 
 
@@ -982,7 +988,6 @@ class SweepService:
                 span.set(
                     status="ok" if result.ok else "error",
                     cache_hit=result.trace_cache_hit,
-                    tier=result.replay_tier,
                 )
                 if not result.ok:
                     span.set(error_kind=result.error.kind)

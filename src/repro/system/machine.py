@@ -157,7 +157,7 @@ class Machine:
         setup: PrefetchSetup | str | None = None,
         chased_property: str | tuple[str, ...] | None = None,
         telemetry=None,
-        fast_path: str | bool = "auto",
+        fast_path: str = "auto",
     ):
         self.config = config or SystemConfig.scaled_baseline()
         if isinstance(setup, str):
@@ -373,23 +373,21 @@ class Machine:
                 prefetch_fill(rcore, pline, _PROPERTY, into_l1, "mpp")
             issue(pline, pf_dt, ready, "mpp")
 
-    def _resolve_fast_path(self, mode: str | bool) -> str | bool:
-        """Normalize a fast-path selector to a replay path.
+    @staticmethod
+    def _resolve_fast_path(mode: str) -> str | bool:
+        """Map the replay selector to the path taken.
 
-        Returns ``"vector"`` (the batch fast path, for every prefetch
-        setup) for ``"auto"`` and ``"on"``, or ``False`` (the scalar
-        reference path) for ``"off"``.  Booleans behave like
-        ``"on"``/``"off"``.
+        ``"auto"`` takes the batch fast path (``"vector"``) for every
+        prefetch setup; ``"off"`` takes the scalar reference loop
+        (``False``).  Nothing else is a selector, booleans included:
+        ``bool("off")`` is true, so coercing would replay ``"off"`` on
+        the fast path.
         """
-        if isinstance(mode, bool):
-            mode = "on" if mode else "off"
+        if mode == "auto":
+            return "vector"
         if mode == "off":
             return False
-        if mode in ("auto", "on"):
-            return "vector"
-        raise ValueError(
-            "fast_path must be 'auto', 'on', 'off', or a bool (got %r)" % (mode,)
-        )
+        raise ValueError("fast_path must be 'auto' or 'off' (got %r)" % (mode,))
 
     def _plan_key(self) -> tuple[int, int, int]:
         """Replay-plan cache key: exactly the geometry the planner reads.

@@ -33,7 +33,7 @@ def _simulate_resolved(
     setup: PrefetchSetup,
     chased,
     telemetry=None,
-    fast_path: str | bool = "auto",
+    fast_path: str = "auto",
 ) -> SimResult:
     """Build a fresh :class:`Machine` and replay ``run`` (internal core)."""
     machine = Machine(
@@ -53,7 +53,7 @@ def simulate(
     setup: PrefetchSetup | str = "none",
     multi_property: bool = False,
     telemetry=None,
-    fast_path: str | bool = "auto",
+    fast_path: str = "auto",
 ) -> SimResult:
     """Simulate one traced workload run.
 
@@ -67,9 +67,10 @@ def simulate(
     reads its timeline/events afterwards).  ``None`` or a disabled
     session leaves the run un-instrumented, with bit-identical results.
 
-    ``fast_path`` selects the batch-replay engine: ``"auto"`` (default)
-    and ``"on"`` use it whenever sound for ``setup``, ``"off"`` forces
-    the scalar reference loop.  Results are bit-identical.
+    ``fast_path`` is forwarded to :class:`Machine`, which owns the
+    choice: ``"auto"`` (default) replays on the batch fast path,
+    ``"off"`` on the scalar reference loop (the parity oracle).  Results
+    are bit-identical; anything else raises :class:`ValueError`.
     """
     if isinstance(setup, str):
         setup = make_prefetch_setup(setup)

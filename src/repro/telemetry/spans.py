@@ -145,7 +145,7 @@ class Span:
 
     Returned by :meth:`SpanRecorder.span`; mutate :attr:`attrs` (or call
     :meth:`set`) before the context manager exits to annotate the end
-    record — replay tier, cache-hit flags, error kinds.
+    record — status, cache-hit flags, error kinds.
     """
 
     __slots__ = ("id", "name", "attrs", "wall0", "t0")

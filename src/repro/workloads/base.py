@@ -362,7 +362,6 @@ class Workload(abc.ABC):
         graph: CSRGraph,
         max_refs: int | None = 200_000,
         skip_refs: int = 0,
-        layout: GraphLayout | None = None,
         core: int = 0,
         **kwargs,
     ) -> TraceRun:
@@ -375,7 +374,7 @@ class Workload(abc.ABC):
         that case and ``result`` is None.
         """
         self.validate_graph(graph)
-        layout = layout or self.make_layout(graph)
+        layout = self.make_layout(graph)
         tb = TraceBuffer(
             capacity=max_refs,
             name="%s/%s" % (self.name, graph.name),

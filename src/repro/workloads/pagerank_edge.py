@@ -24,7 +24,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.edgelayout import EdgeListLayout
-from ..trace.buffer import TraceBuffer, TraceFull
+from ..trace.buffer import TraceBuffer
 from ..trace.record import DataType
 from .base import (
     BLOCK_VERTICES,
@@ -33,7 +33,7 @@ from .base import (
     LOAD_STRUCTURE,
     STORE_PROPERTY,
     Block,
-    TraceRun,
+    Tracer,
     Workload,
 )
 from .pagerank import PageRank, trace_contributions
@@ -66,46 +66,16 @@ class EdgeCentricPageRank(Workload):
         implementation detail, not an algorithm change)."""
         return PageRank().reference(graph, damping=damping, iterations=iterations)
 
-    def trace_into(self, graph, tracer, **kwargs):
-        """Unsupported: edge-centric tracing goes through :meth:`run`."""
-        raise NotImplementedError(
-            "EdgeCentricPageRank traces through its own run() because it "
-            "uses the EdgeListLayout rather than GraphLayout"
-        )
-
-    def run(
+    def trace_into(
         self,
         graph: CSRGraph,
-        max_refs: int | None = 200_000,
-        skip_refs: int = 0,
-        layout: EdgeListLayout | None = None,
-        core: int = 0,
+        tracer: Tracer,
         damping: float = 0.85,
         iterations: int = 10,
-    ) -> TraceRun:
-        """Trace edge-centric PageRank over ``graph``."""
-        self.validate_graph(graph)
-        layout = layout or self.make_layout(graph)
-        tb = TraceBuffer(
-            capacity=max_refs,
-            name="%s/%s" % (self.name, graph.name),
-            skip=skip_refs,
-            core=core,
-        )
-        completed = True
-        result = None
-        try:
-            result = self._trace(graph, layout, tb, damping, iterations)
-        except TraceFull:
-            completed = False
-        return TraceRun(
-            workload=self.name,
-            dataset=graph.name,
-            trace=tb.finalize(),
-            layout=layout,
-            result=result,
-            completed=completed,
-        )
+    ) -> np.ndarray:
+        """Trace edge-centric PageRank; ``tracer.layout`` is the
+        :class:`EdgeListLayout` that :meth:`make_layout` returns."""
+        return self._trace(graph, tracer.layout, tracer.tb, damping, iterations)
 
     def _trace(
         self,

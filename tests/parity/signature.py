@@ -87,6 +87,6 @@ def run_both_paths(make_machine, trace):
     """
     scalar = make_machine("off")
     sig_scalar = machine_signature(scalar.run(trace), scalar)
-    fast = make_machine("on")
+    fast = make_machine("auto")
     result = fast.run(trace)
     return sig_scalar, machine_signature(result, fast), result

@@ -38,7 +38,7 @@ def test_back_to_back_runs_identical(small_kron):
     run = get_workload("BFS").run(small_kron, max_refs=8000)
     cfg = SystemConfig.scaled_baseline()
     for setup in ("none", "droplet"):
-        for mode in ("off", "on"):
+        for mode in ("off", "auto"):
             m1 = Machine(cfg, layout=run.layout, setup=setup, fast_path=mode)
             s1 = machine_signature(m1.run(run.trace), m1)
             m2 = Machine(cfg, layout=run.layout, setup=setup, fast_path=mode)
@@ -51,10 +51,10 @@ def test_plan_cache_does_not_leak_state(small_kron):
     the second run must still match a fresh scalar run exactly."""
     run = get_workload("PR").run(small_kron, max_refs=8000)
     cfg = SystemConfig.scaled_baseline()
-    m_fast1 = Machine(cfg, layout=run.layout, setup="none", fast_path="on")
+    m_fast1 = Machine(cfg, layout=run.layout, setup="none", fast_path="auto")
     m_fast1.run(run.trace)
     assert getattr(run.trace, "_replay_tables", None) is not None
-    m_fast2 = Machine(cfg, layout=run.layout, setup="none", fast_path="on")
+    m_fast2 = Machine(cfg, layout=run.layout, setup="none", fast_path="auto")
     s_fast2 = machine_signature(m_fast2.run(run.trace), m_fast2)
     m_scalar = Machine(cfg, layout=run.layout, setup="none", fast_path="off")
     s_scalar = machine_signature(m_scalar.run(run.trace), m_scalar)
@@ -81,7 +81,7 @@ def test_fast_path_telemetry_payload_is_byte_identical(small_kron):
     def payload():
         tel = Telemetry(interval_cycles=25_000, attribution=True)
         m = Machine(cfg, layout=run.layout, setup="droplet",
-                    fast_path="on", telemetry=tel)
+                    fast_path="auto", telemetry=tel)
         result = m.run(run.trace)
         assert result.fast_path == "vector"
         return json.dumps(

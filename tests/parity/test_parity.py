@@ -2,7 +2,7 @@
 
 Every workload in the registry runs across the full prefetcher matrix;
 each (workload, setup) pair is simulated twice — ``fast_path='off'``
-(the scalar reference oracle) and ``fast_path='on'`` — and the two runs
+(the scalar reference oracle) and ``fast_path='auto'`` — and the two runs
 must produce *bit-identical* signatures: cycles, cycle stacks, per-level
 per-type counters, DRAM statistics, and complete cache contents
 including LRU orderings (see :mod:`tests.parity.signature`).
@@ -16,7 +16,7 @@ Two scopes:
   all six workloads when ``REPRO_PARITY_FULL=1``, which the
   ``parity-prefetch`` CI job sets on every run.
 
-Every setup replays on the fast path under ``fast_path='on'``.
+Every setup replays on the fast path under ``fast_path='auto'``.
 monoDROPLETL1 and imp prefetch-fill the L1, which the guaranteed-hit
 filter never sees; the engine poisons those lines and replays every
 guaranteed touch, and the L1-fill cases below fail if it does not.
@@ -27,10 +27,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.droplet.composite import PrefetchSetup
+from repro.droplet.composite import EXTENDED_CONFIG_NAMES, PrefetchSetup
 from repro.graph import kronecker
 from repro.prefetch.stream import StreamPrefetcher
-from repro.system import Machine, SystemConfig
+from repro.system import Machine, SystemConfig, simulate
 from repro.trace import DataType, TraceBuffer
 from repro.workloads.registry import WORKLOADS, get_workload
 
@@ -115,33 +115,48 @@ def test_l1_fills_replay_every_guaranteed_touch(kron_s11, workload, setup):
 
 
 def test_auto_mode_matches_forced_modes(workload_runs):
-    """``fast_path='auto'`` picks the fast path and produces the same
-    results as both forced modes."""
+    """``fast_path='auto'`` (the default) picks the fast path and
+    produces the same results as the oracle."""
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
     results = {}
-    for mode in ("off", "on", "auto"):
+    for mode in ("off", "auto"):
         m = Machine(cfg, layout=run.layout, setup="none", fast_path=mode)
         results[mode] = (machine_signature(m.run(run.trace), m), m)
-    assert results["off"][0] == results["on"][0] == results["auto"][0]
-    assert results["auto"][1].fast_path == "vector"
+    default = Machine(cfg, layout=run.layout, setup="none")
+    assert results["off"][0] == results["auto"][0]
+    assert results["off"][0] == machine_signature(default.run(run.trace), default)
+    assert results["auto"][1].fast_path == default.fast_path == "vector"
+    assert results["off"][1].fast_path is False
 
 
 @pytest.mark.parametrize("name", ["monoDROPLETL1", "imp"])
 def test_l1_filling_setups_take_fast_path(workload_runs, name):
-    """Setups that prefetch-fill the L1 resolve 'on', 'auto' and True
-    to the fast path like every other setup, and the removed 'vector'
-    selector is rejected like any unknown mode."""
+    """Setups that prefetch-fill the L1 resolve 'auto' to the fast path
+    like every other setup."""
     run = workload_runs["PR"]
     cfg = SystemConfig.scaled_baseline()
-    for mode in ("on", "auto", True):
-        m = Machine(cfg, layout=run.layout, setup=name, fast_path=mode)
-        assert m.fast_path == "vector", mode
+    m = Machine(cfg, layout=run.layout, setup=name, fast_path="auto")
+    assert m.fast_path == "vector"
     assert m.run(run.trace).fast_path == "vector"
-    with pytest.raises(ValueError):
-        Machine(cfg, layout=run.layout, setup=name, fast_path="vector")
-    with pytest.raises(ValueError):
-        Machine(cfg, layout=run.layout, setup="none", fast_path="vector")
+
+
+@pytest.mark.parametrize("setup", EXTENDED_CONFIG_NAMES)
+def test_simulate_reports_the_path_each_selector_takes(small_kron, setup):
+    """Through ``simulate``, for every constructible setup: 'auto' (the
+    default) replays on the fast path, 'off' on the scalar oracle."""
+    run = get_workload("PR").run(small_kron, max_refs=2000)
+    assert simulate(run, setup=setup).fast_path == "vector"
+    assert simulate(run, setup=setup, fast_path="auto").fast_path == "vector"
+    assert simulate(run, setup=setup, fast_path="off").fast_path is False
+
+
+@pytest.mark.parametrize("mode", ["on", "vector", "scalar", True, False, None])
+def test_machine_accepts_only_auto_and_off(mode):
+    """Two spellings name the two paths; nothing is coerced, so a bool
+    (``bool("off")`` is true) can never stand in for a selector."""
+    with pytest.raises(ValueError, match="'auto' or 'off'"):
+        Machine(SystemConfig.scaled_baseline(), setup="none", fast_path=mode)
 
 
 @pytest.mark.parametrize("setup", ["droplet", "stream", "monoDROPLETL1", "imp"])
@@ -156,16 +171,16 @@ def test_pollution_taxonomy_counters_match(workload_runs, setup):
     cfg = SystemConfig.scaled_baseline()
 
     payloads = {}
-    for mode in ("off", "on"):
+    for mode in ("off", "auto"):
         tel = Telemetry(interval_cycles=50_000, attribution=True)
         m = Machine(cfg, layout=run.layout, setup=setup, fast_path=mode, telemetry=tel)
-        assert m.run(run.trace).fast_path == ("vector" if mode == "on" else False)
+        assert m.run(run.trace).fast_path == ("vector" if mode == "auto" else False)
         assert m.hierarchy.pollution is not None
         payloads[mode] = (
             machine_signature_with_pollution(m),
             m._attribution.as_dict(),
         )
-    assert payloads["off"] == payloads["on"]
+    assert payloads["off"] == payloads["auto"]
 
 
 def machine_signature_with_pollution(machine):

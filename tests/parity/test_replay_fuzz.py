@@ -81,12 +81,12 @@ def both_signatures(cfg, trace, setup):
     """Run scalar and fast paths; ``setup`` is a name or a zero-argument
     factory (each machine must get fresh prefetcher state)."""
     sigs = []
-    for mode in ("off", "on"):
+    for mode in ("off", "auto"):
         built = setup() if callable(setup) else setup
         m = Machine(cfg, setup=built, fast_path=mode)
         result = m.run(trace)
-        if mode == "on":
-            assert result.fast_path
+        if mode == "auto":
+            assert result.fast_path == "vector"
         sigs.append(machine_signature(result, m))
     return sigs
 
@@ -145,7 +145,7 @@ class TestPrefetchWindowFuzz:
                 tb.load(line * 64, DataType.PROPERTY, gap=gap)
         traces = [build_trace(segs), tb.finalize()]
         out = []
-        for mode in ("off", "on"):
+        for mode in ("off", "auto"):
             m = Machine(cfg, setup="stream", fast_path=mode)
             results = m._interleave(traces)
             out.append(
@@ -190,7 +190,7 @@ class TestPlanCacheInvalidationFuzz:
             cached = getattr(trace, "_replay_tables", None)
             assert cached is not None
             geometry, _tables = cached
-            m = Machine(cfg, setup="none", fast_path="on")
+            m = Machine(cfg, setup="none", fast_path="auto")
             assert geometry == m._plan_key()
 
     def test_plan_cache_is_reused_for_same_geometry(self):
@@ -198,10 +198,10 @@ class TestPlanCacheInvalidationFuzz:
         (no silent replan), and results still match the oracle."""
         cfg = SystemConfig.scaled_baseline()
         trace = build_trace([(0, 0, 32, 0, 1), (3, 1, 32, 1, 1)])
-        Machine(cfg, setup="none", fast_path="on").run(trace)
+        Machine(cfg, setup="none", fast_path="auto").run(trace)
         first = trace._replay_tables
-        Machine(cfg, setup="none", fast_path="on").run(trace)
+        Machine(cfg, setup="none", fast_path="auto").run(trace)
         assert trace._replay_tables[1] is first[1]
         alt = _l1_variant(cfg, 2, 2)
-        Machine(alt, setup="none", fast_path="on").run(trace)
+        Machine(alt, setup="none", fast_path="auto").run(trace)
         assert trace._replay_tables[1] is not first[1]

@@ -1,50 +1,82 @@
-"""Fast-path parity over the tuner's short rung-0 windows.
+"""Fast-path parity over the tuner's short rung windows.
 
 The successive-halving tuner evaluates early rungs on truncated windows
-(``max_refs`` cut by ``eta^k``) with ``fast_path='auto'``.  Pruning
-decisions therefore depend on batch replay agreeing with the scalar
-oracle *on short windows and under the search's machine knobs* — a
-different surface than the full-trace parity matrix in
-``test_parity.py``.  Every summary metric must match bit for bit.
+(``max_refs`` cut by ``eta^k``), and a sweep point always replays on the
+batch fast path.  Pruning decisions therefore depend on batch replay
+agreeing with the scalar oracle *on short windows and under the
+search's machine knobs* — a different surface than the full-trace
+parity matrix in ``test_parity.py``.  :class:`OracleRunner` replays the
+same points with ``simulate(..., fast_path="off")``: every summary
+metric must match bit for bit, and so must the halving search built on
+them.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.reporting import summarize
 from repro.runtime import RetryPolicy, SweepRunner, TraceCache
+from repro.runtime.executor import resolve_point_config
+from repro.runtime.points import PointResult
+from repro.runtime.sweep import SweepReport
 from repro.search.space import parse_space
+from repro.system import SystemConfig, simulate
+
+from ..regression.pareto_golden import SCALE_SHIFT, SPACE, make_search
 
 WORKLOAD, DATASET = "PR", "kron"
-SCALE_SHIFT = -6
-#: The golden micro-space, evaluated at its rung-0 window.
-SPACE = "setup=none,stream;llc=1,2"
+#: The golden micro-space's rung-0 window.
 RUNG0_REFS = 750
 
 
-@pytest.fixture(scope="module")
-def windows(tmp_path_factory):
-    """The micro-space evaluated twice: scalar oracle vs auto fast path."""
-    tmp_path = tmp_path_factory.mktemp("search-window")
-    cache = TraceCache(tmp_path / "traces")
-    out = {}
-    for mode in ("off", "auto"):
-        points = [
-            c.point(
-                WORKLOAD,
-                DATASET,
-                RUNG0_REFS,
-                scale_shift=SCALE_SHIFT,
-                fast_path=mode,
+class OracleRunner:
+    """The ``SweepRunner.run`` surface the tuner uses, on the scalar oracle."""
+
+    def __init__(self, cache: TraceCache):
+        self.cache = cache
+
+    def run(self, points) -> SweepReport:
+        base = SystemConfig.scaled_baseline()
+        results = []
+        for point in points:
+            run, _ = self.cache.get_or_trace(point.trace_spec)
+            result = simulate(
+                run,
+                config=resolve_point_config(point, base),
+                setup=point.setup,
+                multi_property=point.multi_property,
+                fast_path="off",
             )
-            for c in parse_space(SPACE)
-        ]
-        runner = SweepRunner(
-            workers=0,
-            trace_cache=cache,
-            return_full=False,
-            retry=RetryPolicy(max_attempts=1),
-        )
+            results.append(
+                PointResult(point=point, summary=summarize(result), result=result)
+            )
+        return SweepReport(points=results)
+
+
+def fast_runner(cache: TraceCache) -> SweepRunner:
+    return SweepRunner(
+        workers=0,
+        trace_cache=cache,
+        return_full=True,
+        retry=RetryPolicy(max_attempts=1),
+    )
+
+
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    return TraceCache(tmp_path_factory.mktemp("search-window") / "traces")
+
+
+@pytest.fixture(scope="module")
+def windows(cache):
+    """The micro-space at its rung-0 window: scalar oracle vs fast path."""
+    points = [
+        c.point(WORKLOAD, DATASET, RUNG0_REFS, scale_shift=SCALE_SHIFT)
+        for c in parse_space(SPACE)
+    ]
+    out = {}
+    for mode, runner in (("off", OracleRunner(cache)), ("auto", fast_runner(cache))):
         report = runner.run(points)
         report.raise_errors()
         out[mode] = report.points
@@ -58,7 +90,13 @@ def test_rung0_summaries_are_bit_identical(windows):
 
 
 def test_auto_mode_actually_took_the_fast_path(windows):
-    # The guard above would be vacuous if 'auto' silently degraded to
-    # the scalar loop for the whole space.
-    assert any(r.replay_tier == "vector" for r in windows["auto"])
-    assert all(r.replay_tier == "scalar" for r in windows["off"])
+    # The guard above would be vacuous if sweep points silently replayed
+    # on the scalar loop.
+    assert all(r.result.fast_path == "vector" for r in windows["auto"])
+    assert all(r.result.fast_path is False for r in windows["off"])
+
+
+def test_halving_under_the_oracle_matches_the_fast_path(cache):
+    """The whole golden search — every rung, prune and promotion."""
+    oracle = make_search().run(OracleRunner(cache))
+    assert oracle == make_search().run(fast_runner(cache))

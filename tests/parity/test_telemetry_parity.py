@@ -57,7 +57,7 @@ def _payload(run, setup, fast_path):
 @pytest.mark.parametrize("setup", SETUPS)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_fast_path_telemetry_matches_oracle(runs, workload, setup):
-    tier, fast = _payload(runs[workload], setup, "on")
+    tier, fast = _payload(runs[workload], setup, "auto")
     _, oracle = _payload(runs[workload], setup, "off")
     assert tier == "vector"
     payload = json.loads(fast)

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.experiments.common import render_table
 from repro.runtime import (
     FaultPlan,
     PointResult,
@@ -122,10 +123,11 @@ class TestRunStatus:
         assert failed.error_kind == "FaultError"
         assert good.state == "done"
         assert good.cache_hit is not None
-        assert good.tier in ("vector", "scalar")
         assert good.wall_time and good.wall_time > 0
         rows = status_table_rows(status)
         assert [r["state"] for r in rows] == ["failed", "done"]
+        # The replay path is the machine's business, not a point's.
+        assert "tier" not in rows[1] and "tier" not in good.as_dict()
         assert rows[1]["cache"] in ("hit", "miss")
 
     def test_status_as_dict_is_json_safe(self, tmp_path):
@@ -151,7 +153,6 @@ class TestRunStatus:
                 summary={},
                 wall_time=1.5,
                 trace_cache_hit=False,
-                replay_tier="vector",
             ),
         )
         rec = spans.SpanRecorder(sidecar=spans.sidecar_path(ledger.path))
@@ -178,7 +179,7 @@ class TestRunStatus:
 
     def test_ledger_only_historical_run(self, tmp_path):
         # A run journaled before span tracing existed (or --no-spans):
-        # the ledger alone yields completion, tiers and durations.
+        # the ledger alone yields completion and durations.
         runner, ledger, _ = traced_runner(tmp_path, "old")
         runner.run(make_points(workloads=("PR",)))
         spans.sidecar_path(ledger.path).unlink()
@@ -186,7 +187,6 @@ class TestRunStatus:
         assert status.found and status.finished
         assert status.count("done") == 2
         assert all(p.wall_time for p in status.points)
-        assert all(p.tier for p in status.points)
 
     def test_ledger_records_with_windows_degraded_still_load(self, tmp_path):
         # Ledgers journaled while the replay engine had a degraded tier
@@ -208,7 +208,7 @@ class TestRunStatus:
         assert reopened.open() == 1
         restored = reopened.restore(points[0])
         assert restored is not None and restored.restored
-        assert restored.replay_tier == status.points[0].tier
+        assert restored.wall_time == status.points[0].wall_time
 
     def test_unknown_run_not_found(self, tmp_path):
         status = load_run_status("ghost", root=tmp_path / "runs")
@@ -225,7 +225,6 @@ OLD_POINT_DATA = (
     "trace_cache_hit",
     "telemetry",
     "attempts",
-    "replay_tier",
 )
 
 
@@ -308,7 +307,8 @@ class TestLedgerIsTheRecord:
 
     def test_old_layout_ledger_still_restores_and_renders(self, tmp_path):
         # A ledger journaled before run, finish and failed-point records
-        # existed: successful point records with the old field set only.
+        # existed: successful point records with the old field set only,
+        # including the replay tier that records no longer carry.
         runner, ledger, _ = traced_runner(tmp_path, "old-layout")
         points = make_points(workloads=("PR",))
         runner.run(points)
@@ -319,7 +319,10 @@ class TestLedgerIsTheRecord:
                 "kind": "point",
                 "key": r["key"],
                 "label": r["label"],
-                "data": {name: r["data"][name] for name in OLD_POINT_DATA},
+                "data": dict(
+                    {name: r["data"][name] for name in OLD_POINT_DATA},
+                    replay_tier="vector",
+                ),
             }
             for r in records
             if r["kind"] == "point"
@@ -328,13 +331,20 @@ class TestLedgerIsTheRecord:
         status = load_run_status("old-layout", root=tmp_path / "runs")
         assert status.found and status.finished
         assert [p.state for p in status.points] == ["done", "done"]
-        assert all(p.tier and p.wall_time for p in status.points)
+        assert all(p.wall_time for p in status.points)
         assert status.metrics is None
+        assert "done" in render_table(status_table_rows(status))
         reopened = RunLedger("old-layout", root=tmp_path / "runs")
         assert reopened.open() == 2
         for point in points:
             restored = reopened.restore(point)
             assert restored is not None and restored.restored
+        resumed, _, _ = traced_runner(tmp_path, "old-layout")
+        report = resumed.run(points)
+        assert report.metrics.restored == 2
+        assert {r.point.label: r.summary for r in report.points} == {
+            r["label"]: r["data"]["summary"] for r in old[1:]
+        }
 
 
 class TestWatchIncremental:

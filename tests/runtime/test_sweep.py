@@ -124,6 +124,11 @@ class TestSerialSweep:
         assert no_l2.summary["l2_hit_rate"] == 0.0
         assert base.summary["l2_hit_rate"] > 0.0
 
+    def test_replay_path_is_not_a_point_knob(self):
+        # The machine picks the replay path; both give identical results.
+        with pytest.raises(TypeError):
+            SweepPoint("PR", "kron", fast_path="off")
+
 
 class TestParallelSweep:
     def test_parallel_matches_serial(self, tmp_path):

@@ -97,6 +97,14 @@ class TestHalvingSchedule:
             HalvingSchedule(full_refs=100, eta=1)
 
 
+def test_replay_path_is_not_a_search_knob():
+    with pytest.raises(TypeError):
+        make_search(fast_path="off")
+    with pytest.raises(TypeError):
+        parse_space(SPACE)[0].point(WORKLOAD, DATASET, FULL_REFS, fast_path="off")
+    assert "fast_path" not in make_search().spec_dict()
+
+
 class TestSearchCorrectness:
     def test_frontier_matches_exhaustive_full_evaluation(
         self, trace_cache, tmp_path

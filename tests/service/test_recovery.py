@@ -46,7 +46,6 @@ def fake_result(point):
         summary={"cycles": 1},
         wall_time=0.01,
         trace_cache_hit=True,
-        replay_tier="vector",
     )
 
 
@@ -228,6 +227,24 @@ class TestJournalReplay:
         assert service.run_finished("bad") is None
         events = spans.read_sidecar(tmp_path / "runs" / "service.spans.jsonl")
         assert any(r.get("name") == "service.replay_error" for r in events)
+        assert service.drain(timeout=10)
+
+    def test_spec_journaled_with_a_replay_selector_fails_replay(
+        self, tmp_path, monkeypatch
+    ):
+        # Older daemons accepted a spec-level ``fast_path``; the parser
+        # now rejects it like any unknown field.
+        stub_executor(monkeypatch)
+        journal = SubmissionJournal(tmp_path / "runs")
+        journal.submit("old", dict(journal_spec("old"), fast_path="auto"))
+        journal.submit("good", journal_spec("good"))
+        service = make_service(tmp_path).start()
+        wait_finished(service, "good")
+        assert service.run_finished("old") is None
+        events = spans.read_sidecar(tmp_path / "runs" / "service.spans.jsonl")
+        errors = [r for r in events if r.get("name") == "service.replay_error"]
+        assert [r["attrs"]["run_id"] for r in errors] == ["old"]
+        assert "fast_path" in errors[0]["attrs"]["error"]
         assert service.drain(timeout=10)
 
 

@@ -88,6 +88,11 @@ class TestParseSpec:
         with pytest.raises(ValueError):
             parse_spec(dict(SPEC, **bad))
 
+    @pytest.mark.parametrize("mode", ["auto", "off", "on"])
+    def test_replay_selector_is_an_unknown_field(self, mode):
+        with pytest.raises(ValueError, match=r"unknown spec field\(s\): fast_path"):
+            parse_spec(dict(SPEC, fast_path=mode))
+
     def test_rejects_non_dict(self):
         with pytest.raises(ValueError):
             parse_spec(["not", "a", "dict"])
@@ -114,7 +119,6 @@ class TestEngineDedupe:
                 summary={"cycles": 1},
                 wall_time=0.01,
                 trace_cache_hit=True,
-                replay_tier="vector",
             )
 
         monkeypatch.setattr(engine_mod, "execute_point", fake_execute)

@@ -161,7 +161,8 @@ class TestSpanZeroOverhead:
             tracer=spans.SpanRecorder(),
         ).run([self.POINT])
         assert traced.points[0].summary == untraced.points[0].summary
-        assert traced.points[0].replay_tier == untraced.points[0].replay_tier
+        paths = {r.points[0].result.fast_path for r in (traced, untraced)}
+        assert paths == {"vector"}
 
     def test_traced_sweep_really_recorded(self, tmp_path):
         tracer = spans.SpanRecorder()

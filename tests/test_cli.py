@@ -458,6 +458,49 @@ class TestSweepSpecGrammar:
         assert str(spec_error.value) in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    SWEEP = ["sweep", "--workloads", "PR", "--datasets", "kron", "--no-trace-cache"]
+    PARETO = ["pareto", "PR", "kron", "--space", "setup=none,stream",
+              "--max-refs", "3000", "--scale-shift", "-6", "--no-trace-cache"]
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--timeout", "0", {"timeout": 0}),
+            ("--timeout", "-1", {"timeout": -1}),
+            ("--retries", "-1", {"retries": -1}),
+        ],
+    )
+    def test_pareto_retry_flags_get_the_spec_checks(
+        self, capsys, tmp_path, monkeypatch, flag, value, field
+    ):
+        from repro.service import parse_spec
+
+        monkeypatch.setenv("REPRO_RUN_LEDGER", str(tmp_path / "runs"))
+        assert main(self.PARETO + [flag, value]) == 2
+        with pytest.raises(ValueError) as spec_error:
+            parse_spec(field)
+        assert str(spec_error.value) in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("verb", ["sweep", "pareto"])
+    def test_bad_fault_spec_exits_2_before_writing(
+        self, capsys, tmp_path, monkeypatch, verb
+    ):
+        monkeypatch.setenv("REPRO_RUN_LEDGER", str(tmp_path / "runs"))
+        argv = self.SWEEP if verb == "sweep" else self.PARETO
+        assert main(argv + ["--faults", "explode@1"]) == 2
+        assert "bad fault term 'explode@1'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "verb", [["sweep"], ["pareto", "PR", "kron"], ["submit"]], ids=str
+    )
+    def test_replay_selector_flag_is_gone(self, capsys, verb):
+        with pytest.raises(SystemExit) as exited:
+            main(verb + ["--fast-path", "auto"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --fast-path" in capsys.readouterr().err
+
 
 class TestStatusAndTrend:
     """Tentpole CLI verbs: live/post-hoc run status and cross-run trends."""

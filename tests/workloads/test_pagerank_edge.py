@@ -5,8 +5,9 @@ import pytest
 
 from repro.memory import EdgeListLayout
 from repro.system import Machine, SystemConfig
-from repro.trace import DataType
+from repro.trace import DataType, TraceBuffer
 from repro.workloads import EdgeCentricPageRank, get_workload
+from repro.workloads.base import Tracer
 
 
 class TestEdgeListLayout:
@@ -85,6 +86,15 @@ class TestEdgeCentricPageRank:
         assert not run.completed
         assert len(run.trace) == 500
 
-    def test_trace_into_not_supported_directly(self, tiny_graph):
-        with pytest.raises(NotImplementedError):
-            EdgeCentricPageRank().trace_into(tiny_graph, None)
+    def test_trace_into_records_what_run_records(self, tiny_graph):
+        pre = EdgeCentricPageRank()
+        tb = TraceBuffer(capacity=None, name=pre.name)
+        tracer = Tracer(tb, pre.make_layout(tiny_graph))
+        scores = pre.trace_into(tiny_graph, tracer, iterations=3)
+        run = pre.run(tiny_graph, max_refs=None, iterations=3)
+        direct = tb.finalize()
+        assert isinstance(run.layout, EdgeListLayout)
+        assert np.array_equal(scores, run.result)
+        for field in ("addr", "kind", "is_load", "dep", "gap"):
+            assert np.array_equal(getattr(direct, field), getattr(run.trace, field))
+        assert direct.phases == run.trace.phases
