@@ -601,7 +601,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_spec(args) -> dict:
-    """The sweep spec a command's flags spell (``parse_spec``'s input)."""
+    """The sweep spec a command's flags spell (``parse_spec``'s input).
+
+    A ``--resume`` id is the spec's ``run_id``.
+    """
     names = (
         "workloads",
         "datasets",
@@ -615,7 +618,10 @@ def _sweep_spec(args) -> dict:
         "run_id",
     )
     values = {name: getattr(args, name, None) for name in names}
-    return {name: value for name, value in values.items() if value is not None}
+    spec = {name: value for name, value in values.items() if value is not None}
+    if getattr(args, "resume", None):
+        spec["run_id"] = args.resume
+    return spec
 
 
 def _cmd_sweep(args) -> int:
@@ -628,8 +634,6 @@ def _cmd_sweep(args) -> int:
     from .telemetry import dropped_events_note, spans
 
     spec = _sweep_spec(args)
-    if args.resume:
-        spec["run_id"] = args.resume
     try:
         points, options = parse_spec(spec)
         faults = FaultPlan.from_spec(args.faults) if args.faults else None
@@ -724,12 +728,15 @@ def _cmd_pareto(args) -> int:
     )
     from .search.frontier import parse_objectives
     from .search.space import parse_space
-    from .service.engine import parse_retry
+    from .service.engine import parse_retry, parse_run_id
     from .telemetry import spans
 
+    spec = _sweep_spec(args)
     try:
-        # The retry flags get `repro sweep`'s checks; nothing is written yet.
-        options = parse_retry(_sweep_spec(args))
+        # The retry flags and the run id get `repro sweep`'s checks;
+        # nothing is written yet.
+        options = parse_retry(spec)
+        run_id = parse_run_id(spec)
         faults = FaultPlan.from_spec(args.faults) if args.faults else None
         candidates = parse_space(args.space)
         objectives = parse_objectives(args.objectives)
@@ -756,7 +763,7 @@ def _cmd_pareto(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     digest = search.spec_digest()
-    run_id = args.resume or args.run_id or ("par-" + digest)
+    run_id = run_id or ("par-" + digest)
     ledger = RunLedger(run_id, root=args.ledger_root)
     if args.resume and not ledger.exists():
         print(

@@ -181,11 +181,7 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
     if max_refs <= 0:
         raise ValueError("max_refs must be positive")
     options = parse_retry(spec)
-    run_id = spec.get("run_id")
-    if run_id is not None and (
-        not isinstance(run_id, str) or not run_id or any(c in run_id for c in "/\\")
-    ):
-        raise ValueError("run_id must be a non-empty path-safe string")
+    run_id = parse_run_id(spec)
 
     if "points" in spec:
         # Explicit point list (the `repro pareto` sharding path): each
@@ -221,6 +217,20 @@ def parse_spec(spec: dict) -> tuple[list[SweepPoint], dict]:
         if point.max_refs <= 0:
             raise ValueError("point max_refs must be positive")
     return points, dict(options, run_id=run_id)
+
+
+def parse_run_id(spec: dict) -> str | None:
+    """A spec's ``run_id``, or None; ``repro pareto`` checks its id here too.
+
+    Raises :class:`ValueError` unless the id is a non-empty string that
+    names a file in the ledger root (no path separator).
+    """
+    run_id = spec.get("run_id")
+    if run_id is not None and (
+        not isinstance(run_id, str) or not run_id or any(c in run_id for c in "/\\")
+    ):
+        raise ValueError("run_id must be a non-empty path-safe string")
+    return run_id
 
 
 def parse_retry(spec: dict) -> dict:

@@ -46,6 +46,13 @@ GAP_STACK = 1
 #: reference.
 BLOCK_VERTICES = 4096
 
+#: References a decision loop lets pend before its block is recorded.
+#: Kernels whose references depend on values they compute (CC, SSSP)
+#: decide each block in plain Python ahead of laying it out; ending a
+#: block here as well as at ``BLOCK_VERTICES`` keeps that loop from
+#: running far past a reference budget.
+BLOCK_REFS = 16_384
+
 # (kind, is_load, gap) of each reference a block emitter puts, as the
 # ``Tracer`` helpers charge them.
 STACK_ACCESS = (DataType.INTERMEDIATE, True, GAP_STACK)
@@ -228,17 +235,16 @@ def first_claims(targets: np.ndarray, eligible: np.ndarray) -> np.ndarray:
 
 
 class VisitBlock(Block):
-    """A block over worklist vertices that each walk their CSR edges.
+    """A block over visits that each walk a run of CSR edges.
 
-    Vertex ``k`` emits three references, then ``edge_refs[e]`` for each
-    of its edges ``e`` in order, then ``tail[k]``.  The first three are
-    the ones every worklist visit makes and :meth:`put_visits` puts: a
-    stack access, the worklist load and the ``offsets[u + 1]`` load
-    that depends on it.  Each edge starts with two more: the structure
-    load, which for a vertex's first edge depends on the offset load,
-    and the dependent load of the neighbor's gathered property.
-    ``vertex_pos``, ``edge_pos`` and ``tail_pos`` are where each
-    vertex, edge and tail starts.
+    Visit ``k`` emits ``head[k]`` references, then ``edge_refs[e]`` for
+    each of its edges ``e`` in order, then ``tail[k]``.  The last head
+    reference of a visit with edges is its ``offsets[u + 1]`` load, on
+    which its first structure load depends.  Each edge starts with two
+    references, which :meth:`put_edges` puts: the structure load and the
+    dependent load of the neighbor's gathered property.  ``vertex_pos``,
+    ``edge_pos`` and ``tail_pos`` are where each visit, edge and tail
+    starts.
     """
 
     def __init__(
@@ -247,17 +253,36 @@ class VisitBlock(Block):
         degree: np.ndarray,
         edge_refs: np.ndarray,
         tail: np.ndarray | int = 0,
+        head: np.ndarray | int = 3,
     ):
         edge_bounds = np.concatenate(([0], np.cumsum(degree)))
         done = np.concatenate(([0], np.cumsum(edge_refs)))
-        refs = 3 + done[edge_bounds[1:]] - done[edge_bounds[:-1]] + tail
+        refs = head + done[edge_bounds[1:]] - done[edge_bounds[:-1]] + tail
         self.vertex_pos = np.cumsum(refs) - refs
         self.tail_pos = self.vertex_pos + refs - tail
         owner = np.repeat(np.arange(len(degree)), degree)
-        self.edge_pos = done[:-1] + (self.vertex_pos + 3 - done[edge_bounds[:-1]])[owner]
-        self._has_edges = degree > 0
-        self._first_edge = edge_bounds[:-1][self._has_edges]
+        self.edge_pos = done[:-1] + (self.vertex_pos + head - done[edge_bounds[:-1]])[owner]
+        walks = degree > 0
+        self._first_edge = edge_bounds[:-1][walks]
+        self._offset_pos = (self.vertex_pos + head - 1)[walks]
         super().__init__(tb, int(refs.sum()))
+
+    def put_edges(
+        self,
+        layout: GraphLayout,
+        edges: np.ndarray,
+        gathered: Region,
+        targets: np.ndarray,
+    ) -> None:
+        """Put each edge's first two references.
+
+        Edge ``e`` loads structure element ``edges[e]`` and then
+        ``gathered[targets[e]]``, which depends on it.
+        """
+        edge = self.edge_pos
+        self.put(edge, layout.structure, edges, LOAD_STRUCTURE)
+        self.dep[edge[self._first_edge]] = self.first + self._offset_pos
+        self.put(edge + 1, gathered, targets, LOAD_PROPERTY, dep=edge)
 
     def put_visits(
         self,
@@ -270,21 +295,18 @@ class VisitBlock(Block):
         gathered: Region,
         targets: np.ndarray,
     ) -> None:
-        """Put each vertex's first three references and each edge's first two.
+        """Put a worklist visit's three head references and its edges.
 
         Vertex ``k`` touches stack slot ``slot[k]``, loads worklist
-        element ``item[k]`` and then ``offsets[vertices[k] + 1]``; edge
-        ``e`` loads structure element ``edges[e]`` and then
-        ``gathered[targets[e]]``.
+        element ``item[k]`` and then ``offsets[vertices[k] + 1]``, which
+        depends on it; its edges are put by :meth:`put_edges`.
         """
-        vertex, edge = self.vertex_pos, self.edge_pos
+        vertex = self.vertex_pos
         stack = layout.stack
         self.put(vertex, stack, slot % stack.num_elements, STACK_ACCESS)
         self.put(vertex + 1, worklist, item, LOAD_INTERMEDIATE)
         self.put(vertex + 2, layout.offsets, vertices + 1, LOAD_OFFSET, dep=vertex + 1)
-        self.put(edge, layout.structure, edges, LOAD_STRUCTURE)
-        self.dep[edge[self._first_edge]] = self.first + vertex[self._has_edges] + 2
-        self.put(edge + 1, gathered, targets, LOAD_PROPERTY, dep=edge)
+        self.put_edges(layout, edges, gathered, targets)
 
 
 @dataclass

@@ -17,16 +17,18 @@ turn BFS into an all-active sequential sweep (streaming structure).  The
 frontier — a generation-tagged frontier bitmap, vertex-indexed and
 therefore *property* data in the paper's terminology.
 
-Top-down levels are traced in NumPy blocks, one per chunk of at most
-``BLOCK_VERTICES`` frontier vertices.  Which references a chunk emits
-depends only on ``parent`` at the chunk's start and on the first
-occurrence of each neighbor in edge order, so the chunk's references
-are laid out in NumPy and recorded with one ``TraceBuffer.extend``;
-the chunk's claims are applied before the next chunk is built.  The
-trace is the one a per-reference loop records
-(``tests/workloads/bfs_oracle.py``).  Bottom-up sweeps stay
-per-reference: their early exit makes each vertex's references depend
-on the order its neighbors are found in.
+Both directions are traced in NumPy blocks, one per chunk of at most
+``BLOCK_VERTICES`` vertices, each laid out in NumPy and recorded with
+one ``TraceBuffer.extend``.  In a top-down level, which references a
+chunk of the frontier emits depends only on ``parent`` at the chunk's
+start and on the first occurrence of each neighbor in edge order; the
+chunk's claims are applied before the next chunk is built.  A bottom-up
+sweep first tags the frontier in one block of stores.  A vertex's scan
+then depends only on its own ``parent`` entry and on the ``front``
+tags, which the sweep does not change: it ends at the first edge to a
+frontier member (``first_claims`` over the vertex owning each edge).
+The trace is the one a per-reference loop records
+(``tests/workloads/bfs_oracle.py``).
 """
 
 from __future__ import annotations
@@ -35,11 +37,14 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..memory.allocator import Region
-from ..trace.record import NO_DEP
 from .base import (
     BLOCK_VERTICES,
+    LOAD_OFFSET,
+    LOAD_PROPERTY,
+    STACK_ACCESS,
     STORE_INTERMEDIATE,
     STORE_PROPERTY,
+    Block,
     Tracer,
     VisitBlock,
     Workload,
@@ -124,7 +129,6 @@ class BFS(Workload):
         n = graph.num_vertices
         if source is None:
             source = default_source(graph)
-        offsets, neighbors = graph.offsets, graph.neighbors
         parent = np.full(n, -1, dtype=np.int64)
         parent[source] = source
         # Generation-tagged frontier membership: front[v] == level means v
@@ -137,10 +141,6 @@ class BFS(Workload):
         push_ptr = 1
         pop_ptr = 0
         tracer.store_intermediate(worklist, 0)
-        load_prop = tracer.load_property
-        store_prop = tracer.store_property
-        load_struct = tracer.load_structure
-        load_off = tracer.load_offset
         level = 0
         switch_at = max(n // alpha, 1)
         while len(queue):
@@ -148,30 +148,22 @@ class BFS(Workload):
             tracer.phase("%s:%d" % ("bottomup" if bottom_up else "level", level))
             if bottom_up:
                 # Tag the current frontier (sequential-ish property stores).
-                for u in queue.tolist():
-                    front[u] = level
-                    store_prop("front", u)
+                tags = Block(tracer.tb, len(queue))
+                tags.put(
+                    np.arange(len(queue)), tracer.layout.properties["front"],
+                    queue, STORE_PROPERTY,
+                )
+                tags.record()
+                front[queue] = level
                 # All-active sweep: every unvisited vertex scans its
                 # neighbors for a frontier member — streaming structure.
-                nxt: list[int] = []
-                for u in range(n):
-                    tracer.stack_access(u)
-                    load_prop("parent", u)
-                    if parent[u] != -1:
-                        continue
-                    off_dep = load_off(u + 1)
-                    dep = off_dep
-                    for j in range(int(offsets[u]), int(offsets[u + 1])):
-                        s = load_struct(j, dep=dep)
-                        dep = NO_DEP
-                        v = int(neighbors[j])
-                        load_prop("front", v, dep=s)
-                        if front[v] == level:
-                            parent[u] = v
-                            store_prop("parent", u)
-                            nxt.append(u)
-                            break  # early exit, as in GAP's bottom-up step
-                queue = np.array(nxt, dtype=np.int64)
+                queue = np.concatenate([
+                    _trace_bottom_up(
+                        graph, tracer, parent, front, level,
+                        np.arange(lo, min(lo + BLOCK_VERTICES, n)),
+                    )
+                    for lo in range(0, n, BLOCK_VERTICES)
+                ])
             else:
                 nxt_chunks = []
                 for lo in range(0, len(queue), BLOCK_VERTICES):
@@ -228,3 +220,51 @@ def _trace_top_down(
     block.record()
     parent[fresh] = queue[owner[claimed]]
     return fresh.astype(np.int64)
+
+
+def _trace_bottom_up(
+    graph: CSRGraph,
+    tracer: Tracer,
+    parent: np.ndarray,
+    front: np.ndarray,
+    level: int,
+    vertices: np.ndarray,
+) -> np.ndarray:
+    """Trace a bottom-up sweep over ``vertices``; returns those it claims.
+
+    Vertex ``u`` makes a stack access and loads ``parent[u]``; if ``u``
+    is unvisited it loads ``offsets[u + 1]`` and scans its edges, each
+    a structure load and a dependent ``front`` load, up to and including
+    the first edge to a vertex tagged with ``level``.  That edge's
+    neighbor becomes ``u``'s parent, which ``u`` then stores.  Only
+    ``u``'s own ``parent`` entry and the ``front`` tags decide this, and
+    the sweep changes neither before ``u``, so the chunk is one block.
+    """
+    layout = tracer.layout
+    parents = layout.properties["parent"]
+    fresh = parent[vertices] == -1
+    unvisited = np.flatnonzero(fresh)
+    scanners = vertices[unvisited]
+    degree, owner, edges = adjacency(graph.offsets, scanners)
+    v = graph.neighbors[edges]
+    exits = first_claims(owner, front[v] == level)
+    found = owner[exits]
+    start = np.cumsum(degree) - degree
+    stop = start + degree
+    stop[found] = exits + 1  # a scan ends at its first edge to the frontier
+    walked = np.arange(len(edges)) < stop[owner]
+    steps = np.zeros(len(vertices), dtype=np.int64)
+    steps[unvisited] = stop - start
+    tail = np.zeros(len(vertices), dtype=np.int64)
+    tail[unvisited[found]] = 1
+    block = VisitBlock(tracer.tb, steps, np.full(np.count_nonzero(walked), 2), tail, 2 + fresh)
+    pos = block.vertex_pos
+    block.put(pos, layout.stack, vertices % layout.stack.num_elements, STACK_ACCESS)
+    block.put(pos + 1, parents, vertices, LOAD_PROPERTY)
+    block.put(pos[unvisited] + 2, layout.offsets, scanners + 1, LOAD_OFFSET)
+    block.put_edges(layout, edges[walked], layout.properties["front"], v[walked])
+    claimed = scanners[found]
+    block.put(block.tail_pos[unvisited[found]], parents, claimed, STORE_PROPERTY)
+    block.record()
+    parent[claimed] = v[exits]
+    return claimed

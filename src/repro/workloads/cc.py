@@ -9,6 +9,16 @@ The strictly sequential vertex order is why the paper finds CC (with PR)
 to have near-perfect structure prefetch accuracy (Fig. 14).
 
 Directed inputs are treated as undirected connectivity, matching GAP.
+
+Both sweeps are traced in blocks of contiguous vertices.  Which
+references a vertex emits depends on labels that earlier vertices of the
+same sweep updated, so a loop over plain lists first runs a block's
+label updates in the sweep's order and notes only what shapes its
+references: which hooking edges pull a neighbor's label down, which
+labels each pointer jump loads, and which vertices store their own
+label.  NumPy then lays out the block's references and one
+``TraceBuffer.extend`` records them.  The trace is the one a
+per-reference loop records (``tests/workloads/cc_oracle.py``).
 """
 
 from __future__ import annotations
@@ -16,8 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..trace.record import NO_DEP
-from .base import Tracer, Workload
+from .base import (
+    BLOCK_REFS,
+    BLOCK_VERTICES,
+    LOAD_OFFSET,
+    LOAD_PROPERTY,
+    STACK_ACCESS,
+    STORE_PROPERTY,
+    Tracer,
+    VisitBlock,
+    Workload,
+)
 
 __all__ = ["ConnectedComponents"]
 
@@ -68,52 +87,132 @@ class ConnectedComponents(Workload):
         """
         n = graph.num_vertices
         v_lo, v_hi = vertex_range if vertex_range is not None else (0, n)
-        offsets, neighbors = graph.offsets, graph.neighbors
-        comp = np.arange(n, dtype=np.int64)
-        load_prop = tracer.load_property
-        store_prop = tracer.store_property
-        load_struct = tracer.load_structure
-        load_off = tracer.load_offset
+        comp = list(range(n))
+        # Each vertex makes at least 3 references in either sweep, and
+        # 2 more per edge in the hooking sweep.
+        heads = 3 * np.arange(n + 1)
+        hooking = _blocks(v_lo, v_hi, heads + 2 * graph.offsets)
+        compression = _blocks(v_lo, v_hi, heads)
         changed = True
         round_no = 0
         while changed:
             tracer.phase("iteration:%d" % round_no)
             round_no += 1
             changed = False
-            # Hooking sweep: sequential vertices, streaming structure.
-            for u in range(v_lo, v_hi):
-                tracer.stack_access(u)
-                load_prop("comp", u)
-                off_dep = load_off(u + 1)
-                dep = off_dep
-                cu = int(comp[u])
-                for j in range(int(offsets[u]), int(offsets[u + 1])):
-                    s = load_struct(j, dep=dep)
-                    dep = NO_DEP
-                    v = int(neighbors[j])
-                    load_prop("comp", v, dep=s)
-                    cv = int(comp[v])
-                    if cv < cu:
-                        cu = cv
-                        changed = True
-                    elif cu < cv:
-                        # Undirected hooking: pull the neighbor down too.
-                        comp[v] = cu
-                        store_prop("comp", v, dep=s)
-                        changed = True
-                if cu != comp[u]:
-                    comp[u] = cu
-                    store_prop("comp", u)
-            # Compression sweep: pointer jumping — chained property loads.
-            for u in range(v_lo, v_hi):
-                tracer.stack_access(u)
-                d1 = load_prop("comp", u)
-                c = int(comp[u])
-                d2 = load_prop("comp", c, dep=d1)
-                while comp[c] != c:
-                    c = int(comp[c])
-                    d2 = load_prop("comp", c, dep=d2)
-                if c != comp[u]:
-                    comp[u] = c
-                    store_prop("comp", u)
-        return comp
+            for lo, hi in hooking:
+                changed |= _trace_hooking(graph, tracer, comp, lo, hi)
+            for lo, hi in compression:
+                _trace_compression(tracer, comp, lo, hi)
+        return np.array(comp, dtype=np.int64)
+
+
+def _blocks(lo: int, hi: int, refs_before: np.ndarray) -> list[tuple[int, int]]:
+    """Split vertices ``[lo, hi)`` into blocks of contiguous vertices.
+
+    ``refs_before[v]`` is the least number of references a sweep makes
+    before vertex ``v``.  A block ends at ``BLOCK_VERTICES`` vertices or
+    once that many references reach ``BLOCK_REFS``, whichever is first.
+    """
+    blocks = []
+    while lo < hi:
+        end = int(np.searchsorted(refs_before, refs_before[lo] + BLOCK_REFS))
+        end = min(max(end, lo + 1), lo + BLOCK_VERTICES, hi)
+        blocks.append((lo, end))
+        lo = end
+    return blocks
+
+
+def _trace_hooking(
+    graph: CSRGraph, tracer: Tracer, comp: list[int], lo: int, hi: int
+) -> bool:
+    """Trace the hooking sweep over vertices ``[lo, hi)``; True if it stored.
+
+    Vertex ``u`` makes a stack access, loads ``comp[u]`` and
+    ``offsets[u + 1]``.  Each edge loads its structure entry and the
+    neighbor's label; an edge whose neighbor's label is above the
+    running minimum stores the minimum there.  A vertex whose minimum
+    differs from its label (re-read: a self-loop may have lowered it)
+    then stores its label.  Any store means the labels changed.
+    """
+    offsets = graph.offsets
+    base = int(offsets[lo])
+    targets = graph.neighbors[base : offsets[hi]]
+    bounds = (offsets[lo : hi + 1] - base).tolist()
+    nbrs = targets.tolist()
+    pulls: list[int] = []  # edges (block positions) that store
+    hooks: list[int] = []  # vertices that store their own label
+    for u, start, stop in zip(range(lo, hi), bounds, bounds[1:]):
+        cu = comp[u]
+        for e in range(start, stop):
+            v = nbrs[e]
+            cv = comp[v]
+            if cv < cu:
+                cu = cv
+            elif cu < cv:
+                # Undirected hooking: pull the neighbor down too.
+                comp[v] = cu
+                pulls.append(e)
+        if cu != comp[u]:
+            comp[u] = cu
+            hooks.append(u)
+    layout = tracer.layout
+    labels = layout.properties["comp"]
+    vertices = np.arange(lo, hi)
+    pulled = np.array(pulls, dtype=np.int64)
+    hooked = np.array(hooks, dtype=np.int64) - lo
+    edge_refs = np.full(len(nbrs), 2)
+    edge_refs[pulled] = 3
+    tail = np.zeros(hi - lo, dtype=np.int64)
+    tail[hooked] = 1
+    block = VisitBlock(tracer.tb, np.diff(offsets[lo : hi + 1]), edge_refs, tail)
+    pos = block.vertex_pos
+    block.put(pos, layout.stack, vertices % layout.stack.num_elements, STACK_ACCESS)
+    block.put(pos + 1, labels, vertices, LOAD_PROPERTY)
+    block.put(pos + 2, layout.offsets, vertices + 1, LOAD_OFFSET)
+    block.put_edges(layout, np.arange(base, base + len(nbrs)), labels, targets)
+    pos = block.edge_pos[pulled]
+    block.put(pos + 2, labels, targets[pulled], STORE_PROPERTY, dep=pos)
+    block.put(block.tail_pos[hooked], labels, vertices[hooked], STORE_PROPERTY)
+    block.record()
+    return bool(pulls or hooks)
+
+
+def _trace_compression(tracer: Tracer, comp: list[int], lo: int, hi: int) -> None:
+    """Trace the compression sweep over vertices ``[lo, hi)``.
+
+    Vertex ``u`` makes a stack access and loads ``comp[u]``, then jumps
+    from label to label, loading each (every load depends on the one
+    before), until it loads a label that labels itself.  If that root
+    is not ``u``'s label, ``u`` stores it.  The jumps take the places of
+    a visit's edges in a :class:`VisitBlock` with a two-reference head.
+    """
+    jumps: list[int] = []  # each vertex's loaded labels, in order
+    ends: list[int] = []  # len(jumps) after each vertex
+    roots: list[int] = []  # vertices that store their root
+    for u in range(lo, hi):
+        c = comp[u]
+        jumps.append(c)
+        up = comp[c]
+        while up != c:
+            c = up
+            jumps.append(c)
+            up = comp[c]
+        ends.append(len(jumps))
+        if c != comp[u]:
+            comp[u] = c
+            roots.append(u)
+    layout = tracer.layout
+    labels = layout.properties["comp"]
+    vertices = np.arange(lo, hi)
+    rooted = np.array(roots, dtype=np.int64) - lo
+    tail = np.zeros(hi - lo, dtype=np.int64)
+    tail[rooted] = 1
+    hops = np.diff(ends, prepend=0)
+    block = VisitBlock(tracer.tb, hops, np.ones(len(jumps), dtype=np.int64), tail, head=2)
+    pos = block.vertex_pos
+    block.put(pos, layout.stack, vertices % layout.stack.num_elements, STACK_ACCESS)
+    block.put(pos + 1, labels, vertices, LOAD_PROPERTY)
+    pos = block.edge_pos
+    block.put(pos, labels, np.array(jumps, dtype=np.int64), LOAD_PROPERTY, dep=pos - 1)
+    block.put(block.tail_pos[rooted], labels, vertices[rooted], STORE_PROPERTY)
+    block.record()

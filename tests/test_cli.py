@@ -483,6 +483,21 @@ class TestSweepSpecGrammar:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("verb", ["sweep", "pareto"])
+    @pytest.mark.parametrize("flag", ["--run-id", "--resume"])
+    def test_bad_run_id_exits_2_before_writing(
+        self, capsys, tmp_path, monkeypatch, verb, flag
+    ):
+        from repro.service import parse_spec
+
+        monkeypatch.setenv("REPRO_RUN_LEDGER", str(tmp_path / "runs"))
+        argv = self.SWEEP if verb == "sweep" else self.PARETO
+        assert main(argv + [flag, "a/b"]) == 2
+        with pytest.raises(ValueError) as spec_error:
+            parse_spec({"run_id": "a/b"})
+        assert "error: %s" % spec_error.value in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("verb", ["sweep", "pareto"])
     def test_bad_fault_spec_exits_2_before_writing(
         self, capsys, tmp_path, monkeypatch, verb
     ):

@@ -1,10 +1,11 @@
 """Block-emitted BFS traces equal the per-reference oracle's.
 
-``BFS.trace_into`` records each top-down level in NumPy blocks;
-``PerReferenceBFS`` is the per-reference loop it replaced.  Both must
-record byte-identical arrays with the same dtypes, the same phase
-markers and the same completion flag, and a completed run the same
-parents, whatever the graph, source, window, budget or chunk size.
+``BFS.trace_into`` records each top-down level and each bottom-up sweep
+in NumPy blocks; ``PerReferenceBFS`` is the per-reference loop it
+replaced.  Both must record byte-identical arrays with the same dtypes,
+the same phase markers and the same completion flag, and a completed
+run the same parents, whatever the graph, source, direction switch,
+window, budget or chunk size.
 """
 
 import numpy as np
@@ -47,8 +48,10 @@ def bfs_cases(draw):
         "source": draw(st.one_of(*sources)),
     }
     if draw(st.booleans()):
+        # Past alpha = num_vertices, any frontier of two or more vertices
+        # switches to a bottom-up sweep.
         kwargs["direction_optimizing"] = True
-        kwargs["alpha"] = draw(st.integers(1, 8))
+        kwargs["alpha"] = draw(st.one_of(st.integers(1, 8), st.just(64)))
     return graph, kwargs, draw(CHUNK_SIZES)
 
 
@@ -90,6 +93,23 @@ class TestBlockParity:
         trace = run.trace
         stores = trace.addr[~trace.is_load & (trace.kind == DataType.PROPERTY)]
         assert stores.tolist() == [parent.addr(v) for v in (1, 2, 3, 4)]
+
+    def test_bottom_up_sweep_exits_at_the_first_frontier_neighbor(self):
+        # Level 0 claims 1 and 2, which switch the search to bottom-up.
+        # Vertex 3 scans 0, then 2 (a frontier member) and stops before
+        # its edge to 1; vertex 4 finds no frontier neighbor.  Level 2
+        # then visits 3 top-down, which scans all three of its edges.
+        graph = CSRGraph(
+            np.array([0, 2, 2, 2, 5, 6]), np.array([1, 2, 0, 2, 1, 3]), name="exit"
+        )
+        run = bfs_parity(graph, 2, max_refs=None, source=0, direction_optimizing=True, alpha=64)
+        assert run.result.tolist() == [0, 0, 0, 2, -1]
+        assert [label for _, label in run.trace.phases] == [
+            "level:0", "bottomup:1", "level:2",
+        ]
+        structure = run.layout.structure
+        loads = run.trace.addr[run.trace.kind == DataType.STRUCTURE]
+        assert loads.tolist() == [structure.addr(j) for j in (0, 1, 2, 3, 5, 2, 3, 4)]
 
     @pytest.mark.parametrize(("graph", "alpha"), [("small_kron", 3), ("small_road", 24)])
     @pytest.mark.parametrize("chunk", [3, 4096])
@@ -136,4 +156,29 @@ class TestOutOfRangeIndex:
         )
         assert message == oracle_message
         assert "'structure'" in message
+        assert_same_trace(trace, oracle_trace)
+
+    @pytest.mark.parametrize("skip", [0, 20, 100])
+    @pytest.mark.parametrize("chunk", [1, 4096])
+    def test_layout_too_small_for_a_bottom_up_sweep(self, tiny_graph, skip, chunk):
+        # Eight vertices but three edges: level 0 scans edges 0 and 1,
+        # and the bottom-up sweep runs past the structure region.
+        small = CSRGraph(np.array([0, 2, 3, 3, 3, 3, 3, 3, 3]), np.array([1, 2, 0]), name="small")
+
+        def trace_with(workload):
+            layout = BFS().make_layout(small)
+            return lambda tb: workload.trace_into(
+                tiny_graph, Tracer(tb, layout), source=0,
+                direction_optimizing=True, alpha=64,
+            )
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bfs_module, "BLOCK_VERTICES", chunk)
+            message, trace = traced_until_error(trace_with(BFS()), skip=skip)
+        oracle_message, oracle_trace = traced_until_error(
+            trace_with(PerReferenceBFS()), skip=skip
+        )
+        assert message == oracle_message
+        assert "'structure'" in message
+        assert trace.phases[-1][1] == "bottomup:1"
         assert_same_trace(trace, oracle_trace)
