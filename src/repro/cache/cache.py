@@ -4,11 +4,14 @@ Matches the paper's Table I cache organization: physically indexed
 set-associative arrays, LRU replacement, 64 B lines, separate tag/data
 access latencies (taken from CACTI in the paper; we carry them as plain
 configuration numbers).
+
+A set is a plain ``dict`` in LRU order: its first key is the least and
+its last key the most recently used line.  A touch pops the line and
+re-inserts it; an eviction pops ``next(iter(set))``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..trace.record import DataType
@@ -68,22 +71,24 @@ class Cache:
     def __init__(self, config: CacheConfig):
         self.config = config
         self.stats = CacheStats(name=config.name)
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(config.num_sets)
+        self._sets: list[dict[int, CacheLine]] = [
+            {} for _ in range(config.num_sets)
         ]
         self._num_sets = config.num_sets
         self._assoc = config.associativity
 
     # ------------------------------------------------------------------
-    def _set_of(self, line: int) -> OrderedDict[int, CacheLine]:
+    def _set_of(self, line: int) -> dict[int, CacheLine]:
         return self._sets[line % self._num_sets]
 
     def lookup(self, line: int, update_lru: bool = True) -> CacheLine | None:
         """Probe for ``line``; returns its metadata on hit, else ``None``."""
         s = self._set_of(line)
-        meta = s.get(line)
-        if meta is not None and update_lru:
-            s.move_to_end(line)
+        if not update_lru:
+            return s.get(line)
+        meta = s.pop(line, None)
+        if meta is not None:
+            s[line] = meta
         return meta
 
     def contains(self, line: int) -> bool:
@@ -101,8 +106,8 @@ class Cache:
         marks which accesses dirty their line.  Equivalent to calling
         :meth:`lookup` per access (plus setting the dirty bit on stores)
         but without per-access Python call overhead.  Hit *counters* are
-        accounted separately via :meth:`add_hits` so the replay engine
-        can aggregate them from the plan's prefix sums.
+        left to the caller, which aggregates them from the plan's prefix
+        sums.
 
         The caller guarantees residency — e.g. via the conservative
         stack-distance filter of
@@ -113,25 +118,15 @@ class Cache:
         num_sets = self._num_sets
         if stores is None:
             for line in lines:
-                sets[line % num_sets].move_to_end(line)
+                target = sets[line % num_sets]
+                target[line] = target.pop(line)
             return
         for line, store in zip(lines, stores):
             target = sets[line % num_sets]
+            meta = target.pop(line)
+            target[line] = meta
             if store:
-                target[line].dirty = True
-            target.move_to_end(line)
-
-    def add_hits(self, counts: dict) -> None:
-        """Fold aggregated demand-hit counts (``{kind: count}``) in.
-
-        The batch-replay engine accounts guaranteed-hit runs here from
-        NumPy prefix sums instead of calling ``stats.record`` per access;
-        the resulting counters are bit-identical to the scalar path's.
-        """
-        hits = self.stats.hits
-        for kind, count in counts.items():
-            if count:
-                hits[kind] += count
+                meta.dirty = True
 
     def insert(
         self,
@@ -145,14 +140,15 @@ class Cache:
         Filling a resident line refreshes LRU and merges the dirty bit.
         """
         s = self._set_of(line)
-        existing = s.get(line)
+        existing = s.pop(line, None)
         if existing is not None:
-            s.move_to_end(line)
+            s[line] = existing
             existing.dirty = existing.dirty or dirty
             return None
         victim = None
         if len(s) >= self._assoc:
-            victim = s.popitem(last=False)
+            vline = next(iter(s))
+            victim = (vline, s.pop(vline))
             self.stats.evictions += 1
         s[line] = CacheLine(dirty=dirty, prefetched=prefetched, kind=int(kind))
         if prefetched:

@@ -100,7 +100,8 @@ class CacheHierarchy:
     # the refills of ``demand_access`` and of the batch-replay engine's
     # cascade, stream and MPP prefetch fills, and LLC→L2 copies.  They
     # work on each Cache's raw set dictionaries (``Cache.insert`` and
-    # ``Cache.invalidate`` inlined) and count as they go.  A fill into a
+    # ``Cache.invalidate`` inlined, in the sets' LRU order: first key
+    # least recently used) and count as they go.  A fill into a
     # full set reuses its LRU victim's record for the incoming line, so
     # a new CacheLine is built only for a free way (a cold set, or one a
     # back-invalidation opened); the victim's flags live on in locals.
@@ -118,14 +119,15 @@ class CacheHierarchy:
         """
         l1 = self.l1s[core]
         s = l1._sets[line % l1._num_sets]
-        meta = s.get(line)
         vline = None
-        if meta is not None:
-            s.move_to_end(line)
+        if line in s:
+            meta = s.pop(line)
+            s[line] = meta
             meta.dirty = meta.dirty or dirty
         else:
             if len(s) >= l1._assoc:
-                vline, meta = s.popitem(last=False)
+                vline = next(iter(s))
+                meta = s.pop(vline)
                 vdirty = meta.dirty
                 vpf = meta.prefetched
                 vused = meta.used
@@ -176,10 +178,11 @@ class CacheHierarchy:
         s = l2._sets[line % l2._num_sets]
         vline = None
         if line in s:
-            s.move_to_end(line)
+            s[line] = s.pop(line)
         else:
             if len(s) >= l2._assoc:
-                vline, meta = s.popitem(last=False)
+                vline = next(iter(s))
+                meta = s.pop(vline)
                 vdirty = meta.dirty
                 vpf = meta.prefetched
                 vused = meta.used
@@ -220,10 +223,11 @@ class CacheHierarchy:
         s = l3._sets[line % l3._num_sets]
         vline = None
         if line in s:
-            s.move_to_end(line)
+            s[line] = s.pop(line)
         else:
             if len(s) >= l3._assoc:
-                vline, meta = s.popitem(last=False)
+                vline = next(iter(s))
+                meta = s.pop(vline)
                 vdirty = meta.dirty
                 vpf = meta.prefetched
                 vused = meta.used

@@ -18,7 +18,6 @@ its telemetry gauges read 0 during replay.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 __all__ = ["MemoryRequestBuffer", "MRBEntry"]
@@ -45,7 +44,8 @@ class MemoryRequestBuffer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[int, MRBEntry] = OrderedDict()
+        #: Entries by line, oldest first.
+        self._entries: dict[int, MRBEntry] = {}
         self.overflows = 0
 
     def __len__(self) -> int:
@@ -53,14 +53,15 @@ class MemoryRequestBuffer:
 
     def enqueue(self, line: int, c_bit: bool, core: int) -> None:
         """Record an outgoing DRAM request's metadata."""
-        if line in self._entries:
+        entries = self._entries
+        old = entries.pop(line, None)
+        if old is not None:
             # A demand can merge with an in-flight prefetch; keep the
             # stronger (prefetch) tag so the MPP still sees the fill.
-            old = self._entries.pop(line)
             c_bit = c_bit or old.c_bit
-        self._entries[line] = MRBEntry(line, c_bit, core)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries[line] = MRBEntry(line, c_bit, core)
+        if len(entries) > self.capacity:
+            del entries[next(iter(entries))]
             self.overflows += 1
 
     def register_telemetry(self, registry, prefix: str = "mrb") -> None:

@@ -159,16 +159,16 @@ class MPP:
             plines[(frame_base + vaddr % page_size) // line_size] = None
         if all_hit:
             tlb.stats.hits += len(vaddrs)
-            # LRU refresh: one move_to_end per page in order of each
-            # page's *last* occurrence yields the same final recency
-            # order as the per-address calls (all hits, so no eviction
-            # can observe any intermediate order).
+            # LRU refresh: re-inserting each page once, in order of its
+            # *last* occurrence, yields the same final recency order as
+            # the per-address calls (all hits, so no eviction can
+            # observe any intermediate order).
             if len(last) == 1:
-                cache.move_to_end(next(iter(last)))
+                page = next(iter(last))
+                cache[page] = cache.pop(page)
             else:
-                move = cache.move_to_end
                 for page in sorted(last, key=last.__getitem__):
-                    move(page)
+                    cache[page] = cache.pop(page)
             self.requests_generated += len(plines)
             return plines, base_delay
         tel = self.telemetry

@@ -106,16 +106,16 @@ class MTLB:
                 return False, [self.translate_property(v) for v in vaddrs]
             frames[page] = entry.frame
         tlb.stats.hits += len(vaddrs)
-        # LRU refresh: applying one move_to_end per page in order of each
-        # page's *last* occurrence yields the same final recency order as
-        # the per-address calls (all hits, so no eviction can observe any
+        # LRU refresh: re-inserting each page once, in order of its
+        # *last* occurrence, yields the same final recency order as the
+        # per-address calls (all hits, so no eviction can observe any
         # intermediate order).
-        move = cache.move_to_end
         if len(last) == 1:
-            move(pages[0])
+            page = pages[0]
+            cache[page] = cache.pop(page)
         else:
             for page in sorted(last, key=last.__getitem__):
-                move(page)
+                cache[page] = cache.pop(page)
         return True, [
             frames[page] * page_size + vaddr % page_size
             for page, vaddr in zip(pages, vaddrs)

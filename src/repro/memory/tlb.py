@@ -9,7 +9,6 @@ The same class backs DROPLET's near-memory MTLB, which caches only
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .pagetable import PageFault, PageTable
@@ -72,7 +71,8 @@ class TLB:
         self.capacity = entries
         self.walk_latency = walk_latency
         self.stats = TLBStats()
-        self._cache: OrderedDict[int, _TLBEntry] = OrderedDict()
+        #: Entries by page in LRU order (first key least recently used).
+        self._cache: dict[int, _TLBEntry] = {}
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -84,9 +84,10 @@ class TLB:
         the fault).
         """
         page = self.page_table.page_of(vaddr)
-        entry = self._cache.get(page)
+        cache = self._cache
+        entry = cache.pop(page, None)
         if entry is not None:
-            self._cache.move_to_end(page)
+            cache[page] = entry
             self.stats.hits += 1
             latency = 0
         else:
@@ -98,9 +99,9 @@ class TLB:
                 self.stats.faults += 1
                 raise
             entry = _TLBEntry(pte.frame, pte.is_structure)
-            self._cache[page] = entry
-            if len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
+            cache[page] = entry
+            if len(cache) > self.capacity:
+                del cache[next(iter(cache))]
             latency = self.walk_latency
         paddr = entry.frame * self.page_table.page_size + vaddr % self.page_table.page_size
         return paddr, entry.is_structure, latency

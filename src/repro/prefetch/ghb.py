@@ -14,7 +14,6 @@ property / intermediate misses destroy delta correlation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..trace.record import DataType
@@ -43,7 +42,8 @@ class GHBPrefetcher(Prefetcher):
         self._buffer: list[_GHBEntry | None] = [None] * buffer_size
         self._head = 0  # next write slot
         self._count = 0  # total entries ever written
-        self._index: OrderedDict[tuple[int, int], int] = OrderedDict()
+        #: Delta pair -> newest sequence number, in LRU order.
+        self._index: dict[tuple[int, int], int] = {}
         self._last_line: int | None = None
         self._last_delta: int | None = None
 
@@ -65,16 +65,16 @@ class GHBPrefetcher(Prefetcher):
             delta = line - self._last_line
             if self._last_delta is not None:
                 key = (self._last_delta, delta)
-                prev_seq = self._index.get(key, -1)
+                index = self._index
+                prev_seq = index.pop(key, -1)
                 # Link the new entry into its key chain and update index.
                 seq = self._count
                 self._buffer[self._head] = _GHBEntry(line, prev_seq)
                 self._head = (self._head + 1) % self.buffer_size
                 self._count += 1
-                self._index[key] = seq
-                self._index.move_to_end(key)
-                if len(self._index) > self.index_size:
-                    self._index.popitem(last=False)
+                index[key] = seq
+                if len(index) > self.index_size:
+                    del index[next(iter(index))]
                 # Predict by replaying the deltas that followed the last
                 # occurrence of this delta pair.
                 if self._entry_seq_valid(prev_seq):

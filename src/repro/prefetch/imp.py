@@ -21,7 +21,6 @@ out, and which this model reproduces:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..trace.record import DataType
@@ -83,8 +82,9 @@ class IMPPrefetcher(Prefetcher):
         self.table_size = table_size
         self.line_size = line_size
         self._recent_values: list[int] = []  # sliding window of index values
-        self._candidates: OrderedDict[tuple[int, int], _Candidate] = OrderedDict()
-        self._patterns: OrderedDict[tuple[int, int], IndirectPattern] = OrderedDict()
+        # Both tables are in LRU order (first key least recently used).
+        self._candidates: dict[tuple[int, int], _Candidate] = {}
+        self._patterns: dict[tuple[int, int], IndirectPattern] = {}
         self.patterns_learned = 0
 
     # ------------------------------------------------------------------
@@ -126,6 +126,8 @@ class IMPPrefetcher(Prefetcher):
         if is_structure or not self._recent_values:
             return []
         addr = line * self.line_size
+        patterns = self._patterns
+        candidates = self._candidates
         # Try to explain this miss as base + (v << shift) for a recent v.
         for value in self._recent_values[-self.lookahead :]:
             for shift in self.shifts:
@@ -133,22 +135,21 @@ class IMPPrefetcher(Prefetcher):
                 if base < 0:
                     continue
                 key = (shift, base & ~(self.line_size - 1))
-                if key in self._patterns:
-                    pattern = self._patterns[key]
+                if key in patterns:
+                    pattern = patterns.pop(key)
+                    patterns[key] = pattern
                     pattern.hits += 1
                     # Refine the base estimate: line-truncated miss
                     # addresses give base estimates in
                     # (true_base - line, true_base]; the max converges.
                     if base > pattern.base:
                         pattern.base = base
-                    self._patterns.move_to_end(key)
                     continue
-                cand = self._candidates.get(key)
+                cand = candidates.get(key)
                 if cand is None:
-                    self._candidates[key] = _Candidate(shift, base)
-                    self._candidates.move_to_end(key)
-                    if len(self._candidates) > 8 * self.table_size:
-                        self._candidates.popitem(last=False)
+                    candidates[key] = _Candidate(shift, base)
+                    if len(candidates) > 8 * self.table_size:
+                        del candidates[next(iter(candidates))]
                 else:
                     cand.confidence += 1
                     if base > cand.base:
@@ -162,7 +163,7 @@ class IMPPrefetcher(Prefetcher):
         self._patterns[key] = IndirectPattern(cand.shift, cand.base)
         self.patterns_learned += 1
         if len(self._patterns) > self.table_size:
-            self._patterns.popitem(last=False)
+            del self._patterns[next(iter(self._patterns))]
 
     @property
     def active_patterns(self) -> int:

@@ -14,7 +14,6 @@ structure-tagged requests.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..trace.record import DataType
@@ -55,7 +54,8 @@ class StreamPrefetcher(Prefetcher):
         self.degree = degree
         self.confirm = confirm
         self.page_lines = page_lines
-        self._trackers: OrderedDict[int, StreamTracker] = OrderedDict()
+        #: Trackers by page in LRU order (first key least recently used).
+        self._trackers: dict[int, StreamTracker] = {}
         self.tracker_allocations = 0
         self.tracker_evictions = 0
 
@@ -78,7 +78,7 @@ class StreamPrefetcher(Prefetcher):
         trackers = self._trackers
         self.tracker_allocations += 1
         if len(trackers) >= self.num_streams:
-            tracker = trackers.popitem(last=False)[1]
+            tracker = trackers.pop(next(iter(trackers)))
             self.tracker_evictions += 1
             tracker.page = page
             tracker.last_line = line
@@ -160,11 +160,12 @@ class StreamPrefetcher(Prefetcher):
         if self.trains_structure_only and not is_structure:
             return []
         page = line // self.page_lines
-        tracker = self._trackers.get(page)
+        trackers = self._trackers
+        tracker = trackers.pop(page, None)
         if tracker is None:
             self._allocate(page, line)
             return []
-        self._trackers.move_to_end(page)
+        trackers[page] = tracker
         return self._advance(tracker, line)
 
     def observe_hit(
@@ -177,10 +178,11 @@ class StreamPrefetcher(Prefetcher):
         if self.trains_structure_only and not is_structure:
             return []
         page = line // self.page_lines
-        tracker = self._trackers.get(page)
+        trackers = self._trackers
+        tracker = trackers.get(page)
         if tracker is None or not tracker.active:
             return []
-        self._trackers.move_to_end(page)
+        trackers[page] = trackers.pop(page)
         return self._advance(tracker, line)
 
     def reset(self) -> None:

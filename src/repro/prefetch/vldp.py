@@ -12,7 +12,6 @@ cascaded 64-entry DPTs.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..trace.record import DataType
@@ -28,25 +27,31 @@ class _DHBEntry:
 
 
 class _LRUTable:
-    """Bounded LRU mapping used for the OPT and each DPT."""
+    """Bounded LRU mapping used for the OPT and each DPT.
+
+    Values are never ``None``; the table is in LRU order (first key
+    least recently used).
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._table: OrderedDict = OrderedDict()
+        self._table: dict = {}
 
     def get(self, key):
         """LRU-refreshing lookup; None when absent."""
-        value = self._table.get(key)
+        table = self._table
+        value = table.pop(key, None)
         if value is not None:
-            self._table.move_to_end(key)
+            table[key] = value
         return value
 
     def put(self, key, value) -> None:
         """Insert/update, evicting the LRU entry beyond capacity."""
-        self._table[key] = value
-        self._table.move_to_end(key)
-        if len(self._table) > self.capacity:
-            self._table.popitem(last=False)
+        table = self._table
+        table.pop(key, None)
+        table[key] = value
+        if len(table) > self.capacity:
+            del table[next(iter(table))]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -71,7 +76,8 @@ class VLDPPrefetcher(Prefetcher):
         self.page_lines = page_lines
         self.degree = degree
         self.num_dpts = num_dpts
-        self._dhb: OrderedDict[int, _DHBEntry] = OrderedDict()
+        #: Per-page histories in LRU order (first key least recently used).
+        self._dhb: dict[int, _DHBEntry] = {}
         self.dhb_pages = dhb_pages
         self._opt = _LRUTable(opt_size)
         self._dpts = [_LRUTable(dpt_size) for _ in range(num_dpts)]
@@ -112,20 +118,20 @@ class VLDPPrefetcher(Prefetcher):
     ) -> list[int]:
         """Train per-page delta history and chase cascade predictions."""
         page, offset = divmod(line, self.page_lines)
-        entry = self._dhb.get(page)
+        dhb = self._dhb
+        entry = dhb.pop(page, None)
         if entry is None:
             # Fresh page: consult the OPT for a first-delta guess.
-            self._dhb[page] = _DHBEntry(last_offset=offset)
-            self._dhb.move_to_end(page)
-            if len(self._dhb) > self.dhb_pages:
-                self._dhb.popitem(last=False)
+            dhb[page] = _DHBEntry(last_offset=offset)
+            if len(dhb) > self.dhb_pages:
+                del dhb[next(iter(dhb))]
             first_delta = self._opt.get(offset)
             if first_delta:
                 target = offset + first_delta
                 if 0 <= target < self.page_lines:
                     return [page * self.page_lines + target]
             return []
-        self._dhb.move_to_end(page)
+        dhb[page] = entry
         delta = offset - entry.last_offset
         if delta == 0:
             return []

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..graph.csr import CSRGraph
@@ -40,7 +39,8 @@ class GraphMemo:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._graphs: OrderedDict[tuple, CSRGraph] = OrderedDict()
+        #: Graphs by identity in LRU order (first key least recently used).
+        self._graphs: dict[tuple, CSRGraph] = {}
         self._reset_lock()
 
     def _reset_lock(self) -> None:
@@ -49,9 +49,10 @@ class GraphMemo:
     def get(self, identity: tuple) -> CSRGraph | None:
         """The memoized graph (now the most recently used), or ``None``."""
         with self._lock:
-            graph = self._graphs.get(identity)
+            graphs = self._graphs
+            graph = graphs.pop(identity, None)
             if graph is not None:
-                self._graphs.move_to_end(identity)
+                graphs[identity] = graph
             return graph
 
     def get_or_build(self, identity: tuple, build) -> CSRGraph:
@@ -60,12 +61,13 @@ class GraphMemo:
         Memoizing evicts the least recently used graph past capacity.
         """
         with self._lock:
-            graph = self._graphs.get(identity)
+            graphs = self._graphs
+            graph = graphs.pop(identity, None)
             if graph is None:
-                graph = self._graphs[identity] = build().freeze()
-                while len(self._graphs) > self.capacity:
-                    self._graphs.popitem(last=False)
-            self._graphs.move_to_end(identity)
+                graph = build().freeze()
+            graphs[identity] = graph
+            while len(graphs) > self.capacity:
+                del graphs[next(iter(graphs))]
             return graph
 
     def clear(self) -> None:

@@ -358,7 +358,8 @@ def run_fast(machine, trace: Trace):
                         # — replay the deduped touch list, and one
                         # representative dirty-bit write per (line, run).
                         for si, ln in touch_pairs[touch_cum[i] : touch_cum[jrun]]:
-                            l1_sets[si].move_to_end(ln)
+                            s1 = l1_sets[si]
+                            s1[ln] = s1.pop(ln)
                         slo = srcum[i]
                         shi = srcum[jrun]
                         if shi != slo:
@@ -388,9 +389,9 @@ def run_fast(machine, trace: Trace):
             kind = kinds[i]
             load = is_load[i]
             s1 = l1_sets[set_idx[i]]
-            meta = s1.get(line)
+            meta = s1.pop(line, None)
             if meta is not None:
-                s1.move_to_end(line)
+                s1[line] = meta
                 c_l1_hit[kind] += 1
                 latency = 0.0
                 if meta.prefetched:
@@ -423,9 +424,9 @@ def run_fast(machine, trace: Trace):
             prefetched = False
             if l2_sets is not None:
                 s2 = l2_sets[line % l2_num_sets]
-                meta = s2.get(line)
+                meta = s2.pop(line, None)
                 if meta is not None:
-                    s2.move_to_end(line)
+                    s2[line] = meta
                     meta.used = True
                     c_l2_hit[kind] += 1
                     if meta.prefetched:
@@ -437,9 +438,9 @@ def run_fast(machine, trace: Trace):
                     c_l2_miss[kind] += 1
             if level is None:
                 s3 = l3_sets[line % l3_num_sets]
-                meta = s3.get(line)
+                meta = s3.pop(line, None)
                 if meta is not None:
-                    s3.move_to_end(line)
+                    s3[line] = meta
                     meta.used = True
                     c_l3_hit[kind] += 1
                     if meta.prefetched:

@@ -4,11 +4,18 @@ Trace generation is the slowest part of a study on large graphs; saving
 finalized traces lets a sweep re-run machine configurations without
 re-tracing.  The format is a plain ``numpy`` archive with the five
 parallel arrays plus metadata, so it is stable and readable elsewhere.
+
+Archives are written as ``np.savez_compressed`` writes them, member for
+member, but deflated at level 1 rather than zlib's default 6: a store
+takes a fraction of the time for a slightly larger file
+(``docs/performance.md``, *Storing traces*), and ``np.load`` reads
+either level.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from pathlib import Path
 
@@ -24,23 +31,35 @@ TRACE_FORMAT_VERSION = 2
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
-    """Write ``trace`` to ``path`` (a ``.npz`` archive)."""
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        version=np.int64(TRACE_FORMAT_VERSION),
-        addr=trace.addr,
-        kind=trace.kind,
-        is_load=trace.is_load,
-        dep=trace.dep,
-        gap=trace.gap,
-        name=np.bytes_(trace.name.encode()),
-        core=np.int64(trace.core),
-        phase_index=np.array([i for i, _ in trace.phases], dtype=np.int64),
-        phase_labels=np.bytes_(
+    """Write ``trace`` to ``path`` (a ``.npz`` archive).
+
+    Like ``np.savez_compressed``, appends ``.npz`` to a path without it.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    members = {
+        "version": np.int64(TRACE_FORMAT_VERSION),
+        "addr": trace.addr,
+        "kind": trace.kind,
+        "is_load": trace.is_load,
+        "dep": trace.dep,
+        "gap": trace.gap,
+        "name": np.bytes_(trace.name.encode()),
+        "core": np.int64(trace.core),
+        "phase_index": np.array([i for i, _ in trace.phases], dtype=np.int64),
+        "phase_labels": np.bytes_(
             json.dumps([label for _, label in trace.phases]).encode()
         ),
-    )
+    }
+    with zipfile.ZipFile(
+        path, "w", compression=zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
+        for key, value in members.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(value), allow_pickle=False
+                )
 
 
 def load_trace(path: str | Path) -> Trace:

@@ -1,9 +1,10 @@
 """Deliberately naive cache oracles.
 
-The production :class:`repro.cache.cache.Cache` is optimized (OrderedDict
-LRU, batched touch API, fast-path counter folding); :class:`LRUOracle` is
-the opposite — a dict-of-dicts transcription of the textbook definition,
-kept small enough to audit by eye.  :class:`HierarchyOracle` builds the
+The production :class:`repro.cache.cache.Cache` is optimized (plain-dict
+sets whose touches pop and re-insert, a batched touch API, a fill core
+that reuses victim records); :class:`LRUOracle` is the opposite — a
+dict-of-dicts transcription of the textbook definition, kept small
+enough to audit by eye.  :class:`HierarchyOracle` builds the
 inclusive L1/L2/L3 hierarchy of :class:`repro.cache.CacheHierarchy` from
 such levels, written from the rules rather than from the production
 fill code.  The fuzz suites drive each pair with the same operation

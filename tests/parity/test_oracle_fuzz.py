@@ -119,18 +119,3 @@ class TestCacheVersusOracle:
             assert list(cache._sets[si]) == list(batched._sets[si])
             for line, meta in cache._sets[si].items():
                 assert meta.dirty == batched._sets[si][line].dirty
-
-    def test_add_hits_matches_record(self):
-        """Folded hit counts equal per-access stats.record calls."""
-        a = make_cache()
-        b = make_cache()
-        seq = [DataType.STRUCTURE] * 3 + [DataType.PROPERTY] * 5 + [
-            DataType.INTERMEDIATE
-        ] * 2
-        for kind in seq:
-            a.stats.record(kind, hit=True)
-        b.add_hits({int(DataType.STRUCTURE): 3, int(DataType.PROPERTY): 5,
-                    int(DataType.INTERMEDIATE): 2})
-        assert {int(k): v for k, v in a.stats.hits.items()} == {
-            int(k): v for k, v in b.stats.hits.items()
-        }

@@ -21,12 +21,12 @@ PAGE_LINES = 8
 
 
 def oracle_allocate(self, page: int, line: int) -> StreamTracker:
-    """The allocator before tracker reuse, verbatim."""
+    """The allocator before tracker reuse, on the plain-dict table."""
     tracker = StreamTracker(page=page, last_line=line)
     self._trackers[page] = tracker
     self.tracker_allocations += 1
     if len(self._trackers) > self.num_streams:
-        self._trackers.popitem(last=False)
+        del self._trackers[next(iter(self._trackers))]
         self.tracker_evictions += 1
     return tracker
 

@@ -1,10 +1,12 @@
 """Golden-value computation for the simulator-core regression tests.
 
 One small fixed-seed trace per paper workload (kron at scale_shift=-6,
-3000 references), simulated under the no-prefetch baseline and DROPLET.
-The pinned metrics — cycles, LLC MPKI, L2 hit rate and speedup over the
-baseline — cover the timing model, the cache hierarchy, the data-type
-classifier and the prefetcher in one number each.
+3000 references), simulated under every constructible prefetch setup
+(``EXTENDED_CONFIG_NAMES``: the no-prefetch baseline, Fig. 11's six
+prefetchers, IMP and the adaptive streamer).  The pinned metrics —
+cycles, LLC MPKI, L2 hit rate and speedup over the baseline — cover the
+timing model, the cache hierarchy, the data-type classifier and each
+prefetcher's tables in one number each.
 
 Regenerate after an *intentional* model change with:
 
@@ -18,13 +20,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.droplet.composite import EXTENDED_CONFIG_NAMES
+
 GOLDEN_PATH = Path(__file__).with_name("golden_values.json")
 
 #: Trace identity of every golden run (also baked into the JSON header).
 DATASET = "kron"
 MAX_REFS = 3000
 SCALE_SHIFT = -6
-SETUPS = ("none", "droplet")
+SETUPS = EXTENDED_CONFIG_NAMES
 
 #: Pinned to full float64 precision; comparisons use rel=1e-9.
 METRICS = ("cycles", "llc_mpki", "l2_hit_rate", "speedup_vs_none")

@@ -1,9 +1,13 @@
 """Tests for trace serialization."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.trace import (
+    TRACE_FORMAT_VERSION,
     DataType,
     gather_trace,
     load_trace,
@@ -53,6 +57,12 @@ class TestRoundTrip:
         path = tmp_path / "t.npz"
         save_trace(t, path)
         assert load_trace(path).phases == []
+
+    def test_suffix_appended_like_savez(self, tmp_path):
+        t = gather_trace(10)
+        save_trace(t, tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+        assert np.array_equal(load_trace(tmp_path / "t.npz").addr, t.addr)
 
     def test_version_check(self, tmp_path):
         t = gather_trace(5)
@@ -107,6 +117,54 @@ class TestByteIdentity:
         save_trace(t, a)
         save_trace(t, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestDeflateLevels:
+    """Archives are stored at deflate level 1; older cache entries were
+    written by ``np.savez_compressed`` at zlib's default level 6."""
+
+    def _savez_compressed(self, t, path):
+        """The writer before level 1, verbatim."""
+        np.savez_compressed(
+            path,
+            version=np.int64(TRACE_FORMAT_VERSION),
+            addr=t.addr,
+            kind=t.kind,
+            is_load=t.is_load,
+            dep=t.dep,
+            gap=t.gap,
+            name=np.bytes_(t.name.encode()),
+            core=np.int64(t.core),
+            phase_index=np.array([i for i, _ in t.phases], dtype=np.int64),
+            phase_labels=np.bytes_(
+                json.dumps([label for _, label in t.phases]).encode()
+            ),
+        )
+
+    def test_savez_compressed_archive_loads_to_an_equal_trace(self, tmp_path):
+        t = TestByteIdentity()._rich_trace()
+        old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+        self._savez_compressed(t, old)
+        save_trace(t, new)
+        assert old.read_bytes() != new.read_bytes()
+        a, b = load_trace(old), load_trace(new)
+        for field in ("addr", "kind", "is_load", "dep", "gap"):
+            assert np.array_equal(getattr(a, field), getattr(t, field))
+            assert getattr(a, field).dtype == getattr(t, field).dtype
+            assert np.array_equal(getattr(b, field), getattr(t, field))
+        assert (a.name, a.core, a.phases) == (t.name, t.core, t.phases)
+        assert (b.name, b.core, b.phases) == (t.name, t.core, t.phases)
+
+    def test_same_members_in_the_same_order(self, tmp_path):
+        t = TestByteIdentity()._rich_trace()
+        old, new = tmp_path / "old.npz", tmp_path / "new.npz"
+        self._savez_compressed(t, old)
+        save_trace(t, new)
+        with zipfile.ZipFile(old) as a, zipfile.ZipFile(new) as b:
+            assert a.namelist() == b.namelist()
+            assert {i.compress_type for i in b.infolist()} == {zipfile.ZIP_DEFLATED}
+            for name in a.namelist():
+                assert a.read(name) == b.read(name)
 
 
 class TestCorruptArchives:
