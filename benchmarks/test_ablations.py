@@ -27,7 +27,6 @@ def _droplet_setup(**overrides) -> PrefetchSetup:
         l2_prefetcher=DataAwareStreamer(**overrides.pop("streamer_kwargs", {})),
         use_mpp=True,
         mpp_config=MPPConfig(identifies_structure=False),
-        streamer_targets_l3_queue=True,
     )
     base.update(overrides)
     return PrefetchSetup(**base)
@@ -205,7 +204,6 @@ def test_ablation_feedback_directed_streamer(benchmark, bench_config, show):
                 l2_prefetcher=fdp_streamer,
                 use_mpp=True,
                 mpp_config=MPPConfig(identifies_structure=False),
-                streamer_targets_l3_queue=True,
             ),
         )
         return [

@@ -22,10 +22,6 @@ class UsageBreakdown:
     kind: DataType
     fractions: dict[str, float]  # level -> fraction of this type's accesses
 
-    def dominant_level(self) -> str:
-        """The level servicing the largest share."""
-        return max(self.fractions, key=self.fractions.get)
-
 
 def hierarchy_usage(result: SimResult) -> dict[DataType, UsageBreakdown]:
     """Per-type service-level breakdown of a simulation (Fig. 7).

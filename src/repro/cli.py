@@ -565,18 +565,12 @@ def _cmd_datasets(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .graph.generators import make_dataset
+    from .runtime import TraceSpec
     from .system.runner import compare_setups
     from .trace.record import DataType
-    from .workloads.registry import get_workload
 
-    workload = get_workload(args.workload)
-    graph = make_dataset(
-        args.dataset, scale_shift=args.scale_shift, weighted=workload.needs_weights
-    )
-    run = workload.run(
-        graph, max_refs=args.max_refs, skip_refs=workload.recommended_skip(graph)
-    )
+    spec = TraceSpec(args.workload, args.dataset, args.max_refs, args.scale_shift)
+    run = spec.trace()
     setups = tuple(dict.fromkeys(["none", *args.setups]))
     results = compare_setups(run, setups=setups)
     base = results["none"]
@@ -879,7 +873,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .graph.generators import make_dataset
+    from .runtime import TraceSpec
     from .system.runner import simulate
     from .telemetry import (
         Telemetry,
@@ -887,15 +881,9 @@ def _cmd_profile(args) -> int:
         telemetry_dict,
         write_profile,
     )
-    from .workloads.registry import get_workload
 
-    workload = get_workload(args.workload)
-    graph = make_dataset(
-        args.dataset, scale_shift=args.scale_shift, weighted=workload.needs_weights
-    )
-    run = workload.run(
-        graph, max_refs=args.max_refs, skip_refs=workload.recommended_skip(graph)
-    )
+    spec = TraceSpec(args.workload, args.dataset, args.max_refs, args.scale_shift)
+    run = spec.trace()
     telemetry = Telemetry(
         interval_cycles=args.interval,
         event_capacity=args.events,

@@ -1,14 +1,11 @@
-"""DRAM timing, memory request buffer, bandwidth accounting."""
+"""DRAM timing, multi-controller interleaving, bandwidth accounting."""
 
 from .model import DRAMConfig, DRAMModel, DRAMStats
-from .mrb import MemoryRequestBuffer, MRBEntry
 from .multichannel import MultiChannelDRAM
 
 __all__ = [
     "DRAMConfig",
     "DRAMModel",
     "DRAMStats",
-    "MemoryRequestBuffer",
     "MultiChannelDRAM",
-    "MRBEntry",
 ]

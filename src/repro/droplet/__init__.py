@@ -7,7 +7,7 @@ from .composite import (
     PrefetchSetup,
     make_prefetch_setup,
 )
-from .mpp import MPP, MPPConfig, PropertyPrefetchRequest
+from .mpp import MPP, MPPConfig
 from .mtlb import MTLB, MTLBStats
 from .pag import PAG, PAGConfig
 
@@ -20,7 +20,6 @@ __all__ = [
     "make_prefetch_setup",
     "MPP",
     "MPPConfig",
-    "PropertyPrefetchRequest",
     "MTLB",
     "MTLBStats",
     "PAG",

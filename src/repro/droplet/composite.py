@@ -55,9 +55,6 @@ class PrefetchSetup:
     #: refill path back up through L3 and L2 when the "MPP" logic sits at
     #: the L1 instead of at the MC (loss of decoupling).
     mpp_issue_penalty: int = 0
-    #: Data-aware streamers enqueue at the L3 request queue (paper §V-B2),
-    #: skipping the pointless L2 lookup for always-DRAM-bound lines.
-    streamer_targets_l3_queue: bool = False
     #: What the MPP chases: ``"prefetch"`` (the paper's choice — property
     #: prefetches follow structure *prefetch* fills) or ``"demand"`` (the
     #: Table IV counterfactual: chase structure demand fills, which the
@@ -112,7 +109,6 @@ def make_prefetch_setup(
             DataAwareStreamer(**kwargs),
             use_mpp=True,
             mpp_config=MPPConfig(identifies_structure=False),
-            streamer_targets_l3_queue=True,
         )
     if name == "monoDROPLETL1":
         return PrefetchSetup(

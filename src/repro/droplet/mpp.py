@@ -13,7 +13,7 @@ the structure line reaches the MC, overlapping its refill path through
 the caches (Fig. 8).
 
 ``MPP1`` (Table V) is the variant that can identify structure lines by
-itself (address-range check) rather than trusting the MRB C-bit — needed
+itself (address-range check) rather than trusting the C-bit — needed
 when the streamer is not data-aware (``streamMPP1``) or when the whole
 prefetcher sits at the L1 (``monoDROPLETL1``).
 """
@@ -21,14 +21,13 @@ prefetcher sits at the L1 (``monoDROPLETL1``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from ..memory.allocator import GraphLayout
 from ..memory.pagetable import PageTable
 from .mtlb import MTLB
 from .pag import PAG, PAGConfig
 
-__all__ = ["MPP", "MPPConfig", "PropertyPrefetchRequest"]
+__all__ = ["MPP", "MPPConfig"]
 
 
 @dataclass(frozen=True)
@@ -42,19 +41,6 @@ class MPPConfig:
     coherence_check_latency: int = 10
     #: Whether the MPP can classify a fill as structure by itself (MPP1).
     identifies_structure: bool = False
-
-
-class PropertyPrefetchRequest(NamedTuple):
-    """One translated property prefetch the machine should act on.
-
-    ``issue_delay`` is the MC-side latency between the structure fill
-    arriving and this request being ready to check/issue (PAG scan +
-    translation + coherence check).
-    """
-
-    line: int  # physical cache-line number
-    core: int
-    issue_delay: int
 
 
 class MPP:
@@ -104,33 +90,30 @@ class MPP:
             return False
         return self._layout.is_structure_line(line * self.line_size, self.line_size)
 
-    def scan_targets(
-        self, line: int, core: int
-    ) -> tuple[dict, int] | list[PropertyPrefetchRequest]:
-        """Process one structure prefetch fill; returns chase targets.
+    def scan_targets(self, line: int, core: int) -> dict[int, int]:
+        """Process one structure prefetch fill; returns its chase targets.
 
-        In the steady state every scanned property page is already in the
-        MTLB: all walk latencies are zero and nothing is dropped, so the
-        per-request objects carry no information beyond the deduped line
-        set — the result is ``(plines, issue_delay)`` with one shared
-        delay (an insertion-ordered dict of line → None, first-occurrence
-        order).  Any MTLB miss, fault, or (defensive) cached structure
-        entry takes the exact per-address path instead and returns a list
-        of :class:`PropertyPrefetchRequest` with per-address delays.
+        The result maps each distinct property line (physical line
+        number) to its issue delay, the MC-side latency between the
+        structure fill arriving and the request being ready to
+        check/issue (PAG scan + translation + coherence check).  Lines
+        appear in the order of their first scanned address, and each
+        keeps that address's delay.  An unconfigured PAG or a line
+        holding no IDs yields ``{}``.
 
         The caller (machine/MC) is responsible for deciding the fill was
-        a structure prefetch — via the MRB C-bit, or via
+        a structure prefetch — via the C-bit, or via
         :meth:`classifies_as_structure` for MPP1 setups.
         """
         if not self.pag.configured:
-            return []
+            return {}
         self.structure_fills_seen += 1
         vaddrs = self.pag.scan(line * self.line_size, self.line_size)
         if len(vaddrs) > self.config.vab_entries:
             self.vab_overflows += 1
             vaddrs = vaddrs[: self.config.vab_entries]
         if len(vaddrs) == 0:
-            return []
+            return {}
         line_size = self.line_size
         base_delay = self.config.pag.scan_latency + self.config.coherence_check_latency
         mtlb = self.mtlb
@@ -138,12 +121,14 @@ class MPP:
         cache = tlb._cache
         cache_get = cache.get
         page_size = tlb.page_table.page_size
+        # Steady state: every scanned property page is already in the
+        # MTLB, so every walk latency is zero and nothing is dropped.
         # Fused translate + dedup over the batch: pure reads until the
         # whole batch is known to hit, so bailing out to the exact
         # per-address path below leaves no state behind.
         frames: dict[int, int] = {}
         last: dict[int, int] = {}
-        plines: dict[int, None] = {}
+        targets: dict[int, int] = {}
         all_hit = True
         for idx, vaddr in enumerate(vaddrs):
             page = vaddr // page_size
@@ -156,7 +141,7 @@ class MPP:
                 frame_base = entry.frame * page_size
                 frames[page] = frame_base
             last[page] = idx
-            plines[(frame_base + vaddr % page_size) // line_size] = None
+            targets[(frame_base + vaddr % page_size) // line_size] = base_delay
         if all_hit:
             tlb.stats.hits += len(vaddrs)
             # LRU refresh: re-inserting each page once, in order of its
@@ -169,11 +154,13 @@ class MPP:
             else:
                 for page in sorted(last, key=last.__getitem__):
                     cache[page] = cache.pop(page)
-            self.requests_generated += len(plines)
-            return plines, base_delay
+            self.requests_generated += len(targets)
+            return targets
+        # Any MTLB miss, fault, or (defensive) cached structure entry:
+        # translate address by address, each line keeping the delay of
+        # its first address.
         tel = self.telemetry
-        requests: list[PropertyPrefetchRequest] = []
-        seen_lines: set[int] = set()
+        targets = {}
         for vaddr in vaddrs:
             result = mtlb.translate_property(vaddr)
             if result is None:
@@ -190,25 +177,7 @@ class MPP:
             if tel is not None and walk_latency > 0:
                 tel.emit(None, "tlb_walk", core=core, dtype="property")
             pline = paddr // line_size
-            if pline in seen_lines:
-                continue  # one request per distinct line
-            seen_lines.add(pline)
-            requests.append(
-                PropertyPrefetchRequest(
-                    line=pline,
-                    core=core,
-                    issue_delay=base_delay + walk_latency,
-                )
-            )
-        self.requests_generated += len(requests)
-        return requests
-
-    def on_structure_fill(self, line: int, core: int) -> list[PropertyPrefetchRequest]:
-        """Like :meth:`scan_targets`, materialized as request objects."""
-        targets = self.scan_targets(line, core)
-        if isinstance(targets, tuple):
-            plines, delay = targets
-            return [
-                PropertyPrefetchRequest(pline, core, delay) for pline in plines
-            ]
+            if pline not in targets:  # one request per distinct line
+                targets[pline] = base_delay + walk_latency
+        self.requests_generated += len(targets)
         return targets

@@ -76,51 +76,6 @@ class MTLB:
             return None
         return paddr, latency
 
-    def translate_property_batch(self, vaddrs: list[int]) -> tuple[bool, list]:
-        """Translate one PAG scan's worth of property addresses.
-
-        Semantically identical to calling :meth:`translate_property` per
-        address in list order.  When every page in the batch is already
-        cached (the steady state: a property array spans few pages and
-        the MTLB holds them all), the per-address call chain collapses
-        and the result is ``(True, paddrs)`` — walk latencies implicitly
-        zero, nothing dropped.  Any miss, fault, or (defensive) cached
-        structure entry falls back to the exact scalar loop and returns
-        ``(False, results)`` with the usual per-address
-        ``(paddr, latency) | None`` entries.
-        """
-        tlb = self._tlb
-        cache = tlb._cache
-        page_size = tlb.page_table.page_size
-        pages: list[int] = []
-        last: dict[int, int] = {}
-        append = pages.append
-        for idx, vaddr in enumerate(vaddrs):
-            page = vaddr // page_size
-            append(page)
-            last[page] = idx
-        frames: dict[int, int] = {}
-        for page in last:
-            entry = cache.get(page)
-            if entry is None or entry.is_structure:
-                return False, [self.translate_property(v) for v in vaddrs]
-            frames[page] = entry.frame
-        tlb.stats.hits += len(vaddrs)
-        # LRU refresh: re-inserting each page once, in order of its
-        # *last* occurrence, yields the same final recency order as the
-        # per-address calls (all hits, so no eviction can observe any
-        # intermediate order).
-        if len(last) == 1:
-            page = pages[0]
-            cache[page] = cache.pop(page)
-        else:
-            for page in sorted(last, key=last.__getitem__):
-                cache[page] = cache.pop(page)
-        return True, [
-            frames[page] * page_size + vaddr % page_size
-            for page, vaddr in zip(pages, vaddrs)
-        ]
-
     def shootdown(self, page: int, extra_bit_structure: bool) -> bool:
         """Process a core-side TLB shootdown.
 

@@ -60,15 +60,6 @@ class StreamPrefetcher(Prefetcher):
         self.tracker_evictions = 0
 
     # ------------------------------------------------------------------
-    def _page_of(self, line: int) -> int:
-        return line // self.page_lines
-
-    def _page_end(self, page: int, direction: int) -> int:
-        """One-past-the-last line of the page in the stream direction."""
-        if direction >= 0:
-            return (page + 1) * self.page_lines
-        return page * self.page_lines - 1
-
     def _allocate(self, page: int, line: int) -> StreamTracker:
         """Start tracking ``page``, which has no tracker yet.
 
@@ -193,10 +184,6 @@ class StreamPrefetcher(Prefetcher):
     def live_trackers(self) -> int:
         """Number of currently allocated trackers."""
         return len(self._trackers)
-
-    def structure_tracker_fraction(self) -> float:
-        """Diagnostic: not meaningful for the type-blind streamer."""
-        return float("nan")
 
 
 class DataAwareStreamer(StreamPrefetcher):

@@ -70,8 +70,8 @@ def resolve_point_config(point: SweepPoint, base):
         config = config.with_l2(size, assoc)
     if point.rob_entries is not None:
         config = config.with_rob(point.rob_entries)
-    if point.mrb_entries is not None:
-        config = config.with_mrb(point.mrb_entries)
+    # ``point.mrb_entries`` names the point and configures nothing:
+    # replay queues no request, so the buffer would change no result.
     return config
 
 

@@ -200,8 +200,9 @@ class SweepPoint:
     #: Instruction-window size override (Fig. 3 / `repro pareto`);
     #: ``None`` keeps the sweep's base config.
     rob_entries: int | None = None
-    #: Memory-request-buffer capacity override (§V-C1 / `repro pareto`);
-    #: ``None`` keeps the sweep's base config.
+    #: Memory-request-buffer capacity (§V-C1 / `repro pareto`).  It names
+    #: the point (label and key) and configures nothing: replay queues no
+    #: request, so the buffer would change no result.
     mrb_entries: int | None = None
 
     def __post_init__(self) -> None:

@@ -9,8 +9,12 @@ setup     prefetcher config names                 ``none``
 llc       LLC capacity multiplier (CACTI points)  1× (base LLC)
 l2        ``MULT/ASSOC`` or ``no`` (drop the L2)  base L2
 rob       instruction-window entries              base ROB
-mrb       memory-request-buffer entries           base MRB
+mrb       memory-request-buffer entries           none (label only)
 ========  ======================================  =================
+
+The ``mrb`` axis names candidates and configures nothing: replay queues
+no request, so a memory request buffer would change no result, and
+candidates that differ only in ``mrb`` tie on every objective.
 
 Specs come in two equivalent forms:
 
@@ -44,6 +48,7 @@ class Candidate:
     llc_multiplier: int | None = None
     l2_config: tuple[int | None, int] | None = None
     rob_entries: int | None = None
+    #: Names the candidate only (see the module docstring).
     mrb_entries: int | None = None
 
     @property

@@ -309,6 +309,7 @@ def _point_from_dict(index: int, entry, max_refs: int, scale_shift: int) -> Swee
         llc = None if llc is None else int(llc)
         rob = entry.get("rob_entries")
         rob = None if rob is None else int(rob)
+        # Names the point only; see ``SweepPoint.mrb_entries``.
         mrb = entry.get("mrb_entries")
         mrb = None if mrb is None else int(mrb)
     except (TypeError, ValueError):

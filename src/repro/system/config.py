@@ -87,17 +87,9 @@ class SystemConfig:
     # (models bounded request-queue slots available to prefetchers).
     prefetch_budget_per_window: int = 16
 
-    #: Memory-request-buffer capacity (§V-C1): the bounded FIFO of
-    #: in-flight DRAM request metadata the machine consults per refill.
-    #: An undersized MRB silently drops metadata (the DROPLET trigger),
-    #: which is why the pareto search exposes it as a knob.
-    mrb_entries: int = 256
-
     def __post_init__(self) -> None:
         if min(self.num_cores, self.rob_entries, self.dispatch_width, self.mshr_entries) <= 0:
             raise ValueError("core parameters must be positive")
-        if self.mrb_entries <= 0:
-            raise ValueError("mrb_entries must be positive")
 
     # ------------------------------------------------------------------
     # Derived latencies (beyond-L1 cycles charged per servicing level)
@@ -159,10 +151,6 @@ class SystemConfig:
     def with_rob(self, rob_entries: int) -> "SystemConfig":
         """Copy with a different instruction-window size (Fig. 3)."""
         return replace(self, rob_entries=rob_entries)
-
-    def with_mrb(self, mrb_entries: int) -> "SystemConfig":
-        """Copy with a different memory-request-buffer capacity (§V-C1)."""
-        return replace(self, mrb_entries=mrb_entries)
 
     def with_llc_multiplier(self, multiplier: int) -> "SystemConfig":
         """Copy with the LLC scaled by ``multiplier`` and CACTI latencies."""

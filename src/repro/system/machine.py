@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from ..cache.hierarchy import CacheHierarchy
 from ..core.cycles import CycleStack
 from ..core.mlp import WindowTelemetry, compute_window_timing
 from ..dram.model import DRAMModel
 from ..dram.multichannel import MultiChannelDRAM
-from ..dram.mrb import MemoryRequestBuffer
 from ..droplet.composite import PrefetchSetup, make_prefetch_setup
 from ..droplet.mpp import MPP
 from ..memory.allocator import GraphLayout
@@ -71,7 +69,6 @@ class SimResult:
     hierarchy: CacheHierarchy
     dram: DRAMModel
     ledger: PrefetchLedger
-    mrb: MemoryRequestBuffer
     mpp: MPP | None
     total_miss_latency: float = 0.0
     total_exposed_latency: float = 0.0
@@ -174,7 +171,6 @@ class Machine:
         #: §VI: property prefetches forwarded to a different MC than the
         #: one whose structure fill generated them.
         self.mpp_forwarded = 0
-        self.mrb = MemoryRequestBuffer(self.config.mrb_entries)
         self.ledger = PrefetchLedger()
         self.classifier = RegionClassifier(layout)
         self.mpp: MPP | None = None
@@ -218,7 +214,6 @@ class Machine:
         registry = telemetry.registry
         self.hierarchy.register_telemetry(registry, "cache")
         self.dram.register_telemetry(registry, "dram")
-        self.mrb.register_telemetry(registry, "mrb")
         self.ledger.register_telemetry(registry, "prefetch")
         # Pre-create the configured issuers so per-issuer columns exist
         # from the first sample (zero counters don't alter summaries).
@@ -345,12 +340,7 @@ class Machine:
         multi_mc = isinstance(dram, MultiChannelDRAM)
         home_mc = dram.mc_of(structure_line) if multi_mc else 0
         targets = self.mpp.scan_targets(structure_line, core)
-        if isinstance(targets, tuple):
-            # Steady-state batch: one shared issue delay for every deduped
-            # property line, and the requesting core is the chase's core.
-            plines, delay = targets
-            targets = zip(plines, repeat(core), repeat(delay))
-        for pline, rcore, issue_delay in targets:
+        for pline, issue_delay in targets.items():
             if multi_mc and dram.mc_of(pline) != home_mc:
                 # Forward the request (with core ID) to the destination
                 # MC's MRB, as in [52] / paper §VI.
@@ -360,17 +350,17 @@ class Machine:
                         fill_ready,
                         "mpp_forward",
                         line=pline,
-                        core=rcore,
+                        core=core,
                         dtype="property",
                     )
             if is_tracked(pline):
                 continue
             issue_time = fill_ready + issue_delay + penalty
-            if copy_to_l2(rcore, pline, _PROPERTY, "mpp"):
+            if copy_to_l2(core, pline, _PROPERTY, "mpp"):
                 ready = issue_time + l3_lat
             else:
                 ready = issue_time + access(pline, int(issue_time), True)
-                prefetch_fill(rcore, pline, _PROPERTY, into_l1, "mpp")
+                prefetch_fill(core, pline, _PROPERTY, into_l1, "mpp")
             issue(pline, pf_dt, ready, "mpp")
 
     @staticmethod
@@ -497,7 +487,6 @@ class Machine:
             hierarchy=self.hierarchy,
             dram=self.dram,
             ledger=self.ledger,
-            mrb=self.mrb,
             mpp=self.mpp,
             total_miss_latency=total_miss_latency,
             total_exposed_latency=total_exposed,

@@ -31,7 +31,7 @@ EVENT_KINDS = (
     "prefetch_issue",   # L2/IMP prefetch issued to DRAM
     "prefetch_drop",    # prefetch dropped before issue (page fault)
     "mpp_chase",        # MPP property chase issued
-    "mpp_forward",      # chase forwarded to a remote MC's MRB
+    "mpp_forward",      # chase forwarded to a remote MC
     "tlb_walk",         # MTLB page walk on a property translation
     "phase",            # workload phase boundary crossed
 )

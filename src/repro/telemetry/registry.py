@@ -21,7 +21,7 @@ Naming scheme
 -------------
 ``<family>.<component>[.<index>].<metric>[.<data type>]`` — the leading
 segment is the *metric family* (``cache``, ``dram``, ``core``,
-``prefetch``, ``droplet``, ``mrb``, ``tlb``); exporters group timelines
+``prefetch``, ``droplet``, ``tlb``); exporters group timelines
 by family.  See ``docs/telemetry.md`` for the full catalogue.
 """
 

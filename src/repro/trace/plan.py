@@ -103,12 +103,6 @@ class ReplayPlan:
         """Number of references covered by the plan."""
         return len(self.lines)
 
-    @property
-    def guaranteed_fraction(self) -> float:
-        """Fraction of references classified as guaranteed L1 hits."""
-        n = len(self.guaranteed)
-        return float(self.guaranteed.mean()) if n else 0.0
-
 
 def _exclusive_cumsum(values: np.ndarray, dtype=np.int64) -> np.ndarray:
     out = np.zeros(len(values) + 1, dtype=dtype)

@@ -27,6 +27,11 @@ class TestAreaModel:
         report = AreaModel(num_cores=4).report(MPPConfig(), mrb_entries=256)
         assert report.mrb_core_id_bytes == 64  # paper's 64 B
 
+    def test_mrb_overhead_single_core(self):
+        # One core still needs a one-bit core-ID field per entry.
+        report = AreaModel(num_cores=1).report(MPPConfig(), mrb_entries=256)
+        assert report.mrb_core_id_bytes == 32
+
     def test_area_scales_with_buffers(self):
         small = AreaModel().mpp_area_mm2(MPPConfig(vab_entries=64, pab_entries=64))
         big = AreaModel().mpp_area_mm2(MPPConfig(vab_entries=1024, pab_entries=1024))

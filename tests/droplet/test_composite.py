@@ -50,7 +50,6 @@ class TestFactory:
         assert not setup.mpp_config.identifies_structure  # trusts the C-bit
         assert not setup.fill_into_l1
         assert setup.mpp_issue_penalty == 0
-        assert setup.streamer_targets_l3_queue
 
     def test_mono_l1_shape(self):
         setup = make_prefetch_setup("monoDROPLETL1")

@@ -23,14 +23,13 @@ class TestStructureFill:
     def test_generates_property_requests(self):
         mpp, layout, g = make_mpp()
         line = layout.structure.base // 64
-        requests = mpp.on_structure_fill(line, core=1)
-        assert requests
-        assert all(r.core == 1 for r in requests)
+        targets = mpp.scan_targets(line, core=1)
+        assert targets
         prop = layout.properties["rank"]
         expected_lines = {
             (prop.base + 4 * int(v)) // 64 for v in g.neighbors[:16]
         }
-        assert {r.line for r in requests} == expected_lines
+        assert set(targets) == expected_lines
 
     def test_requests_deduplicated_per_line(self):
         # All neighbors share one property cache line.
@@ -39,27 +38,27 @@ class TestStructureFill:
         layout = GraphLayout(g, property_names=("rank",))
         mpp = MPP(layout.space.page_table)
         mpp.configure_from_layout(layout, "rank")
-        requests = mpp.on_structure_fill(layout.structure.base // 64, 0)
-        assert len(requests) == 1
+        targets = mpp.scan_targets(layout.structure.base // 64, 0)
+        assert len(targets) == 1
 
     def test_issue_delay_includes_pipeline_stages(self):
         mpp, layout, _ = make_mpp()
-        requests = mpp.on_structure_fill(layout.structure.base // 64, 0)
+        targets = mpp.scan_targets(layout.structure.base // 64, 0)
         cfg = mpp.config
         minimum = cfg.pag.scan_latency + cfg.coherence_check_latency
-        assert all(r.issue_delay >= minimum for r in requests)
+        assert all(delay >= minimum for delay in targets.values())
         # First touches include the MTLB page-walk latency.
-        assert any(r.issue_delay > minimum for r in requests)
+        assert any(delay > minimum for delay in targets.values())
 
     def test_unconfigured_mpp_ignores_fills(self):
         g = build_csr(4, np.array([(0, 1)]))
         layout = GraphLayout(g)
         mpp = MPP(layout.space.page_table)
-        assert mpp.on_structure_fill(layout.structure.base // 64, 0) == []
+        assert mpp.scan_targets(layout.structure.base // 64, 0) == {}
 
     def test_counters(self):
         mpp, layout, _ = make_mpp()
-        mpp.on_structure_fill(layout.structure.base // 64, 0)
+        mpp.scan_targets(layout.structure.base // 64, 0)
         assert mpp.structure_fills_seen == 1
         assert mpp.requests_generated > 0
 
@@ -90,10 +89,10 @@ class TestVABOverflow:
         layout = GraphLayout(g, property_names=("rank",))
         mpp = MPP(layout.space.page_table, MPPConfig(vab_entries=4))
         mpp.configure_from_layout(layout, "rank")
-        requests = mpp.on_structure_fill(layout.structure.base // 64, 0)
+        targets = mpp.scan_targets(layout.structure.base // 64, 0)
         assert mpp.vab_overflows == 1
         # Truncated to the VAB capacity before translation/dedup.
-        assert len(requests) <= 4
+        assert len(targets) <= 4
 
 
 class TestMultiPropertyMPP:
@@ -109,8 +108,7 @@ class TestMultiPropertyMPP:
         layout = GraphLayout(g, property_names=("a", "b"))
         mpp = MPP(layout.space.page_table)
         mpp.configure_from_layout(layout, ("a", "b"))
-        requests = mpp.on_structure_fill(layout.structure.base // 64, 0)
-        lines = {r.line for r in requests}
+        lines = set(mpp.scan_targets(layout.structure.base // 64, 0))
         for name in ("a", "b"):
             region = layout.properties[name]
             assert any(

@@ -89,7 +89,6 @@ class TestDataAwareVariant:
             l2_prefetcher=streamer,
             use_mpp=True,
             mpp_config=MPPConfig(),
-            streamer_targets_l3_queue=True,
         )
         machine = Machine(
             SystemConfig.scaled_baseline(), run.layout, setup, "contrib"

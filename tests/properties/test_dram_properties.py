@@ -1,9 +1,9 @@
-"""Property-based tests for the DRAM model and the MRB."""
+"""Property-based tests for the DRAM model."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import DRAMConfig, DRAMModel, MemoryRequestBuffer
+from repro.dram import DRAMConfig, DRAMModel
 
 requests = st.lists(
     st.tuples(
@@ -68,41 +68,3 @@ class TestDRAMProperties:
         dram = DRAMModel(DRAMConfig(num_banks=num_banks))
         assert 0 <= dram._bank_of(line) < num_banks
 
-
-class TestMRBProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 50), st.booleans(), st.integers(0, 3)),
-            min_size=1,
-            max_size=120,
-        ),
-        st.integers(1, 16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_capacity_never_exceeded(self, entries, capacity):
-        mrb = MemoryRequestBuffer(capacity=capacity)
-        for line, c_bit, core in entries:
-            mrb.enqueue(line, c_bit, core)
-            assert len(mrb) <= capacity
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 50), st.booleans(), st.integers(0, 3)),
-            min_size=1,
-            max_size=120,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_retire_returns_latest_metadata(self, entries):
-        mrb = MemoryRequestBuffer(capacity=1024)
-        last: dict[int, tuple[bool, int]] = {}
-        c_seen: dict[int, bool] = {}
-        for line, c_bit, core in entries:
-            mrb.enqueue(line, c_bit, core)
-            c_seen[line] = c_seen.get(line, False) or c_bit
-            last[line] = (c_seen[line], core)
-        for line, (c_bit, core) in last.items():
-            entry = mrb.retire(line)
-            assert entry is not None
-            assert entry.c_bit == c_bit  # prefetch tag is sticky on merge
-            assert entry.core == core

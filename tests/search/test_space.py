@@ -82,7 +82,9 @@ class TestCandidateResolution:
         )
         config = resolve_point_config(point, base)
         assert config.rob_entries == 512
-        assert config.mrb_entries == 64
+        # The MRB capacity names the point and configures nothing.
+        rob_only = Candidate(rob_entries=512).point("PR", "kron", 1000)
+        assert config == resolve_point_config(rob_only, base)
         # Untouched axes keep the base machine.
         assert config.l3.size_bytes == base.l3.size_bytes
 
@@ -92,13 +94,3 @@ class TestCandidateResolution:
         with_mrb = Candidate(mrb_entries=64).point("PR", "kron", 1000)
         keys = {point_key(plain), point_key(with_rob), point_key(with_mrb)}
         assert len(keys) == 3
-
-    def test_machine_uses_the_mrb_knob(self):
-        from repro.system.machine import Machine
-
-        machine = Machine(config=SystemConfig.scaled_baseline().with_mrb(17))
-        assert machine.mrb.capacity == 17
-
-    def test_mrb_knob_is_validated(self):
-        with pytest.raises(ValueError, match="mrb_entries"):
-            SystemConfig.scaled_baseline().with_mrb(0)

@@ -104,7 +104,6 @@ class TestDemandTriggerCounterfactual:
             l2_prefetcher=DataAwareStreamer(),
             use_mpp=True,
             mpp_config=MPPConfig(identifies_structure=False),
-            streamer_targets_l3_queue=True,
             mpp_trigger=trigger,
         )
 
