@@ -17,7 +17,9 @@ labels, ``workers`` and ``mode`` (one per ``SweepRunner.run()`` call,
 one per service run); a ``point`` record journals each settled point,
 ok or failed, with its summary, timings, attempts, timeouts, cache-hit
 flag, quarantined entries, ``error_kind`` and ``restored`` flag; and a
-``finish`` record carries the run's final ``SweepMetrics`` dict.
+``finish`` record carries the run's final ``SweepMetrics`` dict.  These
+records are a run's only durable copy: the span sidecar beside the
+ledger journals none of them, only the timeline of points in flight.
 
 Design notes
 ------------
@@ -482,13 +484,13 @@ class RunLedger:
 class RunJournal:
     """One run's journal and metrics tally.
 
-    Writes a run's records, each to whichever sink is present: the
-    ledger's ``run`` / ``point`` / ``finish`` records and the span
-    sidecar's ``sweep.run`` meta, ``point.timeout`` / ``point.retry`` /
-    ``point.final`` instants and ``sweep.finish`` record.  Figure runs
-    journal with neither.  Every settled point joins :attr:`metrics`;
-    the owner adds only what is its own (a pool's warm phase and
-    respawns) before :meth:`finish`.
+    Writes the run's ledger records (``run``, one ``point`` per settled
+    point, ``finish``) when a ledger is present, and the
+    ``point.timeout`` / ``point.retry`` instants of failed attempts to
+    the span sidecar when a tracer is.  Figure runs journal with
+    neither.  Every settled point joins :attr:`metrics`; the owner adds
+    only what is its own (a pool's warm phase and respawns) before
+    :meth:`finish`.
     """
 
     def __init__(self, points, workers: int, mode: str, ledger=None, tracer=None):
@@ -504,21 +506,11 @@ class RunJournal:
         self.timeouts: dict[int, int] = {}
         self.started = time.perf_counter()
 
-    def start(self, telemetry: bool = False) -> None:
-        """Journal the ``run`` record and the ``sweep.run`` meta."""
+    def start(self) -> None:
+        """Journal the ``run`` record."""
         if self.ledger is not None:
             self.ledger.start_run(
                 self.points, self.metrics.workers, self.metrics.mode
-            )
-        if self.tracer is not None:
-            self.tracer.meta(
-                "sweep.run",
-                run_id=getattr(self.ledger, "run_id", None),
-                total=len(self.points),
-                labels=[p.label for p in self.points],
-                workers=self.metrics.workers,
-                mode=self.metrics.mode,
-                telemetry=telemetry,
             )
 
     def attempt_failed(
@@ -539,24 +531,10 @@ class RunJournal:
     def settle(
         self, index: int, point: SweepPoint, result: PointResult, restored=False
     ) -> None:
-        """Journal one settled point (ledger first, then the timeline)."""
+        """Journal one settled point's ledger record and tally it."""
         timeouts = self.timeouts.get(index, 0)
         if self.ledger is not None:
             self.ledger.record(point, result, timeouts=timeouts, restored=restored)
-        if self.tracer is not None:
-            attrs = dict(
-                index=index,
-                label=point.label,
-                ok=result.ok,
-                attempts=result.attempts,
-                cache_hit=result.trace_cache_hit,
-                wall_time=result.wall_time,
-                quarantined=result.cache_quarantined,
-                restored=restored,
-            )
-            if not result.ok:
-                attrs["error_kind"] = result.error.kind
-            self.tracer.event("point.final", **attrs)
         self.adopt(index, result, restored, timeouts)
 
     def adopt(
@@ -583,8 +561,5 @@ class RunJournal:
     def finish(self) -> None:
         """Close the tally and journal the ``finish`` record."""
         self.metrics.elapsed = time.perf_counter() - self.started
-        metrics = self.metrics.as_dict()
         if self.ledger is not None:
-            self.ledger.finish_run(metrics)
-        if self.tracer is not None:
-            self.tracer.meta("sweep.finish", kind="F", metrics=metrics)
+            self.ledger.finish_run(self.metrics.as_dict())

@@ -15,9 +15,10 @@ One durable record, one live view:
   its metrics dict verbatim — so a finished run's status counters match
   its sweep report exactly.  A ledger journaled before ``run`` records
   existed lists its journaled points.
-* **Span sidecar** (``<run_id>.spans.jsonl``) — read only for points the
-  ledger has not settled yet: an unmatched ``point`` begin means
-  *running right now* (or a worker that died mid-point), and
+* **Span sidecar** (``<run_id>.spans.jsonl``) — the live view, holding
+  no copy of the ledger's records and read only for points the ledger
+  has not settled yet: an unmatched ``point`` begin means *running right
+  now* (or a worker that died mid-point), and
   ``point.retry``/``point.timeout``/``pool.respawn`` instants add the
   in-flight resilience counters of an unfinished run.  A finished run's
   status never reads it, so rotating or deleting the sidecar changes

@@ -35,10 +35,10 @@ descriptions either serially in-process or fanned out over a
 * **Observability** — with a :mod:`~repro.telemetry.spans` recorder
   active (passed as ``tracer=`` or installed via
   :func:`repro.telemetry.spans.set_current`), the sweep journals a
-  structured timeline: per-point spans, retry/timeout/respawn instants,
-  and a final ``F`` record carrying the sweep metrics verbatim — the
-  substrate behind the Chrome-trace export and the live state of
-  unsettled points in ``repro status``.
+  structured timeline: per-point spans and retry/timeout/respawn
+  instants — the substrate behind the Chrome-trace export and the live
+  state of unsettled points in ``repro status``.  The run's record and
+  its metrics live in the ledger alone.
 
 The execution machinery itself lives in the sibling modules:
 :mod:`~repro.runtime.executor` (how one point runs, worker plumbing)
@@ -310,17 +310,6 @@ class SweepRunner:
         self.ledger = ledger
         self.tracer = tracer
         self._memo: dict = {}
-        #: Lifetime resilience tallies (across runs) backing the
-        #: telemetry gauges registered by :meth:`register_telemetry`.
-        self.counters: dict[str, int] = {
-            "retries": 0,
-            "timeouts": 0,
-            "recovered_workers": 0,
-            "quarantined_entries": 0,
-            "restored_points": 0,
-            "points_completed": 0,
-            "points_failed": 0,
-        }
 
     @property
     def parallel(self) -> bool:
@@ -330,14 +319,6 @@ class SweepRunner:
     def clear_memo(self) -> None:
         """Drop in-memory trace memoization (disk entries are kept)."""
         self._memo.clear()
-
-    def register_telemetry(self, registry, prefix: str = "sweep") -> None:
-        """Expose the lifetime resilience counters as pull-based gauges."""
-        for name in self.counters:
-            registry.gauge(
-                "%s.%s" % (prefix, name),
-                (lambda key: lambda: self.counters[key])(name),
-            )
 
     # ------------------------------------------------------------------
     def run(self, points, config=None) -> SweepReport:
@@ -380,7 +361,7 @@ class SweepRunner:
                 restored = self.ledger.restore(point)
                 if restored is not None:
                     journal.adopt(idx, restored, restored=True)
-        journal.start(telemetry=self.telemetry)
+        journal.start()
         todo = [(i, p) for i, p in enumerate(points) if i not in journal.settled]
 
         warm_stats: list[tuple[bool, float, int]] = []
@@ -399,7 +380,6 @@ class SweepRunner:
                 metrics.events_emitted += int(events.get("emitted", 0))
                 metrics.events_dropped += int(events.get("dropped", 0))
         journal.finish()
-        self._accumulate(metrics)
         return SweepReport(points=results, metrics=metrics)
 
     # ------------------------------------------------------------------
@@ -440,13 +420,3 @@ class SweepRunner:
         from .scheduler import PoolScheduler
 
         return PoolScheduler(self).run(todo, config, interval, journal)
-
-    def _accumulate(self, metrics: SweepMetrics) -> None:
-        """Fold one run's metrics into the lifetime telemetry counters."""
-        self.counters["retries"] += metrics.retries
-        self.counters["timeouts"] += metrics.timeouts
-        self.counters["recovered_workers"] += metrics.recovered_workers
-        self.counters["quarantined_entries"] += metrics.quarantined_entries
-        self.counters["restored_points"] += metrics.restored
-        self.counters["points_completed"] += metrics.total_points - metrics.errors
-        self.counters["points_failed"] += metrics.errors

@@ -143,7 +143,7 @@ class ParetoSearch:
         trc = _spans.current()
         digest = self.spec_digest()
         if trc is not None:
-            trc.meta(
+            trc.event(
                 "pareto.run",
                 workload=self.workload,
                 dataset=self.dataset,
@@ -228,9 +228,8 @@ class ParetoSearch:
             if i not in front
         ]
         if trc is not None:
-            trc.meta(
+            trc.event(
                 "pareto.finish",
-                kind="F",
                 rungs=len(rung_records),
                 evaluations=evaluations,
                 pruned=pruned_total,

@@ -5,8 +5,8 @@ dedupe).  A :class:`SweepService` owns one ledger root and a pool of
 supervised worker *threads*; each ``POST /sweeps`` submission becomes a
 :class:`RunHandle` journaling the exact artifacts a CLI sweep would —
 a :class:`~repro.runtime.ledger.RunLedger` with the same ``run`` /
-``point`` / ``finish`` records, plus a span sidecar timeline — so the
-observability surface is *artifact-backed*:
+``point`` / ``finish`` records, plus a span sidecar timeline of the
+points in flight — so the observability surface is *artifact-backed*:
 ``GET /sweeps/<id>`` is :func:`~repro.runtime.status.load_run_status`
 verbatim, SSE is a :class:`~repro.telemetry.tail.JsonlTailer` over the
 sidecar, and killing the daemon loses nothing a restarted ``repro
@@ -73,7 +73,6 @@ from ..runtime.sweep import RetryPolicy, run_attempts
 from ..runtime.trace_cache import TraceCache
 from ..system.config import SystemConfig
 from ..telemetry import spans as _spans
-from ..telemetry.registry import MetricRegistry
 from ..telemetry.tail import JsonlTailer
 from .journal import SubmissionJournal, spec_digest
 from .lease import DEFAULT_TTL, LeaseManager
@@ -387,12 +386,12 @@ class RunHandle:
     With ``resume=True`` (journal replay after a crash, or adopting a
     peer's submission) the handle first folds its ledger: every point
     the ledger already settled, ok or failed, is settled silently — no
-    new ledger or sidecar writes, tallies recovered from the records —
-    so a recovered run's artifacts stay *identical* to an uninterrupted
-    run's.  Shared-once records (the ``run`` record and ``sweep.run``
-    meta, the ``finish`` record and ``sweep.finish``) are
-    election-guarded through :meth:`LeaseManager.once`, so exactly one
-    process across all crashes and peers writes each.
+    new ledger writes, tallies recovered from the records — so a
+    recovered run's ledger stays *identical* to an uninterrupted run's.
+    The shared-once ``run`` and ``finish`` records are election-guarded
+    through :meth:`LeaseManager.once` (markers ``meta-<run>`` and
+    ``finish-<run>``), so exactly one process across all crashes and
+    peers writes each.
     """
 
     def __init__(
@@ -424,6 +423,9 @@ class RunHandle:
         #: Settled results by point index (the journal's own map).
         self.settled = self.journal.settled
         self.finished = False
+        # The ``run`` record's marker is named ``meta`` for the sidecar
+        # copy it once guarded too; existing roots hold markers by
+        # that name, so it stays.
         if self._once("meta"):
             self.journal.start()
         if resume:
@@ -452,7 +454,7 @@ class RunHandle:
     # ------------------------------------------------------------------
     def settle(self, index: int, point: SweepPoint, result: PointResult,
                restored: bool) -> None:
-        """Record one settled point: ledger first, then the timeline."""
+        """Journal one settled point's ledger record."""
         if index in self.settled:
             return  # already adopted/settled (recovery or deadline race)
         self.journal.settle(index, point, result, restored=restored)
@@ -462,9 +464,9 @@ class RunHandle:
         """Settle a point from a record already in this run's ledger.
 
         The process that settled it (a cooperating peer, or this run
-        before a crash) already wrote the ledger record and
-        ``point.final``; adopting only updates in-memory tallies and
-        completion tracking so this process's view converges.
+        before a crash) already wrote the ledger record; adopting only
+        updates in-memory tallies and completion tracking so this
+        process's view converges.
         """
         if index in self.settled:
             return
@@ -543,7 +545,6 @@ class SweepService:
             "idempotent_hits": 0,
             "retries": 0,
             "timeouts": 0,
-            "recovered_workers": 0,
             "quarantined_entries": 0,
             "restored_points": 0,
             "trace_cache_hits": 0,
@@ -557,19 +558,6 @@ class SweepService:
             "deadline_exceeded": 0,
         }
         self.tracer = _spans.SpanRecorder(sidecar=self.root / SERVICE_SIDECAR)
-        # The same pull-based gauge surface a CLI sweep exposes
-        # (``sweep.*`` via SweepRunner.register_telemetry), fed from the
-        # service counters.
-        self.registry = MetricRegistry()
-        for name in (
-            "retries", "timeouts", "recovered_workers",
-            "quarantined_entries", "restored_points",
-            "points_completed", "points_failed",
-        ):
-            self.registry.gauge(
-                "sweep.%s" % name,
-                (lambda key: lambda: self.counters[key])(name),
-            )
 
     # ------------------------------------------------------------------
     def start(self) -> "SweepService":
@@ -1120,11 +1108,10 @@ class SweepService:
     def metric_samples(self) -> dict:
         """The ``/metrics`` sample set, ready for ``render_prom``.
 
-        Service throughput/dedupe counters, crash-safety counters
-        (journal replays, lease takeovers, 429 rejections), live
-        queue/pool gauges (one ``service_worker_busy`` series per
-        worker), and the pull-based ``sweep.*`` / ``fastpath.*`` gauge
-        registry a CLI sweep would expose.
+        Service throughput/dedupe and resilience counters, crash-safety
+        counters (journal replays, lease takeovers, 429 rejections) and
+        live queue/pool gauges (one ``service_worker_busy`` series per
+        worker).  Each value appears once, under ``service.*``.
         """
         counter_help = {
             "submissions": "Sweep submissions accepted.",
@@ -1139,6 +1126,8 @@ class SweepService:
             "idempotent_hits": "Resubmissions answered with their existing run.",
             "retries": "Point retry attempts scheduled.",
             "timeouts": "Point watchdog timeouts observed.",
+            "quarantined_entries": "Corrupt trace-cache entries quarantined "
+                                   "and regenerated.",
             "restored_points": "Points journaled as restored.",
             "trace_cache_hits": "Trace-cache hits across executions.",
             "trace_cache_misses": "Trace-cache misses across executions.",
@@ -1170,8 +1159,13 @@ class SweepService:
                 "type": "gauge",
                 "help": "Admission-control bound on the job queue.",
             }
+            # A worker marks a job RUNNING before ``_claim`` wins (or
+            # defers on) its lease; only a held lease means executing.
             samples["service.inflight"] = {
-                "value": sum(1 for j in self._jobs.values() if j.state == RUNNING),
+                "value": sum(
+                    1 for j in self._jobs.values()
+                    if j.state == RUNNING and j.lease is not None
+                ),
                 "type": "gauge",
                 "help": "Jobs currently executing.",
             }
@@ -1198,12 +1192,6 @@ class SweepService:
                     "help": "Per-worker busy state (1 = executing a job).",
                     "labels": {"worker": slot},
                 }
-        for name, value in self.registry.snapshot().items():
-            samples[name] = {
-                "value": value,
-                "type": "gauge",
-                "help": "Pull-based runtime gauge %s." % name,
-            }
         return samples
 
     # ------------------------------------------------------------------

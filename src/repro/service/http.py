@@ -14,7 +14,10 @@ or runs ``repro status`` against the ledger root:
     :data:`MAX_BODY_BYTES`; 429 + ``Retry-After`` when admission
     control refuses (queue full); 503 + ``Retry-After`` when the
     submission journal cannot be written (disk full) or the service is
-    draining.  Resubmitting a spec under its run id is idempotent, so
+    draining.  A refusal sent before the body is read (404, a bad
+    ``Content-Type`` or ``Content-Length``, 413) closes the connection,
+    so the unread body is never taken for a next request.
+    Resubmitting a spec under its run id is idempotent, so
     retrying on 429/503/timeouts is always safe.
 ``GET /sweeps/<run-id>``
     Exactly the ``repro status <run-id> --json`` payload, byte for byte
@@ -26,7 +29,9 @@ or runs ``repro status`` against the ledger root:
     :class:`~repro.telemetry.tail.JsonlTailer`; ``id:`` carries the
     byte-offset cursor, and a reconnecting client's ``Last-Event-ID``
     header resumes from that offset without replaying history.  A final
-    ``event: end`` closes the stream when the run finishes.
+    ``event: end`` closes the stream when the run finishes: by the
+    daemon's own flag, or by the ledger's ``finish`` record for a run
+    the daemon does not hold.
 ``GET /sweeps/<run-id>/results``
     Journaled summaries of the successful points, keyed by
     content-addressed point key, read straight from the run's ledger
@@ -48,12 +53,13 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from ..runtime.status import load_run_status, status_paths
+from ..runtime.status import RunStatusBuilder, load_run_status, status_paths
 from ..telemetry.export import render_prom
 from ..telemetry.tail import JsonlTailer
 from .engine import QueueFull, SweepService
@@ -65,6 +71,10 @@ SSE_POLL = 0.2
 
 #: Largest accepted ``POST /sweeps`` body; larger requests get a 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest wait (seconds) for a client to stop sending the body of a
+#: ``POST`` refused before it was read (see ``_Handler._refuse``).
+LINGER_SECONDS = 2.0
 
 #: ``Retry-After`` hint (seconds) for transient 503s (journal append
 #: failed); the disk-full condition usually needs operator action, so
@@ -103,6 +113,25 @@ class _Handler(BaseHTTPRequestHandler):
             ).encode()
         self._send(status, body, "application/json", headers=headers)
 
+    def _refuse(self, status: int, payload: dict) -> int:
+        """Answer a ``POST`` before reading its body, then close.
+
+        The unread body must never be parsed as the connection's next
+        request.  Until the client stops sending (or
+        :data:`LINGER_SECONDS` pass) the body is read and dropped, so the
+        client reads the refusal rather than a reset connection.
+        """
+        self._send_json(status, payload, {"Connection": "close"})
+        deadline = time.monotonic() + LINGER_SECONDS
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(LINGER_SECONDS)
+            while time.monotonic() < deadline and self.connection.recv(1 << 16):
+                pass
+        except OSError:
+            pass
+        return status
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # replaced by the structured JSONL access log
 
@@ -124,17 +153,15 @@ class _Handler(BaseHTTPRequestHandler):
         status = 500
         try:
             if self.path.rstrip("/") != "/sweeps":
-                status = 404
-                self._send_json(status, {"error": "unknown endpoint"})
+                status = self._refuse(404, {"error": "unknown endpoint"})
                 return
             content_type = (
                 (self.headers.get("Content-Type") or "")
                 .split(";", 1)[0].strip().lower()
             )
             if content_type and content_type != "application/json":
-                status = 400
-                self._send_json(
-                    status,
+                status = self._refuse(
+                    400,
                     {"error": "Content-Type must be application/json "
                               "(got %r)" % content_type},
                 )
@@ -142,17 +169,13 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
-                status = 400
-                self._send_json(status, {"error": "invalid Content-Length"})
-                return
+                length = -1
             if length < 0:
-                status = 400
-                self._send_json(status, {"error": "invalid Content-Length"})
+                status = self._refuse(400, {"error": "invalid Content-Length"})
                 return
             if length > MAX_BODY_BYTES:
-                status = 413
-                self._send_json(
-                    status,
+                status = self._refuse(
+                    413,
                     {"error": "request body exceeds %d bytes" % MAX_BODY_BYTES,
                      "limit_bytes": MAX_BODY_BYTES},
                 )
@@ -330,12 +353,19 @@ class _Handler(BaseHTTPRequestHandler):
         resume = self.headers.get("Last-Event-ID")
         if resume and resume.isdigit():
             tailer.seek(int(resume))
-        saw_finish = False
+        folded = RunStatusBuilder(run_id, ledger_path, sidecar)
+        ledger_tail = JsonlTailer(ledger_path)
         while True:
+            # Asked before the poll: a finished run's records are all on
+            # disk by then, so the poll streams the last of them.  A run
+            # this daemon does not hold ends on its ledger's ``finish``.
+            finished = self.service.run_finished(run_id)
+            if finished is None:
+                for record in ledger_tail.poll():
+                    folded.fold_ledger(record)
+                finished = folded.finished
             records = tailer.poll()
             for record in records:
-                if record.get("k") == "F" and record.get("name") == "sweep.finish":
-                    saw_finish = True
                 self.wfile.write(
                     (
                         "event: span\nid: %d\ndata: %s\n\n"
@@ -347,7 +377,6 @@ class _Handler(BaseHTTPRequestHandler):
                     ).encode()
                 )
             self.wfile.flush()
-            finished = saw_finish or self.service.run_finished(run_id) is True
             if finished and not records:
                 self.wfile.write(
                     ("event: end\nid: %d\ndata: {}\n\n" % tailer.offset).encode()

@@ -24,8 +24,8 @@ plain ``flock``-guarded replaces without fsync.
 
 The directory doubles as the home of tiny ``O_EXCL`` *once-markers*
 (:meth:`LeaseManager.once`) used by cooperating processes to elect a
-single writer for shared records (a run's ``sweep.run`` meta, its
-finish summary, its journal ``done`` line).
+single writer for shared records (a run's ``run`` and ``finish``
+ledger records, its journal ``done`` line).
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class LeaseManager:
         """Elect a single writer for a shared record (``O_EXCL`` marker).
 
         ``True`` exactly once per ``name`` across every process sharing
-        the ledger root — the winner writes the shared record (run
-        meta, finish summary, journal ``done`` line), everyone else
+        the ledger root — the winner writes the shared record (``run``
+        or ``finish`` ledger record, journal ``done`` line), everyone else
         skips.  Markers persist across restarts, which is what keeps a
         recovered daemon from re-writing records it already wrote
         before a crash.

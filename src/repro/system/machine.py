@@ -188,12 +188,9 @@ class Machine:
         self._line_size = self.config.l3.line_size
         # Read on every prefetch issue (a property chain on the config).
         self._dram_path = self.config.dram_base_latency
-        # Disabled/absent telemetry both normalize to None, so the run
-        # loop guards on a plain ``is not None`` and a disabled session
-        # costs exactly nothing.
         self.fast_path = self._resolve_fast_path(fast_path)
-        if telemetry is not None and not getattr(telemetry, "enabled", False):
-            telemetry = None
+        # Telemetry off is ``None``: the run loop guards on a plain
+        # ``is not None``, so an absent session costs exactly nothing.
         self._telemetry = telemetry
         # Eviction events beyond writebacks and the ledger's L3 claims
         # only feed the event trace.

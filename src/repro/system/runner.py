@@ -64,8 +64,8 @@ def simulate(
 
     ``telemetry`` accepts a fresh :class:`repro.telemetry.Telemetry`
     session to instrument the run (the caller keeps the session and
-    reads its timeline/events afterwards).  ``None`` or a disabled
-    session leaves the run un-instrumented, with bit-identical results.
+    reads its timeline/events afterwards).  ``None`` leaves the run
+    un-instrumented, with bit-identical results.
 
     ``fast_path`` is forwarded to :class:`Machine`, which owns the
     choice: ``"auto"`` (default) replays on the batch fast path,

@@ -40,7 +40,7 @@ from .export import (
 )
 from .registry import Counter, Gauge, Histogram, MetricRegistry
 from .sampler import IntervalSampler, Sample, Timeline
-from .session import NULL_TELEMETRY, Telemetry
+from .session import Telemetry
 from .spans import (
     SpanRecorder,
     chrome_path,
@@ -96,7 +96,6 @@ __all__ = [
     "IntervalSampler",
     "Sample",
     "Timeline",
-    "NULL_TELEMETRY",
     "Telemetry",
     "dropped_events_note",
     "SpanRecorder",

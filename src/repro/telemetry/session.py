@@ -3,10 +3,9 @@
 A :class:`Telemetry` object is created per simulation run and handed to
 :func:`repro.system.runner.simulate` (or ``Machine``).  The machine
 binds every component's stats into the registry at construction time
-and drives the sampler from its window loop.  ``Telemetry.disabled()``
-returns the shared null session: the machine treats it exactly like
-``None``, so a disabled session adds **zero** work to the hot loop and
-simulated results are bit-identical to an un-instrumented run.
+and drives the sampler from its window loop.  Telemetry off is spelled
+``None``: the machine then adds **zero** work to the hot loop, and a
+session never changes simulated results.
 
 One session instruments one run: :meth:`attach` raises on reuse, which
 catches accidental double-registration of the same metric names.
@@ -19,7 +18,7 @@ from .events import EventTrace
 from .registry import MetricRegistry
 from .sampler import IntervalSampler, Timeline
 
-__all__ = ["Telemetry", "NULL_TELEMETRY"]
+__all__ = ["Telemetry"]
 
 #: int(DataType) -> short name, for tagging events cheaply.
 _DTYPE_NAMES = {int(dt): dt.short_name for dt in DataType}
@@ -48,8 +47,6 @@ class Telemetry:
         ``attribution`` is on; off skips the per-access shadow updates.
     """
 
-    enabled = True
-
     def __init__(
         self,
         interval_cycles: int = 50_000,
@@ -67,11 +64,6 @@ class Telemetry:
         self.attached_to: str | None = None
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def disabled() -> "_NullTelemetry":
-        """The shared no-op session (``enabled`` is False)."""
-        return NULL_TELEMETRY
-
     @property
     def timeline(self) -> Timeline:
         """The sampled timeline (delegates to the sampler)."""
@@ -87,7 +79,7 @@ class Telemetry:
         self.attached_to = label
 
     # ------------------------------------------------------------------
-    # Machine-facing hooks (hot-adjacent; called only when enabled)
+    # Machine-facing hooks (hot-adjacent; called only with a session)
     # ------------------------------------------------------------------
     def emit(self, cycle, kind, line=None, core=None, dtype=None, detail=None) -> None:
         """Record one structured event; ``dtype`` may be an int DataType."""
@@ -107,41 +99,3 @@ class Telemetry:
     def finish(self, cycle: float, ref_index: int) -> None:
         """End of run: take the final sample."""
         self.sampler.finish(cycle, ref_index)
-
-
-class _NullTelemetry:
-    """Disabled backend: every hook is a no-op, ``enabled`` is False.
-
-    The machine never calls hooks on a disabled session (it normalizes
-    to ``None`` up front), but the no-ops make the null object safe to
-    pass anywhere a :class:`Telemetry` is accepted.
-    """
-
-    enabled = False
-    registry = None
-    events = None
-    sampler = None
-    timeline = None
-    attached_to = None
-    attribution = False
-    classify_misses = False
-    attribution_profiler = None
-
-    def attach(self, label: str) -> None:
-        pass
-
-    def emit(self, *args, **kwargs) -> None:
-        pass
-
-    def record_phase(self, *args, **kwargs) -> None:
-        pass
-
-    def on_window(self, *args, **kwargs) -> None:
-        pass
-
-    def finish(self, *args, **kwargs) -> None:
-        pass
-
-
-#: The shared disabled session.
-NULL_TELEMETRY = _NullTelemetry()

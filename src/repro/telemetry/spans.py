@@ -29,10 +29,10 @@ Record vocabulary (the ``k`` field of each JSONL line):
     exactly this way in the timeline.
 ``I``
     Instant event (retry decisions, pool respawns, cache hits).
-``M``/``F``
-    Run metadata / run-finished summary (``F`` carries the sweep's final
-    metrics dict for the timeline; ``repro status`` reads the same dict
-    from the run ledger's ``finish`` record).
+
+A sidecar holds only the timeline.  A run's start, its settled points
+and its final metrics are records of the run ledger alone
+(:mod:`repro.runtime.ledger`), which ``repro status`` folds.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ __all__ = [
 SPANS_FORMAT = "repro-spans-v1"
 
 #: Record kinds a sidecar line may carry.
-RECORD_KINDS = ("B", "E", "I", "M", "F")
+RECORD_KINDS = ("B", "E", "I")
 
 #: Environment variable bounding sidecar size (bytes); 0/unset disables
 #: rotation.  Very long sweeps otherwise grow ``spans.jsonl`` without
@@ -187,8 +187,6 @@ class SpanRecorder:
         transparently.  ``None`` reads :data:`ROTATE_ENV_VAR`
         (``$REPRO_SPAN_ROTATE_BYTES``); 0 disables rotation.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -343,14 +341,6 @@ class SpanRecorder:
             {"k": "I", "name": name, "wall": time.time(), "attrs": attrs}
         )
 
-    def meta(self, name: str, kind: str = "M", **attrs) -> None:
-        """Record a run-level ``M`` (metadata) or ``F`` (finish) line."""
-        if kind not in ("M", "F"):
-            raise ValueError("meta kind must be 'M' or 'F' (got %r)" % kind)
-        self._record(
-            {"k": kind, "name": name, "wall": time.time(), "attrs": attrs}
-        )
-
 
 # ----------------------------------------------------------------------
 def sidecar_generations(path: str | Path) -> list[Path]:
@@ -370,7 +360,8 @@ def read_sidecar(path: str | Path) -> list[dict]:
 
     Returns records in file order — across rotated generations, oldest
     first; a missing file yields ``[]`` (a sweep may die before its
-    first span lands).
+    first span lands).  Lines of another kind, such as the ``M``/``F``
+    run records older sidecars carry, are skipped.
     """
     return [
         record
@@ -385,7 +376,7 @@ def chrome_trace_events(records: list[dict]) -> list[dict]:
 
     ``B``/``E`` pairs become complete (``ph="X"``) events; a begin whose
     end never arrived — a crashed worker — becomes an instant event named
-    ``<name> (unfinished)``; ``I``/``M``/``F`` records become instants.
+    ``<name> (unfinished)``; ``I`` records become instants.
     Timestamps are wall-clock microseconds relative to the earliest
     record, so spans from different processes align on one timeline.
     """
@@ -425,12 +416,12 @@ def chrome_trace_events(records: list[dict]) -> list[dict]:
                     "dur": round(dur_us, 1),
                 }
             )
-        elif kind in ("I", "M", "F"):
+        elif kind == "I":
             events.append(
                 {
                     **base,
                     "ph": "i",
-                    "cat": "event" if kind == "I" else "run",
+                    "cat": "event",
                     "ts": us(record["wall"]),
                     "s": "g",
                 }

@@ -429,21 +429,6 @@ class TestResume:
 
 
 class TestResilienceTelemetry:
-    def test_counters_surface_as_gauges(self, tmp_path):
-        from repro.telemetry import MetricRegistry
-
-        points = make_points(workloads=("PR",), setups=("none",))
-        faults = FaultPlan(error=(0,), trip_dir=str(tmp_path / "trips"))
-        runner = serial_runner(tmp_path, retry=FAST_RETRY, faults=faults)
-        registry = MetricRegistry()
-        runner.register_telemetry(registry)
-        assert registry.snapshot()["sweep.retries"] == 0
-        runner.run(points)
-        snapshot = registry.snapshot()
-        assert snapshot["sweep.retries"] == 1
-        assert snapshot["sweep.points_completed"] == 1
-        assert snapshot["sweep.points_failed"] == 0
-
     def test_metrics_dict_and_text_carry_resilience_fields(self, tmp_path):
         points = make_points(workloads=("PR",), setups=("none",))
         faults = FaultPlan(error=(0,), trip_dir=str(tmp_path / "trips"))

@@ -166,7 +166,8 @@ class TestSearchCorrectness:
         assert "pareto.run" in names
         assert names.count("pareto.rung") >= 3  # begin records per rung
         finish = [r for r in records if r.get("name") == "pareto.finish"]
-        assert finish and finish[-1]["k"] == "F"
+        assert finish and finish[-1]["k"] == "I"
+        assert {r["k"] for r in records} <= {"B", "E", "I"}
         for counter in ("rungs", "evaluations", "pruned", "promoted",
                         "frontier_size", "dominated"):
             assert counter in finish[-1]["attrs"]

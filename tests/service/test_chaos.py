@@ -172,14 +172,6 @@ def stable_view(status: dict) -> dict:
     return view
 
 
-def final_records(root, run_id):
-    records = spans.read_sidecar(Path(root) / ("%s.spans.jsonl" % run_id))
-    return [
-        r for r in records
-        if r.get("k") == "I" and r.get("name") == "point.final"
-    ]
-
-
 def ledger_point_keys(root, run_id):
     """Point keys of every point record in the run's ledger, sorted."""
     records = read_jsonl(Path(root) / ("%s.jsonl" % run_id))
@@ -247,12 +239,9 @@ class TestSigkillRestart:
 
         # The acceptance criterion: byte-identical stable views.
         assert stable_view(recovered) == stable_view(reference)
-        # And exactly one point.final per index — the restart re-settled
-        # nothing the dead daemon had already journaled.
+        # And exactly one ledger point record per key — the restart
+        # re-settled nothing the dead daemon had already journaled.
         for root, run_dir in ((clean_root, "clean"), (chaos_root, "chaos")):
-            finals = final_records(root, "chaos")
-            indexes = sorted(r["attrs"]["index"] for r in finals)
-            assert indexes == list(range(CHAOS_POINTS)), run_dir
             assert ledger_point_keys(root, "chaos") == CHAOS_KEYS, run_dir
 
 
@@ -341,11 +330,8 @@ class TestMultiHost:
             first.terminate()
             second.terminate()
 
-        # Span-sidecar accounting: every point settled exactly once,
-        # with no superseded (stolen mid-run) executions.
-        finals = final_records(root, "multi")
-        indexes = sorted(r["attrs"]["index"] for r in finals)
-        assert indexes == list(range(CHAOS_POINTS))
+        # Every point settled exactly once in the ledger, and the span
+        # sidecar shows no superseded (stolen mid-run) executions.
         assert ledger_point_keys(root, "multi") == CHAOS_KEYS
         records = spans.read_sidecar(root / "multi.spans.jsonl")
         ok_ends = [
@@ -407,7 +393,4 @@ class TestMultiHost:
         finally:
             survivor.terminate()
             victim.terminate()
-        finals = final_records(root, "takeover")
-        indexes = sorted(r["attrs"]["index"] for r in finals)
-        assert indexes == list(range(CHAOS_POINTS))
         assert ledger_point_keys(root, "takeover") == CHAOS_KEYS

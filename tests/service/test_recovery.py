@@ -7,7 +7,6 @@ mechanics deterministically with a stubbed executor.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -21,6 +20,7 @@ from repro.service.engine import DEADLINE_KIND, QueueFull
 from repro.service.journal import SubmissionJournal
 from repro.service.lease import LeaseManager
 from repro.telemetry import spans
+from repro.telemetry.tail import read_jsonl
 
 SPEC = {
     "workloads": ["PR"],
@@ -81,11 +81,15 @@ def failed_result(point):
     )
 
 
+def ledger_records(root, run_id, kind):
+    """The run's ledger records of one kind, in file order."""
+    records = read_jsonl(RunLedger(run_id, root=root).path)
+    return [r for r in records if r.get("kind") == kind]
+
+
 def ledger_point_keys(root, run_id):
     """Point keys of every point record in the run's ledger, sorted."""
-    lines = RunLedger(run_id, root=root).path.read_text().splitlines()
-    records = [json.loads(line) for line in lines]
-    return sorted(r["key"] for r in records if r.get("kind") == "point")
+    return sorted(r["key"] for r in ledger_records(root, run_id, "point"))
 
 
 class TestJournalReplay:
@@ -114,8 +118,8 @@ class TestJournalReplay:
         root = tmp_path / "runs"
         points, _ = parse_spec(SPEC)
         SubmissionJournal(root).submit("crashed", journal_spec("crashed"))
-        # The pre-crash process settled point 0 (ledger + point.final +
-        # sweep.run meta) and died before point 1.
+        # The pre-crash process journaled the run and settled point 0,
+        # then died before point 1.
         pre = RunHandle(
             "crashed", root, points, workers=1, leases=LeaseManager(root)
         )
@@ -128,16 +132,13 @@ class TestJournalReplay:
         assert executed == ["PR/kron/droplet"]  # point 0 never re-ran
         assert service.counters["journal_replays"] == 1
 
-        records = spans.read_sidecar(root / "crashed.spans.jsonl")
-        metas = [r for r in records
-                 if r.get("k") == "M" and r.get("name") == "sweep.run"]
-        finals = [r for r in records
-                  if r.get("k") == "I" and r.get("name") == "point.final"]
-        finishes = [r for r in records
-                    if r.get("k") == "F" and r.get("name") == "sweep.finish"]
-        assert len(metas) == 1  # once-marker kept the restart from rewriting
-        assert sorted(f["attrs"]["index"] for f in finals) == [0, 1]
-        assert len(finishes) == 1
+        # The once-marker kept the restart from journaling a second run
+        # record, and each point settled once.
+        assert len(ledger_records(root, "crashed", "run")) == 1
+        assert ledger_point_keys(root, "crashed") == sorted(
+            point_key(p) for p in points
+        )
+        assert len(ledger_records(root, "crashed", "finish")) == 1
         # Adopted results seed the shared cache: a resubmission of the
         # same sweep restores instantly.
         rerun = service.submit(dict(SPEC, run_id="again"))
@@ -158,8 +159,8 @@ class TestJournalReplay:
     def test_ledger_ahead_of_journal_reconstructs_the_final(
         self, tmp_path, monkeypatch
     ):
-        """Killed between the ledger append and the point.final: recovery
-        settles the point from its ledger record and writes no second one."""
+        """Killed right after a point's ledger append: recovery settles
+        the point from that record and writes no second one."""
         root = tmp_path / "runs"
         points, _ = parse_spec(SPEC)
         SubmissionJournal(root).submit("crashed", journal_spec("crashed"))
@@ -193,6 +194,8 @@ class TestJournalReplay:
         pre = RunHandle(
             "crashed", root, points, workers=1, leases=LeaseManager(root)
         )
+        span = pre.tracer.start("point", index=0, label=points[0].label)
+        pre.tracer.finish(span, status="error")
         pre.settle(0, points[0], failed_result(points[0]), restored=False)
         sidecar = root / "crashed.spans.jsonl"
         if sidecar_fate == "deleted":
@@ -257,11 +260,8 @@ class TestDeadlines:
         run_id = service.submit(dict(SPEC, deadline=0.3, run_id="doomed"))
         wait_finished(service, run_id, timeout=15)
         assert service.counters["deadline_exceeded"] >= 1
-        records = spans.read_sidecar(tmp_path / "runs" / "doomed.spans.jsonl")
-        kinds = [
-            r["attrs"].get("error_kind") for r in records
-            if r.get("k") == "I" and r.get("name") == "point.final"
-        ]
+        records = ledger_records(tmp_path / "runs", "doomed", "point")
+        kinds = [r["data"].get("error_kind") for r in records]
         assert DEADLINE_KIND in kinds
         gate.set()
         assert service.drain(timeout=10)
@@ -333,14 +333,13 @@ class TestLeaseIntegration:
         # The stolen point executed at least twice (victim + retaker)
         # but settled exactly once per index.
         assert len(executed) >= 3  # 2 points + at least one re-run
+        points, _ = parse_spec(dict(SPEC, setups=["droplet"]))
+        assert ledger_point_keys(tmp_path / "runs", run_id) == sorted(
+            point_key(p) for p in points
+        )
         records = spans.read_sidecar(
             tmp_path / "runs" / ("%s.spans.jsonl" % run_id)
         )
-        finals = [
-            r["attrs"]["index"] for r in records
-            if r.get("k") == "I" and r.get("name") == "point.final"
-        ]
-        assert sorted(finals) == [0, 1]
         superseded = [
             r for r in records
             if r.get("k") == "E" and (r.get("attrs") or {}).get("status")
@@ -369,14 +368,16 @@ class TestLeaseIntegration:
         wait_finished(service, run_id, timeout=30)
         assert executed == ["PR/kron/droplet"]  # point 0 came from the peer
         assert service.counters["remote_settled"] >= 1
-        status_finals = spans.read_sidecar(
-            root / ("%s.spans.jsonl" % run_id)
+        assert ledger_point_keys(root, run_id) == sorted(
+            point_key(p) for p in points
         )
         adopted = {
-            r["attrs"]["index"]: r["attrs"] for r in status_finals
-            if r.get("k") == "I" and r.get("name") == "point.final"
+            r["label"]: r["data"] for r in ledger_records(root, run_id, "point")
         }
-        assert adopted[0]["restored"] is True
+        assert adopted[points[0].label]["restored"] is True
+        assert "restored" not in adopted[points[1].label]
+        status = load_run_status(run_id, root=root)
+        assert [p.state for p in status.points] == ["restored", "done"]
         assert service.drain(timeout=10)
 
     def test_peer_failed_point_settles_once(self, tmp_path, monkeypatch):
@@ -414,17 +415,12 @@ class TestLeaseIntegration:
         assert sorted(executed) == ["PR/kron/droplet", "PR/kron/none"]
 
         root = tmp_path / "runs"
-        finals = [
-            r["attrs"]["index"]
-            for r in spans.read_sidecar(root / "shared.spans.jsonl")
-            if r.get("k") == "I" and r.get("name") == "point.final"
-        ]
-        assert sorted(finals) == [0, 1]
         points, _ = parse_spec(SPEC)
         assert ledger_point_keys(root, run_id) == sorted(
             point_key(p) for p in points
         )
         status = load_run_status(run_id, root=root)
         assert [p.state for p in status.points] == ["done", "failed"]
+        assert status.points[1].error_kind == "ValueError"
         assert first.drain(timeout=10)
         assert second.drain(timeout=10)

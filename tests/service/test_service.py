@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -13,6 +15,7 @@ import pytest
 from repro.runtime import TraceCache, point_key
 from repro.service import ServiceHTTPServer, SweepService, parse_spec
 from repro.service.engine import SERVICE_SIDECAR
+from repro.service.http import MAX_BODY_BYTES
 from repro.telemetry import parse_prom_text, spans
 
 MAX_REFS = 3000
@@ -214,7 +217,8 @@ class TestHTTPEndToEnd:
         run_id = accepted["run_id"]
         assert accepted["status_url"] == "/sweeps/%s" % run_id
 
-        # SSE delivers begin/finish span records while the run executes.
+        # SSE delivers the point spans while the run executes; the run's
+        # start, points and finish are ledger records, never sidecar ones.
         events = []
         last_id = None
         with urllib.request.urlopen(
@@ -229,10 +233,8 @@ class TestHTTPEndToEnd:
                 if line.startswith("data: "):
                     events.append(json.loads(line[6:]))
         kinds = {(e.get("k"), e.get("name")) for e in events}
-        assert ("M", "sweep.run") in kinds
         assert ("B", "point") in kinds and ("E", "point") in kinds
-        assert ("I", "point.final") in kinds
-        assert ("F", "sweep.finish") in kinds
+        assert {k for k, _ in kinds} <= {"B", "E", "I"}
         assert last_id is not None and last_id > 0
 
         # A reconnect with Last-Event-ID resumes past consumed history.
@@ -284,14 +286,56 @@ class TestHTTPEndToEnd:
         ]
         assert worker_spans == []  # zero new worker spans
 
-        # /metrics parses as Prometheus text and shows the dedupe.
+        # /metrics parses as Prometheus text and shows the dedupe, each
+        # value once, under the service's own counters.
         _, metrics_text = get(url + "/metrics")
         parsed = parse_prom_text(metrics_text)
         assert parsed["repro_service_dedup_hits_total"] > 0
         assert parsed["repro_service_submissions_total"] >= 2
         assert "repro_service_queue_depth" in parsed
-        assert "repro_sweep_restored_points" in parsed
+        assert parsed["repro_service_restored_points_total"] >= len(
+            rerun_payload["points"]
+        )
+        assert "repro_service_quarantined_entries_total" in parsed
+        assert not any(key.startswith("repro_sweep_") for key in parsed)
         assert any(key.startswith("repro_service_worker_busy{") for key in parsed)
+
+    def test_stream_of_a_run_finished_before_start_ends(
+        self, tmp_path, monkeypatch
+    ):
+        """A run the journal marks done is not reopened, so the daemon
+        holds no flag for it: its stream ends on the ledger's finish."""
+        from repro.runtime.ledger import RunLedger
+        from repro.runtime.points import PointResult
+        from repro.service import engine as engine_mod
+        from repro.service.journal import SubmissionJournal
+
+        monkeypatch.setattr(
+            engine_mod, "execute_point",
+            lambda point, *a, **k: PointResult(
+                point=point, summary={"cycles": 1}, wall_time=0.0
+            ),
+        )
+        earlier = make_service(tmp_path, workers=1).start()
+        wait_finished(earlier, earlier.submit(dict(SPEC, run_id="earlier")))
+        assert earlier.drain(timeout=10)
+
+        service = make_service(tmp_path, workers=1)
+        server = ServiceHTTPServer(service, port=0).start()
+        try:
+            assert service.run_finished("earlier") is None
+            entries, _ = SubmissionJournal(tmp_path / "runs").replay()
+            assert [(e.run_id, e.done) for e in entries] == [("earlier", True)]
+            ledger = RunLedger("earlier", root=tmp_path / "runs")
+            ledger.refresh()
+            assert ledger.finished
+            with urllib.request.urlopen(
+                server.url + "/sweeps/earlier/events", timeout=30
+            ) as stream:
+                lines = [raw.decode().strip() for raw in stream]
+            assert lines.count("event: end") == 1
+        finally:
+            server.stop(drain_timeout=10)
 
     def test_bad_spec_is_a_400_with_message(self, live_server):
         server, _, _ = live_server
@@ -397,13 +441,41 @@ class TestHTTPErrorPaths:
         assert "Content-Length" in body["error"]
 
     def test_oversized_body_is_413(self, live_server):
-        from repro.service.http import MAX_BODY_BYTES
-
         server, _, _ = live_server
         blob = b'{"pad": "' + b"x" * MAX_BODY_BYTES + b'"}'
         code, body = self._post_raw(server, blob)
         assert code == 413
         assert body["limit_bytes"] == MAX_BODY_BYTES
+
+    #: A request hidden in a refused POST's body: answered only if the
+    #: server reads the unread body as the connection's next request.
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "path, length, status",
+        [
+            ("/nope", len(SMUGGLED), b"404"),
+            ("/sweeps", MAX_BODY_BYTES + 1, b"413"),
+        ],
+        ids=["unknown-endpoint", "oversized"],
+    )
+    def test_refused_post_closes_before_its_body(
+        self, live_server, path, length, status
+    ):
+        server, _, _ = live_server
+        head = (
+            "POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json"
+            "\r\nContent-Length: %d\r\n\r\n" % (path, length)
+        ).encode()
+        received = b""
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(head + self.SMUGGLED)
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        assert re.findall(rb"HTTP/1\.1 (\d{3}) ", received) == [status]
 
     def test_queue_full_is_429_with_retry_after(self, tmp_path, monkeypatch):
         from repro.runtime.points import PointResult

@@ -2,8 +2,8 @@
 
 The acceptance bar for the subsystem: instrumented runs must not change
 simulated results at all (the registry is pull-based, sampling happens
-at window boundaries, events never feed back), and a disabled or absent
-session must leave the machine on the exact uninstrumented code path.
+at window boundaries, events never feed back), and an absent session
+(``None``) must leave the machine on the exact uninstrumented code path.
 The same bar applies to runtime span tracing: with no recorder installed
 the instrumented control paths must allocate zero span records.
 """
@@ -38,14 +38,6 @@ def mesh_pr_run():
 
 
 class TestZeroInterference:
-    @pytest.mark.parametrize("setup", ["none", "droplet"])
-    def test_disabled_session_is_bit_identical_to_absent(self, kron_run, setup):
-        absent = summarize(simulate(kron_run, setup=setup, telemetry=None))
-        disabled = summarize(
-            simulate(kron_run, setup=setup, telemetry=Telemetry.disabled())
-        )
-        assert disabled == absent
-
     @pytest.mark.parametrize("setup", ["none", "droplet"])
     def test_enabled_session_never_changes_simulated_results(
         self, kron_run, setup
@@ -169,8 +161,12 @@ class TestSpanZeroOverhead:
         SweepRunner(
             trace_cache=TraceCache(tmp_path / "traces"), tracer=tracer
         ).run([self.POINT])
-        names = {r.get("name") for r in tracer.records()}
-        assert {"sweep.run", "point", "point.final", "sweep.finish"} <= names
+        records = tracer.records()
+        names = {r.get("name") for r in records}
+        assert {"point", "machine.run"} <= names
+        # The run's record is the ledger's; the timeline holds spans and
+        # instants only.
+        assert {r["k"] for r in records} <= {"B", "E", "I"}
         assert spans.current() is None  # runner restored the global
 
 

@@ -42,17 +42,11 @@ class TestRecorder:
         assert end["attrs"]["status"] == "error"
         assert end["attrs"]["error_kind"] == "ValueError"
 
-    def test_event_and_meta_kinds(self):
+    def test_event_kind(self):
         rec = SpanRecorder()
         rec.event("point.retry", index=1)
-        rec.meta("sweep.run", total=4)
-        rec.meta("sweep.finish", kind="F", metrics={"errors": 0})
-        assert [r["k"] for r in rec.records()] == ["I", "M", "F"]
-        assert all(r["k"] in RECORD_KINDS for r in rec.records())
-
-    def test_meta_rejects_bad_kind(self):
-        with pytest.raises(ValueError, match="meta kind"):
-            SpanRecorder().meta("x", kind="Q")
+        assert [r["k"] for r in rec.records()] == ["I"]
+        assert RECORD_KINDS == ("B", "E", "I")
 
     def test_ring_bound_drops_oldest(self):
         rec = SpanRecorder(capacity=4)
@@ -108,10 +102,21 @@ class TestSidecar:
         rec = SpanRecorder(sidecar=path)
         with rec.span("work", index=0):
             rec.event("inner")
-        rec.meta("sweep.finish", kind="F", metrics={"errors": 0})
         records = read_sidecar(path)
-        assert [r["k"] for r in records] == ["B", "I", "E", "F"]
+        assert [r["k"] for r in records] == ["B", "I", "E"]
         assert records == rec.records()
+
+    def test_run_records_of_older_sidecars_are_skipped(self, tmp_path):
+        # Sidecars once carried ``M``/``F`` copies of the run's ledger
+        # records; readers skip them.
+        path = tmp_path / "r.spans.jsonl"
+        rec = SpanRecorder(sidecar=path)
+        with path.open("a") as handle:
+            handle.write('{"k":"M","name":"sweep.run","wall":1.0}\n')
+        rec.event("a")
+        with path.open("a") as handle:
+            handle.write('{"k":"F","name":"sweep.finish","wall":2.0}\n')
+        assert [r["k"] for r in read_sidecar(path)] == ["I"]
 
     def test_missing_sidecar_reads_empty(self, tmp_path):
         assert read_sidecar(tmp_path / "nope.jsonl") == []
@@ -139,14 +144,14 @@ class TestSidecar:
 class TestChromeExport:
     def test_complete_and_instant_events(self):
         rec = SpanRecorder()
-        rec.meta("sweep.run", total=1)
+        rec.event("pareto.run", candidates=1)
         with rec.span("point", index=0):
             rec.event("point.retry", index=0)
         events = chrome_trace_events(rec.records())
         phases = {e["name"]: e["ph"] for e in events}
         assert phases["point"] == "X"
         assert phases["point.retry"] == "i"
-        assert phases["sweep.run"] == "i"
+        assert phases["pareto.run"] == "i"
         ts = [e["ts"] for e in events]
         assert ts == sorted(ts)
         assert all(e["ts"] >= 0 for e in events)
