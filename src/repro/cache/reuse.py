@@ -22,6 +22,7 @@ __all__ = [
     "reuse_distance_profile",
     "Fenwick",
     "COLD_DISTANCE",
+    "stable_order",
     "previous_occurrences",
     "group_positions",
     "guaranteed_hit_mask",
@@ -119,11 +120,41 @@ class ReuseProfile:
         return out
 
 
-def previous_occurrences(values: np.ndarray) -> np.ndarray:
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for any integer array, by radix.
+
+    NumPy's stable sort is a radix sort only for keys of 16 bits or
+    fewer.  Offsetting every value by the minimum makes the keys
+    non-negative (in wrapping ``uint64`` arithmetic, so any signed or
+    unsigned dtype works); a span under 2**8 then sorts in one byte-wide
+    pass, and a wider one in 16-bit digit passes, least significant
+    first.  Each pass is stable, so equal values keep their order.
+    """
+    values = np.asarray(values)
+    if len(values) < 2:
+        return np.arange(len(values), dtype=np.intp)
+    keys = values.astype(np.uint64)
+    keys -= keys[values.argmin()]
+    span = int(keys.max())
+    if span < 1 << 8:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while span >> shift:
+        digits = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+        shift += 16
+    return order
+
+
+def previous_occurrences(
+    values: np.ndarray, order: np.ndarray | None = None
+) -> np.ndarray:
     """Index of each element's previous occurrence (``-1`` for first touch).
 
-    Vectorized (one stable argsort): the batch-replay planner calls this
-    on whole traces, where a Python dict walk would cost as much as the
+    Vectorized (one :func:`stable_order`, or the caller's ``order`` of
+    the same values): the batch-replay planner calls this on whole
+    traces, where a Python dict walk would cost as much as the
     simulation it is meant to speed up.
     """
     values = np.asarray(values)
@@ -131,25 +162,30 @@ def previous_occurrences(values: np.ndarray) -> np.ndarray:
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
-    order = np.argsort(values, kind="stable")
+    if order is None:
+        order = stable_order(values)
     ordered = values[order]
     same = ordered[1:] == ordered[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
 
 
-def group_positions(groups: np.ndarray) -> np.ndarray:
+def group_positions(
+    groups: np.ndarray, order: np.ndarray | None = None
+) -> np.ndarray:
     """Rank of each element within its group's subsequence (0-based).
 
     With ``groups`` = cache-set indices, ``positions[i] - positions[j]``
     counts the accesses to that set in ``(j, i]`` — the quantity that
-    upper-bounds the set-local Mattson stack distance.
+    upper-bounds the set-local Mattson stack distance.  ``order`` is
+    ``stable_order(groups)`` when the caller already has it.
     """
     groups = np.asarray(groups)
     n = len(groups)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(groups, kind="stable")
+    if order is None:
+        order = stable_order(groups)
     ordered = groups[order]
     new_group = np.r_[True, ordered[1:] != ordered[:-1]]
     starts = np.flatnonzero(new_group)
@@ -184,19 +220,23 @@ def guaranteed_hit_mask(
 
     Returns a boolean mask; ``False`` means "unknown — take the scalar
     path", never "guaranteed miss".  With ``return_prev=True`` also
-    returns the :func:`previous_occurrences` array (the replay planner
-    reuses it to derive next-occurrence indices without a second sort).
+    returns the :func:`previous_occurrences` arrays of the lines and of
+    their set indices, ``(mask, prev, set_prev)``: the replay planner
+    derives next-occurrence indices from them, and the set indices are
+    sorted once for both the positions and ``set_prev``.
     """
     lines = np.asarray(lines)
     prev = previous_occurrences(lines)
-    positions = group_positions(lines % num_sets)
+    sets = lines % num_sets
+    set_order = stable_order(sets)
+    positions = group_positions(sets, set_order)
     known = prev >= 0
     intervening = np.zeros(len(lines), dtype=np.int64)
     idx = np.flatnonzero(known)
     intervening[idx] = positions[idx] - positions[prev[idx]] - 1
     mask = known & (intervening < associativity)
     if return_prev:
-        return mask, prev
+        return mask, prev, previous_occurrences(sets, set_order)
     return mask
 
 

@@ -15,6 +15,7 @@ exposed time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -234,10 +235,15 @@ def compute_window_timing_sparse(
     total = 0.0
     by_level: dict[str, float] = {}
     phase_size = load_queue if load_queue is not None else max(num_loads, 1)
-    pos = 0
-    num_sparse = len(sparse_loads)
+    lo = 0
     for phase_begin in range(0, max(num_loads, 1), phase_size):
         phase_limit = phase_begin + phase_size
+        # The phase's entries: a slice ending at the first ordinal past
+        # the phase ((limit,) sorts before every (limit, ...) tuple).
+        if phase_limit >= num_loads:
+            hi = len(sparse_loads)
+        else:
+            hi = bisect_left(sparse_loads, (phase_limit,), lo)
         visible_from = (
             int(window_load_refs[phase_begin])
             if phase_begin < num_loads
@@ -248,13 +254,11 @@ def compute_window_timing_sparse(
         completion: dict[int, float] = {}
         critical = 0.0
         dram_total = 0.0
-        while pos < num_sparse and sparse_loads[pos][0] < phase_limit:
-            _, ref_index, dep_index, level, latency = sparse_loads[pos]
-            pos += 1
-            start = 0.0
+        for _, ref_index, dep_index, level, latency in sparse_loads[lo:hi]:
             if dep_index >= visible_from:
-                start = completion.get(dep_index, 0.0)
-            done = start + latency
+                done = completion.get(dep_index, 0.0) + latency
+            else:
+                done = latency  # 0.0 + latency: latencies are >= 0
             completion[ref_index] = done
             if done > critical:
                 critical = done
@@ -263,6 +267,7 @@ def compute_window_timing_sparse(
                 by_level[level] = by_level.get(level, 0.0) + latency
                 if level == "DRAM":
                     dram_total += latency
+        lo = hi
         bandwidth_bound = dram_total / mshr
         exposed += critical if critical >= bandwidth_bound else bandwidth_bound
     return exposed, total, by_level

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph", "build_csr", "GraphError"]
+__all__ = ["CSRGraph", "build_csr", "csr_from_endpoints", "GraphError"]
 
 
 class GraphError(ValueError):
@@ -245,10 +245,37 @@ def build_csr(
         if len(weights) != len(edge_array):
             raise GraphError("weights must be parallel to edges")
 
+    # Adjacency lists always come out sorted, whatever ``sort_neighbors``
+    # says.
+    return csr_from_endpoints(
+        num_vertices,
+        edge_array[:, 0],
+        edge_array[:, 1],
+        weights=weights,
+        dedup=dedup,
+        name=name,
+    )
+
+
+def csr_from_endpoints(
+    num_vertices: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray | None = None,
+    dedup: bool = False,
+    name: str = "unnamed",
+) -> CSRGraph:
+    """:func:`build_csr` from parallel endpoint arrays, unchecked.
+
+    The caller guarantees every ID lies in ``[0, num_vertices)`` and
+    that ``weights`` (``int32``, if given) is parallel to the edges:
+    generators pass the IDs they just drew without stacking them into
+    an ``(E, 2)`` copy or scanning them again.
+    """
     # Sort one (src, dst) key so adjacency lists come out contiguous and
     # ordered; CSR construction through this helper always leaves lists
-    # sorted, whatever ``sort_neighbors`` says.
-    key = edge_array[:, 0] * num_vertices + edge_array[:, 1]
+    # sorted.
+    key = np.asarray(src, dtype=np.int64) * num_vertices + dst
     if weights is None:
         key = np.sort(key)
     else:

@@ -23,6 +23,10 @@ class Prefetcher(abc.ABC):
     """Base class for miss-stream-trained prefetchers."""
 
     name: str = "prefetcher"
+    #: Whether :meth:`observe_miss` returns ``[]`` for every miss not
+    #: tagged structure, without training; the batch-replay loop then
+    #: skips the call for those misses.
+    trains_structure_only: bool = False
 
     @abc.abstractmethod
     def observe_miss(

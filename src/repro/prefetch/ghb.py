@@ -14,6 +14,7 @@ property / intermediate misses destroy delta correlation.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..trace.record import DataType
@@ -42,8 +43,12 @@ class GHBPrefetcher(Prefetcher):
         self._buffer: list[_GHBEntry | None] = [None] * buffer_size
         self._head = 0  # next write slot
         self._count = 0  # total entries ever written
-        #: Delta pair -> newest sequence number, in LRU order.
-        self._index: dict[tuple[int, int], int] = {}
+        #: Delta pair -> newest sequence number, in LRU order.  A full
+        #: index drops its oldest pair on most misses, so it is an
+        #: ``OrderedDict``: ``popitem(last=False)`` takes constant time,
+        #: where a plain dict's first key lies past the dummy slots that
+        #: earlier drops left behind.
+        self._index: OrderedDict[tuple[int, int], int] = OrderedDict()
         self._last_line: int | None = None
         self._last_delta: int | None = None
 
@@ -74,7 +79,7 @@ class GHBPrefetcher(Prefetcher):
                 self._count += 1
                 index[key] = seq
                 if len(index) > self.index_size:
-                    del index[next(iter(index))]
+                    index.popitem(last=False)
                 # Predict by replaying the deltas that followed the last
                 # occurrence of this delta pair.
                 if self._entry_seq_valid(prev_seq):

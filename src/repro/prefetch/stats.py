@@ -16,6 +16,7 @@ residency or timing.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..trace.record import DataType
@@ -91,9 +92,13 @@ class PollutionTracker:
 
     def __init__(self, ledger: "PrefetchLedger", capacities: dict[str, int]):
         self.ledger = ledger
-        # Each shadow set is in eviction order, oldest first.
-        self._sets: dict[str, dict[int, str]] = {
-            level: {} for level in capacities
+        # Each shadow set is a FIFO in eviction order, oldest first.  A
+        # full set drops its oldest line on most inserts, so it is an
+        # ``OrderedDict``: ``popitem(last=False)`` takes constant time,
+        # where a plain dict's first key lies past the dummy slots that
+        # earlier drops left behind.
+        self._sets: dict[str, OrderedDict[int, str]] = {
+            level: OrderedDict() for level in capacities
         }
         self._caps = dict(capacities)
         self.evictions: dict[str, int] = {level: 0 for level in capacities}
@@ -112,7 +117,7 @@ class PollutionTracker:
         shadow.pop(line, None)
         shadow[line] = issuer or "unknown"
         if len(shadow) > self._caps[level]:
-            del shadow[next(iter(shadow))]
+            shadow.popitem(last=False)
 
     def on_fill(self, level: str, line: int) -> None:
         """``line`` came back on chip at ``level`` before any demand miss."""

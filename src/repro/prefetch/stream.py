@@ -137,13 +137,6 @@ class StreamPrefetcher(Prefetcher):
         return out
 
     # ------------------------------------------------------------------
-    #: Class-level mirror of :meth:`_should_train` for the hot snoop
-    #: paths (a per-miss method call is measurable in replay loops).
-    trains_structure_only = False
-
-    def _should_train(self, kind: DataType, is_structure: bool) -> bool:
-        return not self.trains_structure_only or is_structure
-
     def observe_miss(
         self, line: int, kind: DataType, is_structure: bool, core: int
     ) -> list[int]:

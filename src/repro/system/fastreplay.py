@@ -12,7 +12,9 @@ but much faster:
    L1 hit* mask (set-local stack-distance filter), run boundaries, and
    every prefix sum the window accounting needs.
 2. Guaranteed-hit runs are applied as bare LRU touches; their hit
-   counters are folded in per window from prefix sums.
+   counters fold in from the plan's prefix sums where the cascade's
+   counters fold: once at the end, or at every window while telemetry
+   samples them.
 3. Every other reference runs a lean demand cascade: the lookups of
    ``CacheHierarchy.demand_access`` inlined over the raw set
    dictionaries, with local hit/miss counters, and a miss refilled
@@ -88,7 +90,6 @@ class _ReplayTables:
         "run_end",
         "icum",
         "lcum",
-        "scum",
         "forward",
         "forward_all",
         "load_index",
@@ -96,7 +97,6 @@ class _ReplayTables:
         "touch_pairs",
         "store_pairs",
         "srcum",
-        "hit_cum_items",
         "set_idx",
     )
 
@@ -107,14 +107,14 @@ class _ReplayTables:
         self.is_load = trace.is_load.tolist()
         # Only poisoned runs and L1-filling setups, which touch run by
         # run without the dedup, need per-reference store flags; NumPy
-        # slices of this avoid a full tolist.
+        # slices of this avoid a full tolist.  A run's store count is
+        # its length less its loads, so no store prefix sum is listed.
         self.is_store = np.logical_not(trace.is_load)
         self.deps = trace.dep.tolist()
         self.dep_target = plan.dep_target.tolist()
         self.run_end = plan.run_end.tolist()
         self.icum = plan.instr_cum.tolist()
         self.lcum = plan.load_cum.tolist()
-        self.scum = plan.store_cum.tolist()
         self.forward = plan.forward_live.tolist()
         self.forward_all = plan.forward_loads
         self.load_index = plan.load_index
@@ -122,8 +122,10 @@ class _ReplayTables:
         self.srcum = plan.store_rep_cum.tolist()
         # (set index, line) per deduped touch / store representative:
         # the clean-run replay loop then avoids two positional list
-        # indexings per touch.
+        # indexings per touch.  The per-kind guaranteed-hit prefix sums
+        # stay NumPy: run_fast reads them only where it folds hits.
         set_arr = plan.lines % plan.num_sets
+        self.set_idx = set_arr.tolist()
         self.touch_pairs = list(
             zip(
                 set_arr[plan.touch_index].tolist(),
@@ -136,10 +138,6 @@ class _ReplayTables:
                 plan.lines[plan.store_rep_index].tolist(),
             )
         )
-        self.hit_cum_items = [
-            (k, v.tolist()) for k, v in plan.hit_cum_by_kind.items()
-        ]
-        self.set_idx = (plan.lines % plan.num_sets).tolist()
 
 
 def _tables_for(machine, trace: Trace, l1) -> _ReplayTables:
@@ -197,7 +195,6 @@ def run_fast(machine, trace: Trace):
     run_end = tables.run_end
     icum = tables.icum
     lcum = tables.lcum
-    scum = tables.scum
     forward = tables.forward
     forward_all = tables.forward_all
     load_index = tables.load_index
@@ -205,7 +202,7 @@ def run_fast(machine, trace: Trace):
     touch_pairs = tables.touch_pairs
     store_pairs = tables.store_pairs
     srcum = tables.srcum
-    hit_cum_items = tables.hit_cum_items
+    hit_cums = tables.plan.hit_cum_by_kind.items()
     set_idx = tables.set_idx
     n = len(trace)
 
@@ -230,9 +227,11 @@ def run_fast(machine, trace: Trace):
     lq = cfg.load_queue
 
     has_feedback = hasattr(prefetcher, "feedback")
-    # The null prefetcher's snoop is a guaranteed no-op; skipping the
-    # call entirely leaves results untouched and the miss path leaner.
+    # The null prefetcher's snoop is a guaranteed no-op, and so is a
+    # structure-only streamer's on any other miss; skipping those calls
+    # leaves results untouched and the miss path leaner.
     snoop_misses = not isinstance(prefetcher, NullPrefetcher)
+    structure_only = prefetcher.trains_structure_only
     demand_chase = machine.mpp is not None and setup.mpp_trigger == "demand"
     imp = setup.imp_engine
     layout = machine.layout
@@ -266,7 +265,11 @@ def run_fast(machine, trace: Trace):
     poison = hierarchy.l1_inval_logs[core]
 
     # Demand-cascade counters, folded into the CacheStats at the last
-    # window, or at every window while telemetry samples them.
+    # window, or at every window while telemetry samples them, together
+    # with the guaranteed hits of the plan's prefix sums up to there.  A
+    # diverted guaranteed hit is taken back from ``c_l1_hit``; the
+    # cascade then counts what it really was.
+    hits_folded = 0
     c_l1_hit = {0: 0, 1: 0, 2: 0}
     c_l1_miss = {0: 0, 1: 0, 2: 0}
     c_l2_hit = {0: 0, 1: 0, 2: 0}
@@ -310,7 +313,6 @@ def run_fast(machine, trace: Trace):
         events.clear()
 
     fwd_ptr = 0
-    num_fwd = len(forward)
     ws = 0
     while ws < n:
         # The window closes after the first reference that pushes the
@@ -325,9 +327,9 @@ def run_fast(machine, trace: Trace):
 
         cascade_loads: list[tuple[int, int, int, str, float]] = []
         diverted: set[int] | None = None
-        div_counts: dict[int, int] | None = None
         # Tracks whether any load in this window carries latency; a
-        # window of pure zero-latency loads times out to all zeros.
+        # window of pure zero-latency loads times out to all zeros, so
+        # only a window with latency is timed.
         window_has_latency = False
 
         i = ws
@@ -336,48 +338,65 @@ def run_fast(machine, trace: Trace):
             if jrun > i:  # guaranteed run starts here
                 if jrun > limit:
                     jrun = limit
-                # Truncate at the first poisoned line.  The truncated
-                # prefix cannot use the plan-time deduped touch list (it
-                # dedups over the *full* run, so a line's last touch may
-                # lie past the cut).
-                clean = not poison or poison.isdisjoint(lines[i:jrun])
-                if not clean:
-                    k = i
-                    while lines[k] not in poison:
-                        k += 1
-                    jrun = k
-                if jrun > i:
-                    # Pending side effects from the previous reference's
-                    # prefetch issues drain at the *next* reference's
-                    # timestamp in the scalar loop.
-                    if events:
-                        _drain(clock + (icum[i] - window_icum) / dispatch)
-                    if clean and not into_l1:
-                        # No mutation can interrupt the run, so only the
-                        # *last* touch of each line matters for LRU order
-                        # — replay the deduped touch list, and one
-                        # representative dirty-bit write per (line, run).
-                        for si, ln in touch_pairs[touch_cum[i] : touch_cum[jrun]]:
-                            s1 = l1_sets[si]
-                            s1[ln] = s1.pop(ln)
-                        slo = srcum[i]
-                        shi = srcum[jrun]
-                        if shi != slo:
-                            for si, ln in store_pairs[slo:shi]:
-                                l1_sets[si][ln].dirty = True
-                    elif scum[jrun] - scum[i]:
-                        l1.touch_run(lines[i:jrun], is_store[i:jrun])
-                    else:
-                        l1.touch_run(lines[i:jrun])
-                    i = jrun
-                    continue
+                if jrun == i + 1:
+                    # A one-reference run (most runs of a miss-heavy
+                    # trace): test its line for poison and touch it by
+                    # index, as the oracle's per-reference walk does.
+                    line = lines[i]
+                    if line not in poison:
+                        if events:
+                            _drain(clock + (icum[i] - window_icum) / dispatch)
+                        s1 = l1_sets[set_idx[i]]
+                        meta = s1.pop(line)
+                        s1[line] = meta
+                        if not is_load[i]:
+                            meta.dirty = True
+                        i = jrun
+                        continue
+                else:
+                    # Truncate at the first poisoned line.  The
+                    # truncated prefix cannot use the plan-time deduped
+                    # touch list (it dedups over the *full* run, so a
+                    # line's last touch may lie past the cut).
+                    clean = not poison or poison.isdisjoint(lines[i:jrun])
+                    if not clean:
+                        k = i
+                        while lines[k] not in poison:
+                            k += 1
+                        jrun = k
+                    if jrun > i:
+                        # Pending side effects from the previous
+                        # reference's prefetch issues drain at the
+                        # *next* reference's timestamp in the scalar
+                        # loop.
+                        if events:
+                            _drain(clock + (icum[i] - window_icum) / dispatch)
+                        if clean and not into_l1:
+                            # No mutation can interrupt the run, so only
+                            # the *last* touch of each line matters for
+                            # LRU order — replay the deduped touch list,
+                            # and one representative dirty-bit write per
+                            # (line, run).
+                            for si, ln in touch_pairs[touch_cum[i] : touch_cum[jrun]]:
+                                s1 = l1_sets[si]
+                                s1[ln] = s1.pop(ln)
+                            slo = srcum[i]
+                            shi = srcum[jrun]
+                            if shi != slo:
+                                for si, ln in store_pairs[slo:shi]:
+                                    l1_sets[si][ln].dirty = True
+                        elif jrun - i != lcum[jrun] - lcum[i]:  # stores
+                            l1.touch_run(lines[i:jrun], is_store[i:jrun])
+                        else:
+                            l1.touch_run(lines[i:jrun])
+                        i = jrun
+                        continue
                 # Guaranteed but poisoned: the prediction is void — take
                 # the cascade and undo the prefix-sum hit.
                 if diverted is None:
                     diverted = set()
-                    div_counts = {}
                 diverted.add(i)
-                div_counts[kinds[i]] = div_counts.get(kinds[i], 0) + 1
+                c_l1_hit[kinds[i]] -= 1
 
             # ----------------------------------------------------------
             # Lean demand cascade: demand_access inlined over the raw
@@ -482,7 +501,7 @@ def run_fast(machine, trace: Trace):
                 # pending from the previous reference, then this
                 # cascade's fills, then the chase's.
                 _drain(now)
-            if snoop_misses:
+            if snoop_misses and (kind == _STRUCTURE or not structure_only):
                 candidates = prefetcher.observe_miss(
                     line, kind, kind == _STRUCTURE, core
                 )
@@ -510,44 +529,32 @@ def run_fast(machine, trace: Trace):
         # --------------------------------------------------------------
         # Window close (full) or end of trace (partial window).
         # --------------------------------------------------------------
-        for k, cum in hit_cum_items:
-            c = cum[limit] - cum[ws]
-            if div_counts:
-                c -= div_counts.get(k, 0)
-            if c:
-                l1_stats.hits[k] += c
-
-        # Forward loads: normally only the chain-live ones matter; a
-        # window with diverted references falls back to the full
-        # unpruned set, since a diverted load can acquire latency (and
-        # forward it) that plan-time pruning never saw.
-        fwd_entries: list[tuple[int, int, int, str, float]] = []
-        if diverted is None:
-            while fwd_ptr < num_fwd and forward[fwd_ptr] < limit:
-                f = forward[fwd_ptr]
-                fwd_ptr += 1
-                fwd_entries.append((lcum[f] - window_lcum, f, deps[f], "L1", 0.0))
-        else:
-            while fwd_ptr < num_fwd and forward[fwd_ptr] < limit:
-                fwd_ptr += 1
-            lo, hi = np.searchsorted(forward_all, (ws, limit))
-            for f in forward_all[lo:hi].tolist():
-                if f not in diverted:
-                    fwd_entries.append(
-                        (lcum[f] - window_lcum, f, deps[f], "L1", 0.0)
-                    )
-        if fwd_entries:
-            fwd_entries.extend(cascade_loads)
-            fwd_entries.sort()
-            cascade_loads = fwd_entries
-
-        num_loads = lcum[limit] - window_lcum
+        fwd_end = bisect_left(forward, limit, fwd_ptr)
         instr_in_window = icum[limit] - window_icum
         base = instr_in_window / dispatch
         exposed = total = 0.0
-        if cascade_loads and window_has_latency:
+        if window_has_latency:
+            # Forward loads: normally only the chain-live ones matter; a
+            # window with diverted references falls back to the full
+            # unpruned set, since a diverted load can acquire latency
+            # (and forward it) that plan-time pruning never saw.
+            if diverted is None:
+                fwd = forward[fwd_ptr:fwd_end]
+            else:
+                lo, hi = np.searchsorted(forward_all, (ws, limit))
+                fwd = [
+                    f for f in forward_all[lo:hi].tolist() if f not in diverted
+                ]
+            if fwd:
+                fwd_entries = [
+                    (lcum[f] - window_lcum, f, deps[f], "L1", 0.0) for f in fwd
+                ]
+                fwd_entries.extend(cascade_loads)
+                fwd_entries.sort()
+                cascade_loads = fwd_entries
             # The same float operations, in the same order, as
             # compute_window_timing + CycleStack.add_window.
+            num_loads = lcum[limit] - window_lcum
             exposed, total, by_level = compute_window_timing_sparse(
                 cascade_loads,
                 num_loads,
@@ -560,6 +567,7 @@ def run_fast(machine, trace: Trace):
                 scale = exposed / total
                 for lvl, lat in by_level.items():
                     stall[lvl] = stall.get(lvl, 0.0) + lat * scale
+        fwd_ptr = fwd_end
         clock += base + exposed
         stack.base += base
         stack.instructions += instr_in_window
@@ -567,6 +575,11 @@ def run_fast(machine, trace: Trace):
         total_exposed += exposed
 
         if tel is not None or limit == n:
+            for k, cum in hit_cums:
+                c = int(cum[limit] - cum[hits_folded])
+                if c:
+                    l1_stats.hits[k] += c
+            hits_folded = limit
             for cache, hit_c, miss_c, lvl in folds:
                 st = cache.stats
                 for k, v in hit_c.items():

@@ -21,7 +21,7 @@ from ..dram.multichannel import MultiChannelDRAM
 from ..droplet.composite import PrefetchSetup, make_prefetch_setup
 from ..droplet.mpp import MPP
 from ..memory.allocator import GraphLayout
-from ..prefetch.stats import PrefetchLedger
+from ..prefetch.stats import PrefetchLedger, _LedgerEntry
 from ..prefetch.stream import DataAwareStreamer
 from ..trace.buffer import Trace
 from ..trace.record import NO_DEP, DataType
@@ -327,9 +327,12 @@ class Machine:
         hierarchy = self.hierarchy
         copy_to_l2 = hierarchy.copy_to_l2
         prefetch_fill = hierarchy.prefetch_fill
+        # The ledger's entry table and the chase's counters, bound once:
+        # ``is_tracked`` and ``issue`` inlined per target.  The counters
+        # are created at the first issue, as ``issue`` would.
         ledger = self.ledger
-        is_tracked = ledger.is_tracked
-        issue = ledger.issue
+        entries = ledger._entries
+        issued = None
         penalty = self.setup.mpp_issue_penalty
         into_l1 = self.setup.fill_into_l1
         l3_lat = self.config.l3_service_latency
@@ -350,7 +353,7 @@ class Machine:
                         core=core,
                         dtype="property",
                     )
-            if is_tracked(pline):
+            if pline in entries:
                 continue
             issue_time = fill_ready + issue_delay + penalty
             if copy_to_l2(core, pline, _PROPERTY, "mpp"):
@@ -358,7 +361,10 @@ class Machine:
             else:
                 ready = issue_time + access(pline, int(issue_time), True)
                 prefetch_fill(core, pline, _PROPERTY, into_l1, "mpp")
-            issue(pline, pf_dt, ready, "mpp")
+            if issued is None:
+                issued = ledger.counters_for("mpp").issued
+            issued[pf_dt] += 1
+            entries[pline] = _LedgerEntry("mpp", pf_dt, ready)
 
     @staticmethod
     def _resolve_fast_path(mode: str) -> str | bool:

@@ -158,7 +158,7 @@ def plan_replay(
     """Build the :class:`ReplayPlan` for ``trace`` on one L1 geometry."""
     n = len(trace)
     lines = trace.addr // line_size
-    guaranteed, prev = guaranteed_hit_mask(
+    guaranteed, prev, set_prev = guaranteed_hit_mask(
         lines, num_sets, associativity, return_prev=True
     )
 
@@ -187,9 +187,7 @@ def plan_replay(
     # within the run, or when the set's very next access is the same
     # line.  Dirty bits are handled separately via store_rep_index.
     nxt = _invert_prev(prev, n)
-    next_in_set = _invert_prev(
-        previous_occurrences(lines % num_sets), n
-    )
+    next_in_set = _invert_prev(set_prev, n)
     redundant = (nxt < run_end) | ((nxt < n) & (nxt == next_in_set))
     touch_mask = guaranteed & ~redundant
     # One representative (last) store per line per guaranteed run.

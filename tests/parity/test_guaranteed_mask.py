@@ -106,6 +106,39 @@ def window_loads(draw):
     return loads
 
 
+@st.composite
+def mid_trace_windows(draw):
+    """A window starting mid-trace with up to two load-queue phases.
+
+    Loads sit at increasing references from ``window_start`` with
+    non-load references between them; a dependency names nothing, a
+    reference before the window, a non-load inside it or an earlier
+    load, which may lie in an earlier phase.
+    """
+    lq = draw(st.sampled_from([1, 3, 8, 48]))
+    window_start = draw(st.integers(1, 500))
+    n = draw(st.integers(0, 2 * lq))
+    loads = []
+    ref = window_start + draw(st.integers(0, 3))
+    for ordinal in range(n):
+        choice = draw(st.sampled_from(["none", "before", "inside", "load"]))
+        if choice == "before":
+            dep = draw(st.integers(0, window_start - 1))
+        elif choice == "inside" and ref > window_start:
+            dep = draw(st.integers(window_start, ref - 1))
+        elif choice == "load" and loads:
+            dep = draw(st.sampled_from([entry[1] for entry in loads]))
+        else:
+            dep = -1
+        lat = draw(st.sampled_from([0.0, 0.0, 12.0, 40.0, 200.0]))
+        level = "L1" if lat == 0.0 else draw(
+            st.sampled_from(["L2", "L3", "DRAM"])
+        )
+        loads.append((ordinal, ref, dep, level, lat))
+        ref += 1 + draw(st.integers(0, 3))
+    return window_start, lq, loads
+
+
 class TestSparseTimingParity:
     @settings(max_examples=300, deadline=None)
     @given(window_loads(), st.sampled_from([1, 4, 10]),
@@ -129,3 +162,24 @@ class TestSparseTimingParity:
         assert a.total_miss_latency == total
         assert a.latency_by_level == by_level
         assert list(a.latency_by_level) == list(by_level)  # fold order
+
+    @settings(max_examples=300, deadline=None)
+    @given(mid_trace_windows(), st.sampled_from([1, 4, 10]))
+    def test_sparse_equals_dense_mid_trace(self, window, mshr):
+        window_start, lq, loads = window
+        dense = [(ref, dep, level, lat) for _, ref, dep, level, lat in loads]
+        targets = {dep for _, _, dep, _, _ in loads if dep >= 0}
+        sparse = [
+            entry
+            for entry in loads
+            if entry[4] > 0.0 or entry[1] in targets
+        ]
+        refs = np.array([entry[1] for entry in loads], dtype=np.int64)
+        a = compute_window_timing(dense, window_start, mshr, lq)
+        exposed, total, by_level = compute_window_timing_sparse(
+            sparse, len(loads), refs, window_start, mshr, lq
+        )
+        assert a.exposed == exposed
+        assert a.total_miss_latency == total
+        assert a.latency_by_level == by_level
+        assert list(a.latency_by_level) == list(by_level)

@@ -1,11 +1,14 @@
-"""LRU tables on plain dicts against ``OrderedDict`` reference models.
+"""LRU and FIFO tables against independent reference models.
 
 The stream tracker table, the TLB and the MTLB keep their LRU order in
 plain dicts (first key least recently used).  The replay paths share
 these tables, so the parity suites cannot see a slip in that order;
 these tests drive each table and an ``OrderedDict`` model with the same
 operations and, after every step, demand the same residents in the
-same LRU→MRU order.
+same LRU→MRU order.  The two tables that drop their oldest entry on
+most inserts, the pollution shadow sets and the GHB index, are
+``OrderedDict`` FIFOs; they are checked the same way against a FIFO
+on a plain list.
 """
 
 from collections import OrderedDict
@@ -17,7 +20,13 @@ from hypothesis import strategies as st
 from repro.droplet import MPP, MPPConfig
 from repro.graph import build_csr
 from repro.memory import TLB, GraphLayout, PageFault, PageTable
-from repro.prefetch import DataAwareStreamer, StreamPrefetcher, StreamTracker
+from repro.prefetch import (
+    DataAwareStreamer,
+    GHBPrefetcher,
+    StreamPrefetcher,
+    StreamTracker,
+)
+from repro.prefetch.stats import PollutionTracker, PrefetchLedger
 from repro.trace import DataType
 
 PAGE_LINES = 8
@@ -243,3 +252,120 @@ class TestMPPRefresh:
             for vaddr in vaddrs:
                 model.translate(vaddr)
             assert tlb.resident_pages() == list(model.entries)
+
+
+class FIFOModel:
+    """A bounded FIFO of distinct keys on a plain list, oldest first."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.items: list[tuple] = []
+
+    def pop(self, key, default=None):
+        for n, (k, value) in enumerate(self.items):
+            if k == key:
+                del self.items[n]
+                return value
+        return default
+
+    def push(self, key, value) -> None:
+        """Insert ``key`` as the newest; drop the oldest past capacity."""
+        self.pop(key)
+        self.items.append((key, value))
+        if len(self.items) > self.capacity:
+            self.items.pop(0)
+
+
+class TestPollutionShadowSets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["evict", "fill", "miss"]),
+                st.sampled_from(["L2", "L3", "L1"]),
+                st.integers(0, 12),
+                st.sampled_from([None, "stream", "mpp"]),
+            ),
+            max_size=200,
+        ),
+        caps=st.tuples(st.integers(1, 5), st.integers(1, 8)),
+    )
+    def test_shadow_sets_are_bounded_fifos(self, ops, caps):
+        capacities = {"L2": caps[0], "L3": caps[1]}
+        ledger = PrefetchLedger()
+        tracker = PollutionTracker(ledger, capacities)
+        models = {level: FIFOModel(cap) for level, cap in capacities.items()}
+        misses = {level: 0 for level in capacities}
+        for op, level, line, issuer in ops:
+            model = models.get(level)
+            if op == "evict":
+                tracker.on_prefetch_eviction(level, line, issuer)
+                if model is not None:
+                    model.push(line, issuer or "unknown")
+            elif op == "fill":
+                tracker.on_fill(level, line)
+                if model is not None:
+                    model.pop(line)
+            else:
+                blamed = tracker.on_demand_miss(level, line, DataType.PROPERTY)
+                want = model is not None and model.pop(line) is not None
+                assert blamed == want
+                misses[level] = misses.get(level, 0) + want
+            for name, fifo in models.items():
+                assert list(tracker._sets[name].items()) == fifo.items
+        assert tracker.misses == {level: misses[level] for level in capacities}
+
+
+class GHBModel:
+    """G/DC GHB with its history as a plain list and its index a FIFOModel."""
+
+    def __init__(self, index_size: int, buffer_size: int, degree: int):
+        self.index = FIFOModel(index_size)
+        self.history: list[int] = []
+        self.buffer_size = buffer_size
+        self.degree = degree
+        self.last_line = None
+        self.last_delta = None
+
+    def _live(self, seq: int) -> bool:
+        count = len(self.history)
+        return 0 <= seq < count and seq >= count - self.buffer_size
+
+    def observe_miss(self, line: int) -> list[int]:
+        out: list[int] = []
+        if self.last_line is not None:
+            delta = line - self.last_line
+            if self.last_delta is not None:
+                key = (self.last_delta, delta)
+                prev = self.index.pop(key, -1)
+                self.index.push(key, len(self.history))
+                self.history.append(line)
+                if self._live(prev):
+                    addr, walk = line, prev
+                    for _ in range(self.degree):
+                        if not self._live(walk + 1):
+                            break
+                        addr += self.history[walk + 1] - self.history[walk]
+                        if addr > 0:
+                            out.append(addr)
+                        walk += 1
+            self.last_delta = delta
+        self.last_line = line
+        return out
+
+
+class TestGHBIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(st.integers(0, 24), max_size=200),
+        index_size=st.integers(1, 6),
+        buffer_size=st.integers(1, 12),
+        degree=st.integers(1, 4),
+    )
+    def test_index_is_a_bounded_fifo(self, lines, index_size, buffer_size, degree):
+        ghb = GHBPrefetcher(index_size, buffer_size, degree)
+        model = GHBModel(index_size, buffer_size, degree)
+        for line in lines:
+            got = ghb.observe_miss(line, DataType.PROPERTY, False, 0)
+            assert got == model.observe_miss(line)
+            assert list(ghb._index.items()) == model.index.items
